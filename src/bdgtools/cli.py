@@ -75,8 +75,10 @@ from .lattice import (
     spectrum_symmetry_check,
 )
 from .models import (
+    _CLOSED_FORM_TAGS,
     MODEL_NAMES,
     ModelParams,
+    _resolve_band_tag,
     build_model,
     build_pairing,
     central_gap,
@@ -263,12 +265,11 @@ def _run_gap_scan(man: ExperimentManifest) -> str:
         raise ValueError("gap-scan needs a catalog model name")
     p = man.params
     mus = np.linspace(float(p["mu_min"]), float(p["mu_max"]), int(p["n"]))
-    try:  # closed-form bands when the catalog provides them
-        central_gap(doc["name"], ModelParams(doc["delta"], float(mus[0])))
+    if _resolve_band_tag(doc["name"]) in _CLOSED_FORM_TAGS:
         gap_of = lambda mu: central_gap(
             doc["name"], ModelParams(doc["delta"], float(mu))
         )
-    except ValueError:
+    else:
         gap_of = lambda mu: central_gap(
             _build_from_doc(doc, mu=mu), ModelParams(0.0, 0.0)
         )

@@ -176,8 +176,9 @@ class DisorderSpec:
                     raise ValueError(
                         f"terms at {t.j} and {mj} must share one distribution"
                     )
-            else:  # complete the closure automatically
-                completed[mj] = DisorderTerm(mj, t.W.conj().T, t.nu, t.name)
+            else:  # complete the closure automatically; a catalog name
+                # labels W_j only, so the mirror W_j* is stored unnamed
+                completed[mj] = DisorderTerm(mj, t.W.conj().T, t.nu)
         object.__setattr__(
             self, "terms", tuple(completed[j] for j in sorted(completed))
         )

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -97,10 +99,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class TightBindingOperator:
     """Finite collection of lattice hopping terms with matrix blocks.
 
-    ``terms`` maps displacement -> block (complex, fiber.dim x fiber.dim).
-    The type itself does not require hermiticity closure: pairing potentials
-    are legitimately non-self-adjoint.  Operations that assemble Hermitian
-    matrices check closure as a precondition.
+    ``terms`` is a read-only mapping displacement -> block (complex,
+    fiber.dim x fiber.dim, itself read-only), sorted by displacement; the
+    operator cannot change after construction.  The type itself does not
+    require hermiticity closure: pairing potentials are legitimately
+    non-self-adjoint.  Operations that assemble Hermitian matrices check
+    closure as a precondition; the verdict is computed once per operator
+    and reused.
     """
 
     fiber: FiberShape
@@ -123,7 +128,9 @@ class TightBindingOperator:
             else:
                 clean[j] = b
         object.__setattr__(
-            self, "terms", {j: _freeze(b) for j, b in sorted(clean.items())}
+            self,
+            "terms",
+            MappingProxyType({j: _freeze(b) for j, b in sorted(clean.items())}),
         )
 
     @property
@@ -141,6 +148,14 @@ class TightBindingOperator:
     def hopping_terms(self) -> Iterable[HoppingTerm]:
         for j, b in self.terms.items():
             yield HoppingTerm(j, b)
+
+    @cached_property
+    def _closure(self) -> tuple[float, Displacement | None, float]:
+        """(worst closure defect, offending displacement, largest block entry)."""
+        scale = max(
+            (float(np.abs(b).max()) for b in self.terms.values() if b.size), default=0.0
+        )
+        return (*closure_defect(self), scale)
 
 
 def tight_binding(
@@ -176,10 +191,7 @@ def closure_defect(model: TightBindingOperator) -> tuple[float, Displacement | N
 
 
 def _require_closure(model: TightBindingOperator, what: str) -> None:
-    scale = max(
-        (float(np.abs(b).max()) for b in model.terms.values() if b.size), default=0.0
-    )
-    defect, where = closure_defect(model)
+    defect, where, scale = model._closure
     if defect > HERMITICITY_RTOL * max(scale, 1.0):
         raise ValueError(
             f"{what}: term set is not hermiticity-closed; "
@@ -213,31 +225,30 @@ def assemble_bloch(model: TightBindingOperator, k) -> BlochMatrix:
     Parameters
     ----------
     model : TightBindingOperator
-        Term set with hermiticity closure (checked; a structural error names
-        the offending displacement otherwise).
+        Term set with hermiticity closure (checked once per operator and
+        reused; a structural error names the offending displacement
+        otherwise).
     k : pair of floats
         Quasi-momentum in [-pi, pi)^2 (any reals are accepted; the assembly
         is 2pi-periodic).
     """
     _require_closure(model, "assemble_bloch")
     k = (float(k[0]), float(k[1]))
-    d = model.fiber.dim
-    m = np.zeros((d, d), dtype=complex)
-    for j, b in model.terms.items():
-        m += np.exp(1j * (k[0] * j[0] + k[1] * j[1])) * b
-    return BlochMatrix(k, m)
+    return BlochMatrix(k, _bloch_sum(model, k))
 
 
 def _bloch_sum(model: TightBindingOperator, k) -> np.ndarray:
     """Sum_j e^{i k.j} B_j without the closure/hermiticity checks.
 
-    Internal helper, useful for non-self-adjoint operators such as pairing
-    potentials.
+    The one Bloch summation kernel: :func:`assemble_bloch` wraps it with the
+    checks, and it serves non-self-adjoint operators such as pairing
+    potentials directly.
     """
+    k1, k2 = float(k[0]), float(k[1])
     d = model.fiber.dim
     m = np.zeros((d, d), dtype=complex)
     for j, b in model.terms.items():
-        m += np.exp(1j * (float(k[0]) * j[0] + float(k[1]) * j[1])) * b
+        m += np.exp(1j * (k1 * j[0] + k2 * j[1])) * b
     return m
 
 

@@ -302,6 +302,24 @@ def test_spec_json_round_trip():
         assert a.nu == b.nu
 
 
+def test_spec_json_round_trip_with_catalog_named_offsite_terms():
+    # the completed mirrors at (-1, 0) and (0, -1) hold W_j*, not the named W_j
+    spec = DisorderSpec(
+        (
+            DisorderTerm((1, 0), standard_W("W10", 2), name="W10"),
+            DisorderTerm((0, 1), standard_W("W01", 2), name="W01"),
+        ),
+        lam=0.5,
+    )
+    text = spec_to_json(spec)
+    back = spec_from_json(text, r=2)
+    assert [t.j for t in back.terms] == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    for a, b in zip(back.terms, spec.terms):
+        np.testing.assert_array_equal(a.W, b.W)
+        assert a.nu == b.nu
+    assert spec_to_json(back) == text
+
+
 def test_spec_json_catalog_names_need_fiber():
     text = spec_to_json(default_spec(r=1))
     with pytest.raises(ValueError, match="fiber"):

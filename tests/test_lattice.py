@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bdgtools.lattice as lattice
+from bdgtools.chern import transfer_matrix
 from bdgtools.lattice import (
     FiberShape,
     TightBindingOperator,
@@ -23,7 +25,7 @@ from bdgtools.lattice import (
     spectrum_symmetry_check,
     tight_binding,
 )
-from bdgtools.models import build_model, build_pairing, reduce_su2
+from bdgtools.models import MODEL_NAMES, build_model, build_pairing, reduce_su2
 
 
 def _random_closed_model(seed: int, r: int = 2) -> TightBindingOperator:
@@ -91,10 +93,48 @@ def test_closure_defect_names_offender():
     assert where == (1, 0)
 
 
-def test_missing_adjoint_term_refused_by_assembly():
+def _count_closure_checks(monkeypatch) -> list:
+    calls = []
+    original = lattice.closure_defect
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(lattice, "closure_defect", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "assemble",
+    [
+        lambda op: assemble_bloch(op, (0.0, 0.0)),
+        lambda op: assemble_finite_volume(op, (4, 4)),
+        lambda op: transfer_matrix(op, 0.3),
+    ],
+    ids=["assemble_bloch", "assemble_finite_volume", "transfer_matrix"],
+)
+def test_missing_adjoint_term_refused_by_assembly(assemble, monkeypatch):
+    calls = _count_closure_checks(monkeypatch)
     broken = tight_binding(FiberShape(1), {(1, 0): np.array([[1.0]])})
-    with pytest.raises(ValueError, match=r"\(1, 0\)"):
-        assemble_bloch(broken, (0.0, 0.0))
+    for _ in range(2):  # the cached verdict still refuses every call
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            assemble(broken)
+    assert len(calls) == 1
+
+
+def test_closure_is_checked_once_per_frozen_operator(monkeypatch):
+    H = build_model("pip+", delta=0.3, mu=-0.5)
+    calls = _count_closure_checks(monkeypatch)
+    with pytest.raises(TypeError):
+        H.terms[(0, 0)] = np.zeros((2, 2))
+    for k in [(0.0, 0.0), (1.3, -2.1), (np.pi, np.pi)]:
+        assemble_bloch(H, k)
+    transfer_matrix(H, 0.3)
+    transfer_matrix(H, 1.1)
+    assemble_finite_volume(H, (4, 4))
+    assemble_finite_volume(H, (5, 3), bc="open")
+    assert len(calls) == 1 and calls[0] is H
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +158,21 @@ def test_chiral_d_reduced_bloch_at_pi_zero():
     m = assemble_bloch(Hp, (np.pi, 0.0)).matrix
     # (p1, p2, p3) = (-2, 0, -1) in the Pauli form
     np.testing.assert_allclose(m, [[-1.0, -2.0], [-2.0, 1.0]], atol=1e-14)
+
+
+def test_bloch_assembly_is_bit_exact_to_the_reference_sum():
+    models = [build_model(name, delta=0.6, mu=0.9) for name in MODEL_NAMES]
+    models += [_random_closed_model(seed) for seed in range(6)]
+    ks = np.linspace(-np.pi, np.pi, 5)
+    for op in models:
+        d = op.fiber.dim
+        for k1 in ks:
+            for k2 in ks:
+                reference = sum(
+                    (np.exp(1j * (k1 * j[0] + k2 * j[1])) * b for j, b in op.terms.items()),
+                    np.zeros((d, d), dtype=complex),
+                )
+                assert np.array_equal(assemble_bloch(op, (k1, k2)).matrix, reference)
 
 
 @settings(max_examples=40, deadline=None)
