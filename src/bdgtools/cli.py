@@ -20,7 +20,8 @@ Every run with ``--out`` writes the result plus a ``<out>.manifest.json``
 sidecar recording the resolved inputs; :func:`run_manifest` replays a
 manifest and reproduces the output byte for byte.  All tables are CSV with
 17-significant-digit floats.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error or a refused input or computation (``ValueError``,
+``ArithmeticError``, I/O errors), reported as ``error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -781,7 +782,7 @@ def main(argv=None) -> int:
         text = _RUNNERS[man.command](man)
         _emit(text, args.out, man)
         return 0
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

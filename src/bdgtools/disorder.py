@@ -284,7 +284,12 @@ def build_random_hamiltonian(
     realization: DisorderRealization,
     bc: str = "periodic",
 ) -> FiniteVolumeOperator:
-    """Finite-volume H = H0 + lam * V for one disorder realization."""
+    """Finite-volume H = H0 + lam * V for one disorder realization.
+
+    With ``bc="open"`` a disorder hop leaving the box is dropped, as in
+    H0; its mirror class, which re-enters across the opposite face, goes
+    with it, so V stays Hermitian.
+    """
     base = assemble_finite_volume(H0, realization.L, bc=bc)
     if lam == 0.0 or not spec.terms:
         return base
@@ -300,14 +305,18 @@ def build_random_hamiltonian(
         rows = np.empty(n, dtype=int)
         cols = np.empty(n, dtype=int)
         data = np.empty(n, dtype=float)
+        inside = np.empty(n, dtype=bool)
         i = 0
         for l2 in range(L2):
             for l1 in range(L1):
-                lp = ((l1 + t.j[0]) % L1, (l2 + t.j[1]) % L2)
-                rows[i] = lp[0] + L1 * lp[1]
+                t1, t2 = l1 + t.j[0], l2 + t.j[1]
+                inside[i] = 0 <= t1 < L1 and 0 <= t2 < L2
+                rows[i] = t1 % L1 + L1 * (t2 % L2)
                 cols[i] = l1 + L1 * l2
                 data[i] = realization.values[(t.j, (l1, l2))]
                 i += 1
+        if bc == "open":
+            rows, cols, data = rows[inside], cols[inside], data[inside]
         sites = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
         v_total = v_total + sp.kron(sites, sp.csr_matrix(t.W), format="csr")
     defect = float(np.abs(v_total - v_total.getH()).max())

@@ -31,6 +31,7 @@ from .disorder import DisorderSpec, build_random_hamiltonian, sample_realization
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
+    _bloch_stack,
     assemble_finite_volume,
 )
 
@@ -196,12 +197,7 @@ def bloch_band_grid(model: TightBindingOperator, grid_n: int = 128) -> np.ndarra
     by momentum, columns ascending.
     """
     ks = 2.0 * np.pi * np.arange(grid_n) / grid_n - np.pi
-    d = model.fiber.dim
-    m = np.zeros((grid_n, grid_n, d, d), dtype=complex)
-    for j, b in model.terms.items():
-        phase = np.exp(1j * (ks[:, None] * j[0] + ks[None, :] * j[1]))
-        m += phase[..., None, None] * b
-    return np.linalg.eigvalsh(m).reshape(-1, d)
+    return np.linalg.eigvalsh(_bloch_stack(model, ks, ks)).reshape(-1, model.fiber.dim)
 
 
 def spectral_distance(model: TightBindingOperator, z: complex, grid_n: int = 256) -> float:

@@ -240,15 +240,31 @@ def assemble_bloch(model: TightBindingOperator, k) -> BlochMatrix:
 def _bloch_sum(model: TightBindingOperator, k) -> np.ndarray:
     """Sum_j e^{i k.j} B_j without the closure/hermiticity checks.
 
-    The one Bloch summation kernel: :func:`assemble_bloch` wraps it with the
-    checks, and it serves non-self-adjoint operators such as pairing
-    potentials directly.
+    The per-point Bloch summation kernel (:func:`_bloch_stack` is its grid
+    form): :func:`assemble_bloch` wraps it with the checks, and it serves
+    non-self-adjoint operators such as pairing potentials directly.
     """
     k1, k2 = float(k[0]), float(k[1])
     d = model.fiber.dim
     m = np.zeros((d, d), dtype=complex)
     for j, b in model.terms.items():
         m += np.exp(1j * (k1 * j[0] + k2 * j[1])) * b
+    return m
+
+
+def _bloch_stack(model: TightBindingOperator, k1s, k2s) -> np.ndarray:
+    """Bloch matrices on the product grid of two 1-D float arrays, without checks.
+
+    The one grid kernel: entry ``[a, b]`` of the returned
+    ``(len(k1s), len(k2s), d, d)`` stack is ``_bloch_sum(model, (k1s[a],
+    k2s[b]))``, summed term by term in the same order with the same
+    arithmetic, so the two agree bit for bit.
+    """
+    d = model.fiber.dim
+    m = np.zeros((len(k1s), len(k2s), d, d), dtype=complex)
+    for j, b in model.terms.items():
+        phase = np.exp(1j * (k1s[:, None] * j[0] + k2s[None, :] * j[1]))
+        m += phase[..., None, None] * b
     return m
 
 

@@ -33,6 +33,7 @@ from scipy.optimize import minimize
 from .lattice import (
     FiberShape,
     TightBindingOperator,
+    _bloch_stack,
     _bloch_sum,
     _require_closure,
     check_bdg_equation,
@@ -351,20 +352,38 @@ def reduce_su2(
 _CLOSED_FORM_TAGS = ("p_ip", "d_id")
 
 
-def _closed_form_eplus(tag: str, params: ModelParams) -> Callable[[float, float], float]:
+def _square(x):
+    """``x ** 2`` rounded as the C library's ``pow(x, 2.0)`` rounds it.
+
+    A float or NumPy scalar ``** 2`` calls ``pow``, but NumPy turns
+    ``array ** 2`` into ``x * x``, which differs in the last bit for about
+    0.1 % of inputs.  Arrays therefore go through ``float_power`` with a
+    scalar exponent, which takes no such shortcut, so a grid and its
+    per-point values agree bit for bit (pinned by the coarse-grid
+    equivalence tests).  Scalars keep ``** 2``, which costs a tenth of a
+    ufunc call in the Nelder-Mead loop.
+    """
+    if isinstance(x, (float, np.floating)):
+        return x ** 2
+    return np.float_power(x, 2)
+
+
+def _closed_form_eplus(tag: str, params: ModelParams) -> Callable:
+    """E_+(k1, k2) from NumPy ufuncs: the same formula on scalars and grids."""
     delta, mu = params.delta, params.mu
     if tag == "p_ip":
-        def eplus(k1: float, k2: float) -> float:
-            band = math.cos(k1) + math.cos(k2) - mu / 2
-            return math.sqrt(
+        def eplus(k1, k2):
+            band = np.cos(k1) + np.cos(k2) - mu / 2
+            return np.sqrt(
                 band * band
-                + delta * delta * (math.sin(k1) ** 2 + math.sin(k2) ** 2)
+                + delta * delta * (_square(np.sin(k1)) + _square(np.sin(k2)))
             )
     elif tag == "d_id":
-        def eplus(k1: float, k2: float) -> float:
-            band = math.cos(k1) + math.cos(k2) - mu / 2
-            pair = math.cos(k1) * math.cos(k2) - 1.0
-            return math.sqrt(band * band + delta * delta * pair * pair)
+        def eplus(k1, k2):
+            c1, c2 = np.cos(k1), np.cos(k2)
+            band = c1 + c2 - mu / 2
+            pair = c1 * c2 - 1.0
+            return np.sqrt(band * band + delta * delta * pair * pair)
     else:
         raise ValueError(
             f"no closed-form bands for {tag!r}; use the generic Bloch route"
@@ -386,30 +405,60 @@ def example_bands(model, params: ModelParams, k) -> BandPoint:
     """Closed-form bands E_+- (chiral p- or d-wave) at quasi-momentum k."""
     tag = _resolve_band_tag(model)
     eplus = _closed_form_eplus(tag, params)
-    e = eplus(float(k[0]), float(k[1]))
+    e = float(eplus(float(k[0]), float(k[1])))
     return BandPoint((float(k[0]), float(k[1])), e, -e)
+
+
+def _gap_objective(model, params: ModelParams, ks: np.ndarray):
+    """E_+^2 of ``model`` on the ``ks x ks`` grid and at single points.
+
+    Returns ``(values, esq, label)``: ``values[a, b]`` is E_+^2 at
+    ``(ks[a], ks[b])`` from one vectorized pass, ``esq(k)`` the same
+    quantity at one point (bitwise equal on the grid), and ``label`` names
+    the model in error messages.
+    """
+    if isinstance(model, TightBindingOperator):
+        def min_esq(m):  # smallest E^2 of one Bloch matrix or of a stack
+            return _square(np.min(np.abs(np.linalg.eigvalsh(m)), axis=-1))
+
+        def esq(k):
+            return float(min_esq(_bloch_sum(model, k)))
+
+        values = min_esq(_bloch_stack(model, ks, ks))
+        label = (
+            f"operator (fiber dimension {model.fiber.dim}, "
+            f"{len(model.terms)} terms)"
+        )
+    else:
+        eplus = _closed_form_eplus(_resolve_band_tag(model), params)
+
+        def esq(k):
+            return float(_square(eplus(k[0], k[1])))
+
+        values = _square(eplus(*np.meshgrid(ks, ks, indexing="ij")))
+        label = f"{model!r} at delta={params.delta!r}, mu={params.mu!r}"
+    return values, esq, label
 
 
 def central_gap(model, params: ModelParams, grid_n: int = 64) -> float:
     """Spectral gap around zero: g = 2 min_k E_+(k).
 
-    A coarse ``grid_n`` x ``grid_n`` scan of the Brillouin zone seeds a
-    Nelder-Mead refinement of E_+^2; the refinement is converged well below
-    1e-8 absolute in g.  Models without closed-form bands are minimized
-    through their Bloch matrices.
+    ``model`` is a catalog name or :class:`PairingKind` (closed-form bands
+    at ``params``) or a :class:`TightBindingOperator` (minimized through its
+    Bloch matrices; ``params`` is then unused).  A coarse ``grid_n`` x
+    ``grid_n`` scan of the Brillouin zone, evaluated in one vectorized pass
+    (one batched ``eigvalsh`` over the Bloch stack for operators), seeds a
+    Nelder-Mead refinement of E_+^2 from its three lowest cells.  Each
+    refinement stops once its simplex spans less than 1e-10 in k; near a
+    minimum E_+^2 is then flat to rounding, so a gapped g is converged to a
+    few ulp and a closed gap comes out below 1e-8.  A refinement that ends
+    without converging (iteration cap) raises :class:`ArithmeticError`
+    naming the model and the start cell.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
-    if isinstance(model, TightBindingOperator):
-        def esq(k):
-            m = _bloch_sum(model, k)
-            return float(np.min(np.abs(np.linalg.eigvalsh(m))) ** 2)
-    else:
-        eplus = _closed_form_eplus(_resolve_band_tag(model), params)
-        def esq(k):
-            return eplus(k[0], k[1]) ** 2
     ks = -np.pi + 2 * np.pi * np.arange(grid_n) / grid_n
-    values = np.array([[esq((k1, k2)) for k2 in ks] for k1 in ks])
+    values, esq, label = _gap_objective(model, params, ks)
     order = np.argsort(values, axis=None)
     best = np.inf
     for flat in order[:3]:  # refine from the few best coarse cells
@@ -418,7 +467,14 @@ def central_gap(model, params: ModelParams, grid_n: int = 64) -> float:
             esq,
             x0=(ks[i], ks[j]),
             method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-22, "maxiter": 4000},
+            # stop on k alone: any fatol below one ulp of E_+^2 is unreachable
+            options={"xatol": 1e-10, "fatol": np.inf, "maxiter": 4000},
         )
+        if not res.success:
+            raise ArithmeticError(
+                f"central_gap: refinement for {label} from coarse cell "
+                f"({i}, {j}), k = ({ks[i]:.6f}, {ks[j]:.6f}), did not "
+                f"converge: {res.message}"
+            )
         best = min(best, float(res.fun), values[i, j])
     return 2.0 * math.sqrt(max(best, 0.0))

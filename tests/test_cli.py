@@ -6,11 +6,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from bdgtools.cli import ExperimentManifest, main, run_manifest
+from bdgtools import models
+from bdgtools.cli import (
+    ExperimentManifest,
+    _build_parser,
+    _manifest_from_args,
+    main,
+    run_manifest,
+)
 from bdgtools.lattice import tight_binding
 from bdgtools.models import ModelParams, build_pairing, central_gap, example_bands
 
@@ -257,3 +268,38 @@ def test_usage_errors_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["ids", "--model", "pip+", "--params", "delta=0.3,mu=1,energies=1,lam=0.5"]) == 2
     assert "--disorder" in capsys.readouterr().err
+
+
+def test_non_converged_gap_refinement_exits_2(monkeypatch, capsys):
+    def stalled(fun, x0, **kwargs):
+        return OptimizeResult(
+            x=np.asarray(x0), fun=fun(x0), success=False, nit=4000,
+            message="Maximum number of iterations has been exceeded.",
+        )
+
+    monkeypatch.setattr(models, "minimize", stalled)
+    args = ["gap-scan", "--model", "pip+", "--params", "delta=0.3,mu_min=0.5,mu_max=0.5,n=1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: central_gap:") and "'pip+'" in err
+    assert "did not converge" in err and "Traceback" not in err
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("bdgtools "):
+                lines.append(line)
+    return lines
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    parser = _build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        man = _manifest_from_args(args)
+        assert man.command == args.command, line

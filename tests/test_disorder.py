@@ -260,6 +260,37 @@ def test_translated_field_gives_translated_operator():
     np.testing.assert_allclose(Hb, perm @ Ha @ perm.T, atol=1e-14)
 
 
+def test_open_boundary_disorder_does_not_wrap_around_the_box():
+    H = build_model("pip+", delta=0.3, mu=-0.5)
+    spec = _three_term_spec()
+    L = (6, 6)
+    rz = sample_realization(spec, L, seed=2)
+
+    def disorder_part(bc):
+        fv = build_random_hamiltonian(H, spec, 1.0, rz, bc=bc)
+        return fv, (fv.matrix - assemble_finite_volume(H, L, bc=bc).matrix).tocoo()
+
+    fv, v_open = disorder_part("open")
+    _, v_periodic = disorder_part("periodic")
+    dense = v_open.toarray()
+    assert np.abs(dense - dense.conj().T).max() <= 1e-12
+
+    def hops(v):  # (row, col) -> site displacement, not reduced mod L
+        return {
+            (row, col): np.subtract(fv.site_of(row)[0], fv.site_of(col)[0])
+            for row, col in zip(v.row, v.col)
+        }
+
+    assert all(np.abs(d).sum() <= 1 for d in hops(v_open).values())
+    # the open V is the periodic V without the hops across a face
+    inside = {rc for rc, d in hops(v_periodic).items() if np.abs(d).sum() <= 1}
+    assert len(inside) < v_periodic.nnz
+    keep = np.array([rc in inside for rc in zip(v_periodic.row, v_periodic.col)])
+    expected = np.zeros_like(dense)
+    expected[v_periodic.row[keep], v_periodic.col[keep]] = v_periodic.data[keep]
+    np.testing.assert_array_equal(dense, expected)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 2.0))
 def test_disorder_operator_self_adjoint_property(seed, lam):

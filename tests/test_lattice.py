@@ -175,6 +175,21 @@ def test_bloch_assembly_is_bit_exact_to_the_reference_sum():
                 assert np.array_equal(assemble_bloch(op, (k1, k2)).matrix, reference)
 
 
+def test_bloch_stack_is_bit_exact_to_the_pointwise_sum():
+    from bdgtools.greens import bloch_band_grid
+
+    models = [build_model(name, delta=0.6, mu=0.9) for name in MODEL_NAMES]
+    models += [_random_closed_model(seed) for seed in range(6)]
+    ks = -np.pi + 2 * np.pi * np.arange(6) / 6
+    for op in models:
+        stack = lattice._bloch_stack(op, ks, ks)
+        pointwise = np.array([[lattice._bloch_sum(op, (k1, k2)) for k2 in ks] for k1 in ks])
+        assert np.array_equal(stack, pointwise)
+        d = op.fiber.dim
+        bands = np.array([np.linalg.eigvalsh(m) for m in pointwise.reshape(-1, d, d)])
+        assert np.array_equal(bloch_band_grid(op, 6), bands)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

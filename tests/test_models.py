@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
+from bdgtools import models
 from bdgtools.lattice import (
     FiberShape,
     assemble_bloch,
@@ -356,3 +358,104 @@ def test_gap_bounded_by_mu():
 def test_gap_closes_at_band_edges():
     for name, mu in [("pip+", 4.0), ("pip+", -4.0), ("did+", 4.0), ("did+", -4.0)]:
         assert central_gap(pairing_kind(name), ModelParams(0.7, mu)) == pytest.approx(0.0, abs=1e-8)
+
+
+#: (delta, mu) points and the pinned central gaps of the Bloch route; a
+#: closed gap reads as rounding noise of order 1e-11
+GAP_POINTS = ((0.3, -0.5), (1.0, 2.0), (0.7, 1.3))
+PINNED_GAPS = {
+    "s": (0.15, 0.5, 0.35),
+    "s-star": (0.07417022646512225, 0.8944271909999152, 0.4294555521465375),
+    "px": (7.0443761480336626e-12, 1.1102230246251565e-16, 1.2875257714106758e-11),
+    "pip+": (0.3707728785557641, 1.9999999999999996, 1.220334251864836),
+    "pip-": (0.3707728785557641, 1.9999999999999996, 1.220334251864836),
+    "p-spinful": (0.1954730637967203, 1.0, 0.6493038130147096),
+    "p-triplet+": (0.1954730637967203, 0.9999999999999999, 0.6493038130147097),
+    "p-triplet-": (0.1954730637967203, 0.9999999999999999, 0.6493038130147097),
+    "dxy": (1.250373512960762e-11, 6.123233995736766e-17, 1.4540188602541e-11),
+    "dx2y2": (1.0318811938465983e-11, 1.2561442187695028e-11, 1.662945273066981e-11),
+    "did+": (0.5901909772185748, 1.293967264489654, 1.213258161216),
+    "did-": (0.5901909772185749, 1.293967264489654, 1.213258161216),
+}
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Record every Nelder-Mead result that central_gap sees."""
+    seen = []
+    minimize = models.minimize
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(models, "minimize", recording)
+    return seen
+
+
+def _assert_converged(results, maxiter=4000):
+    assert results
+    for res in results:
+        assert res.success and res.nit < maxiter, res.message
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_gap_matches_pinned_values_and_refinement_converges(name, refinements):
+    for (delta, mu), pinned in zip(GAP_POINTS, PINNED_GAPS[name]):
+        g = central_gap(build_model(name, delta, mu), ModelParams(0.0, 0.0))
+        assert g == pytest.approx(pinned, abs=1e-9)
+        if MODEL_NAMES[name].tag in models._CLOSED_FORM_TAGS:
+            closed = central_gap(name, ModelParams(delta, mu))
+            assert closed == pytest.approx(pinned, abs=1e-9)
+    _assert_converged(refinements)
+
+
+def test_gap_scan_refinements_converge(refinements):
+    for mu in np.linspace(-1.0, 1.0, 21):
+        g = central_gap("pip+", ModelParams(0.3, float(mu)))
+        if abs(mu) <= 0.1 + 1e-9:
+            assert g == pytest.approx(abs(mu), abs=1e-8)
+    assert len(refinements) == 3 * 21
+    _assert_converged(refinements)
+
+
+def _reference_eplus(tag, p, k1, k2):
+    """Per-point E_+ from the math module: the scalar reference for the grid."""
+    band = math.cos(k1) + math.cos(k2) - p.mu / 2
+    if tag == "p_ip":
+        return math.sqrt(band * band + p.delta * p.delta * (math.sin(k1) ** 2 + math.sin(k2) ** 2))
+    pair = math.cos(k1) * math.cos(k2) - 1.0
+    return math.sqrt(band * band + p.delta * p.delta * pair * pair)
+
+
+@pytest.mark.parametrize("name, params", [("pip+", ModelParams(0.3, -0.5)), ("did+", ModelParams(1.0, 2.0))])
+def test_closed_form_coarse_grid_equals_pointwise_loop(name, params):
+    ks = -np.pi + 2 * np.pi * np.arange(64) / 64
+    values, esq, _ = models._gap_objective(name, params, ks)
+    tag = MODEL_NAMES[name].tag
+    loop = np.array([[esq((k1, k2)) for k2 in ks] for k1 in ks])
+    reference = np.array([[_reference_eplus(tag, params, k1, k2) ** 2 for k2 in ks] for k1 in ks])
+    assert np.array_equal(values, loop)
+    assert np.array_equal(values, reference)
+
+
+@pytest.mark.parametrize("name", ["pip+", "s", "p-triplet-", "did-"])
+def test_operator_coarse_grid_equals_pointwise_loop(name):
+    ks = -np.pi + 2 * np.pi * np.arange(16) / 16
+    H = build_model(name, delta=0.7, mu=1.3)
+    values, esq, _ = models._gap_objective(H, ModelParams(0.0, 0.0), ks)
+    loop = np.array([[esq((k1, k2)) for k2 in ks] for k1 in ks])
+    assert np.array_equal(values, loop)
+
+
+def test_gap_refinement_failure_raises(monkeypatch):
+    def stalled(fun, x0, **kwargs):
+        return OptimizeResult(x=np.asarray(x0), fun=fun(x0), success=False, nit=4000,
+                              message="Maximum number of iterations has been exceeded.")
+
+    monkeypatch.setattr(models, "minimize", stalled)
+    with pytest.raises(ArithmeticError, match=r"'did\+' at delta=1\.0, mu=2\.0 from coarse cell \(\d+, \d+\)"):
+        central_gap("did+", ModelParams(1.0, 2.0))
+    with pytest.raises(ArithmeticError, match="operator .* from coarse cell"):
+        central_gap(build_model("s", 0.3, -0.5), ModelParams(0.0, 0.0))
