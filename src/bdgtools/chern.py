@@ -35,6 +35,7 @@ from .greens import bloch_band_grid
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
+    _as_box,
     _freeze,
     _require_closure,
     assemble_bloch,
@@ -641,7 +642,7 @@ def real_space_chern(P: np.ndarray, L) -> ChernResult:
     stay bounded for the marker to mean anything.
     """
     P = np.asarray(P, dtype=complex)
-    L = (int(L), int(L)) if np.isscalar(L) else (int(L[0]), int(L[1]))
+    L = _as_box(L)
     L1, L2 = L
     d = P.shape[0]
     if P.shape != (d, d) or L1 < 4 or L2 < 4 or d % (L1 * L2) != 0:

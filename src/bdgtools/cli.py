@@ -652,7 +652,7 @@ def _manifest_from_args(args) -> ExperimentManifest:
         disorder_doc = _disorder_doc(args.disorder, _build_from_doc(model_doc), lam)
         run = {
             "L": int(args.L),
-            "realizations": int(args.realizations or 32),
+            "realizations": 32 if args.realizations is None else int(args.realizations),
             "squared": int(bool(params.get("squared", 0))),
         }
         if cmd == "ids":
@@ -680,7 +680,7 @@ def _manifest_from_args(args) -> ExperimentManifest:
             "eps": float(params.get("eps", EPS_DEFAULT)),
             "s": float(params.get("s", S_DEFAULT)),
             "L": int(args.L),
-            "realizations": int(args.realizations or 64),
+            "realizations": 64 if args.realizations is None else int(args.realizations),
         }
         if "max_dist" in params:
             run["max_dist"] = int(params["max_dist"])
@@ -695,7 +695,7 @@ def _manifest_from_args(args) -> ExperimentManifest:
             "s": float(params.get("s", S_DEFAULT)),
             "eps": float(params.get("eps", EPS_DEFAULT)),
             "L": int(args.L),
-            "realizations": int(args.realizations or 16),
+            "realizations": 16 if args.realizations is None else int(args.realizations),
         }
     elif cmd == "verify":
         run = {}

@@ -25,10 +25,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.stats import truncnorm
 
+from ._parallel import parallel_map
 from .lattice import (
-    FiberShape,
     FiniteVolumeOperator,
     TightBindingOperator,
+    _as_box,
+    _site_permutation,
     assemble_finite_volume,
 )
 
@@ -252,7 +254,7 @@ def sample_realization(spec: DisorderSpec, L, seed: int) -> DisorderRealization:
     partner entry is filled with the same value.  The stream depends only on
     (seed, j, l), not on evaluation order.
     """
-    L = (int(L), int(L)) if np.isscalar(L) else (int(L[0]), int(L[1]))
+    L = _as_box(L)
     values: dict = {}
     for t in spec.terms:
         if not _canonical(t.j):
@@ -277,6 +279,11 @@ def sample_realization(spec: DisorderSpec, L, seed: int) -> DisorderRealization:
     return DisorderRealization(L, values, int(seed))
 
 
+def _is_clean(spec: DisorderSpec | None, lam: float) -> bool:
+    """True when ``lam * V`` vanishes: no spec, ``lam = 0`` or no terms."""
+    return spec is None or lam == 0.0 or not spec.terms
+
+
 def build_random_hamiltonian(
     H0: TightBindingOperator,
     spec: DisorderSpec,
@@ -291,39 +298,50 @@ def build_random_hamiltonian(
     with it, so V stays Hermitian.
     """
     base = assemble_finite_volume(H0, realization.L, bc=bc)
-    if lam == 0.0 or not spec.terms:
+    if _is_clean(spec, lam):
         return base
     if spec.fiber_dim != H0.fiber.dim:
         raise ValueError(
             f"disorder matrices act on dimension {spec.fiber_dim}, "
             f"model fiber has dimension {H0.fiber.dim}"
         )
-    L1, L2 = realization.L
-    n = L1 * L2
+    n = realization.L[0] * realization.L[1]
     v_total = sp.csr_matrix((n * spec.fiber_dim,) * 2, dtype=complex)
     for t in spec.terms:
-        rows = np.empty(n, dtype=int)
-        cols = np.empty(n, dtype=int)
-        data = np.empty(n, dtype=float)
-        inside = np.empty(n, dtype=bool)
-        i = 0
-        for l2 in range(L2):
-            for l1 in range(L1):
-                t1, t2 = l1 + t.j[0], l2 + t.j[1]
-                inside[i] = 0 <= t1 < L1 and 0 <= t2 < L2
-                rows[i] = t1 % L1 + L1 * (t2 % L2)
-                cols[i] = l1 + L1 * l2
-                data[i] = realization.values[(t.j, (l1, l2))]
-                i += 1
-        if bc == "open":
-            rows, cols, data = rows[inside], cols[inside], data[inside]
-        sites = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+        # column l carries v_{j,l}; the site map owns the boundary rule
+        sites = _site_permutation(realization.L, t.j, bc) @ sp.diags(
+            realization.field(t.j).ravel(order="F")
+        )
         v_total = v_total + sp.kron(sites, sp.csr_matrix(t.W), format="csr")
     defect = float(np.abs(v_total - v_total.getH()).max())
     if defect > 1e-12 * max(float(np.abs(v_total).max()), 1.0):
         raise AssertionError(f"disorder operator not self-adjoint (defect {defect:.3e})")
     return FiniteVolumeOperator(
         realization.L, base.fiber, base.matrix + float(lam) * v_total, base.bc
+    )
+
+
+def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads) -> list:
+    """``fn`` of every realization's finite-volume Hamiltonian, in order.
+
+    This is the one disorder-ensemble path: realization i is drawn from
+    ``seed + i`` and assembled as ``H0 + lam * V``.  A clean ensemble (no
+    spec, ``lam = 0`` or no terms) is the single operator ``H0``.
+    """
+    if not isinstance(model, TightBindingOperator):
+        raise TypeError("model must be a TightBindingOperator")
+    if _is_clean(spec, lam):
+        return [fn(assemble_finite_volume(model, L))]
+    if n_realizations < 1:
+        raise ValueError("disordered estimates need n_realizations >= 1")
+    return parallel_map(
+        lambda i: fn(
+            build_random_hamiltonian(
+                model, spec, lam, sample_realization(spec, L, seed + i)
+            )
+        ),
+        range(n_realizations),
+        threads,
     )
 
 

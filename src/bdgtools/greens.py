@@ -26,11 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ._parallel import parallel_map
-from .disorder import DisorderSpec, build_random_hamiltonian, sample_realization
+from .disorder import DisorderSpec, _is_clean, _realization_map
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
+    _as_box,
     _bloch_stack,
     assemble_finite_volume,
 )
@@ -161,10 +161,6 @@ def _line_fit(x, y) -> tuple[float, float, float, float]:
 
 def _center(L: tuple[int, int]) -> tuple[int, int]:
     return (L[0] // 2, L[1] // 2)
-
-
-def _as_box(L) -> tuple[int, int]:
-    return (int(L), int(L)) if np.isscalar(L) else (int(L[0]), int(L[1]))
 
 
 def _norm_profile(H: FiniteVolumeOperator, cols: np.ndarray, n0, dists) -> np.ndarray:
@@ -344,7 +340,7 @@ def fractional_moment_scan(
     z = complex(z)
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional power s must lie in (0, 1), got {s}")
-    clean = spec is None or lam == 0.0 or not spec.terms
+    clean = _is_clean(spec, lam)
     reach = model.range if clean else max(model.range, spec.range)
     limit = min(box[0], box[1]) // 2 - reach
     if max_dist is None:
@@ -364,17 +360,13 @@ def fractional_moment_scan(
     dists = np.arange(0, max_dist + 1)
     n0 = _center(box)
 
-    if clean:
-        profiles = np.array([_clean_axis_profile(model, z, box, dists) ** s])
-        n_used = 1
-    else:
-        def one(i: int) -> np.ndarray:
-            realization = sample_realization(spec, box, seed + i)
-            H = build_random_hamiltonian(model, spec, lam, realization)
-            return _axis_profile(H, z, n0, dists) ** s
-
-        profiles = np.array(parallel_map(one, range(n_realizations), threads))
-        n_used = n_realizations
+    profiles = np.array(
+        _realization_map(
+            lambda H: _axis_profile(H, z, n0, dists) ** s,
+            model, spec, lam, box, n_realizations, seed, threads,
+        )
+    )
+    n_used = len(profiles)
 
     tau = profiles.mean(axis=0)
     if n_used > 1:
@@ -553,27 +545,19 @@ def fermi_projection_decay(
     via ``shifted`` / ``energy``.
     """
     box = _as_box(L)
-    clean = spec is None or lam == 0.0 or not spec.terms
-    n_used = 1 if clean else int(n_realizations)
-    if n_used < 1:
-        raise ValueError("n_realizations must be positive")
     limit = min(box) // 2 - model.range
     if max_dist is None:
         max_dist = limit
     if max_dist > limit or max_dist < 1:
         raise ValueError(f"max_dist must lie in [1, {limit}] on box {box}")
     n0 = _center(box)
+    systems = _realization_map(
+        lambda H: (H, *np.linalg.eigh(H.dense())),
+        model, spec, lam, box, n_realizations, seed, threads,
+    )
+    n_used = len(systems)
 
-    def hamiltonian(i: int) -> FiniteVolumeOperator:
-        if clean:
-            return assemble_finite_volume(model, box)
-        return build_random_hamiltonian(
-            model, spec, lam, sample_realization(spec, box, seed + i)
-        )
-
-    systems = parallel_map(lambda i: np.linalg.eigh(hamiltonian(i).dense()), range(n_used), threads)
-
-    pooled = np.sort(np.concatenate([w for w, _ in systems]))
+    pooled = np.sort(np.concatenate([w for _, w, _ in systems]))
     E_used, shifted = float(E), False
     if np.abs(pooled - E).min() < 1e-8:
         below = pooled[pooled < E - 1e-8]
@@ -582,17 +566,16 @@ def fermi_projection_decay(
         hi = float(above.min()) if above.size else E + 1.0
         E_used, shifted = 0.5 * (lo + hi), True
 
-    H_ref = hamiltonian(0)
-    sl_n = H_ref.site_slice(n0)
     dists = np.arange(0, max_dist + 1)
     profiles = np.empty((n_used, len(dists)))
     defect = 0.0
-    for i, (w, vecs) in enumerate(systems):
+    for i, (H, w, vecs) in enumerate(systems):
         filled = vecs[:, w <= E_used]
         P = filled @ filled.conj().T
         defect = max(defect, float(np.linalg.norm(P @ P - P, 2)))
+        sl_n = H.site_slice(n0)
         for a, dd in enumerate(dists):
-            sl_m = H_ref.site_slice((n0[0] + int(dd), n0[1]))
+            sl_m = H.site_slice((n0[0] + int(dd), n0[1]))
             profiles[i, a] = float(np.linalg.norm(P[sl_n, sl_m]))
     norms = profiles.mean(axis=0)
     stderr = (
@@ -697,17 +680,9 @@ class PhaseDiagram:
 
 
 def _edge_stats(model, spec, lam, box, n_realizations, seed, threads) -> SpectralEdges:
-    clean = spec is None or lam == 0.0 or not spec.terms
-    n_used = 1 if clean else n_realizations
-
-    def eigs(i: int) -> np.ndarray:
-        if clean:
-            return assemble_finite_volume(model, box).eigenvalues()
-        return build_random_hamiltonian(
-            model, spec, lam, sample_realization(spec, box, seed + i)
-        ).eigenvalues()
-
-    spectra = parallel_map(eigs, range(n_used), threads)
+    spectra = _realization_map(
+        lambda H: H.eigenvalues(), model, spec, lam, box, n_realizations, seed, threads
+    )
     lo = np.array([e[0] for e in spectra])
     hi = np.array([e[-1] for e in spectra])
 

@@ -314,6 +314,11 @@ class FiniteVolumeOperator:
         return np.linalg.eigvalsh(self.dense())
 
 
+def _as_box(L) -> tuple[int, int]:
+    """An ``L1 x L2`` box from a side length or a pair of them."""
+    return (int(L), int(L)) if np.isscalar(L) else (int(L[0]), int(L[1]))
+
+
 def _site_permutation(
     L: tuple[int, int], j: Displacement, bc: str
 ) -> sp.coo_matrix:
@@ -350,7 +355,7 @@ def assemble_finite_volume(
     (Dirichlet truncation).
     """
     _require_closure(model, "assemble_finite_volume")
-    L = (int(L), int(L)) if np.isscalar(L) else (int(L[0]), int(L[1]))
+    L = _as_box(L)
     if L[0] < 1 or L[1] < 1:
         raise ValueError(f"box side lengths must be positive, got {L}")
     R = model.range

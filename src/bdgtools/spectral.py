@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .disorder import DisorderSpec, build_random_hamiltonian, sample_realization
-from .lattice import TightBindingOperator, assemble_finite_volume
+from .disorder import DisorderSpec, _realization_map
+from .lattice import TightBindingOperator, _as_box
 
 __all__ = [
     "EDGE_TOL",
@@ -83,22 +82,11 @@ def _signed_count(eigs: np.ndarray, E: float) -> int:
 
 def _realization_spectra(model, disorder, L, n_realizations, seed, threads):
     """Sorted eigenvalue arrays, one per realization (a single one if clean)."""
-    if not isinstance(model, TightBindingOperator):
-        raise TypeError("model must be a TightBindingOperator")
-    clean = disorder is None or disorder.lam == 0.0 or not disorder.terms
-    if clean:
-        fv = assemble_finite_volume(model, L)
-        return [fv.eigenvalues()], fv.L
-    if n_realizations < 1:
-        raise ValueError("disordered estimates need n_realizations >= 1")
-
-    def one(i: int) -> np.ndarray:
-        rz = sample_realization(disorder, L, seed + i)
-        return build_random_hamiltonian(model, disorder, disorder.lam, rz).eigenvalues()
-
-    spectra = parallel_map(one, range(n_realizations), threads)
-    Lt = (int(L), int(L)) if np.isscalar(L) else (int(L[0]), int(L[1]))
-    return spectra, Lt
+    lam = 0.0 if disorder is None else disorder.lam
+    spectra = _realization_map(
+        lambda H: H.eigenvalues(), model, disorder, lam, L, n_realizations, seed, threads
+    )
+    return spectra, _as_box(L)
 
 
 def _curve_from_counts(energies, per_realization_counts, nsites) -> IdsCurve:

@@ -270,6 +270,27 @@ def test_usage_errors_exit_2(capsys):
     assert "--disorder" in capsys.readouterr().err
 
 
+def test_explicit_zero_realizations_is_kept_and_refused(capsys):
+    args = [
+        "ids", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,energies=1,lam=0.5",
+        "--disorder", "W00", "--L", "6", "--realizations", "0",
+    ]
+    assert _manifest_from_args(_build_parser().parse_args(args)).params["realizations"] == 0
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_realizations" in err
+
+
+def test_phase_diagram_negative_realizations_exits_2(capsys):
+    args = [
+        "phase-diagram", "--model", "pip+", "--params",
+        "delta=0.3,mu=0.5,lambdas=0:0.2,energies=0", "--L", "8", "--realizations", "-2",
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_non_converged_gap_refinement_exits_2(monkeypatch, capsys):
     def stalled(fun, x0, **kwargs):
         return OptimizeResult(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,6 +290,53 @@ def test_open_boundary_disorder_does_not_wrap_around_the_box():
     expected = np.zeros_like(dense)
     expected[v_periodic.row[keep], v_periodic.col[keep]] = v_periodic.data[keep]
     np.testing.assert_array_equal(dense, expected)
+
+
+def _per_site_disorder(H0, spec, lam, realization, bc):
+    """Reference H0 + lam*V, one hop at a time with explicit face checks."""
+    base = assemble_finite_volume(H0, realization.L, bc=bc)
+    L1, L2 = realization.L
+    n = L1 * L2
+    v_total = sp.csr_matrix((n * spec.fiber_dim,) * 2, dtype=complex)
+    for t in spec.terms:
+        rows, cols, data = [], [], []
+        for l2 in range(L2):
+            for l1 in range(L1):
+                t1, t2 = l1 + t.j[0], l2 + t.j[1]
+                if bc == "open" and not (0 <= t1 < L1 and 0 <= t2 < L2):
+                    continue
+                rows.append(t1 % L1 + L1 * (t2 % L2))
+                cols.append(l1 + L1 * l2)
+                data.append(realization.values[(t.j, (l1, l2))])
+        sites = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+        v_total = v_total + sp.kron(sites, sp.csr_matrix(t.W), format="csr")
+    return (base.matrix + float(lam) * v_total).toarray()
+
+
+def _offsite_spec(r: int) -> DisorderSpec:
+    gauss = Distribution("truncated_gaussian", sigma=0.5, cutoff=1.5)
+    return DisorderSpec(
+        (
+            DisorderTerm((0, 0), standard_W("W00", r)),
+            DisorderTerm((1, 0), standard_W("W10", r)),
+            DisorderTerm((1, 1), standard_W("W01", r), gauss),
+        )
+    )
+
+
+@pytest.mark.parametrize("spec_kind", ["onsite", "three-term"])
+@pytest.mark.parametrize("name", ["pip+", "did+"])
+def test_site_map_assembly_matches_per_site_reference(name, spec_kind):
+    H = build_model(name, delta=0.6, mu=-0.5)
+    r = H.fiber.r
+    spec = default_spec(r=r) if spec_kind == "onsite" else _offsite_spec(r)
+    for L in [(6, 6), (5, 7), (8, 8), (16, 16)]:
+        for seed in range(3):
+            rz = sample_realization(spec, L, seed=seed)
+            for bc in ("periodic", "open"):
+                got = build_random_hamiltonian(H, spec, 0.7, rz, bc=bc).dense()
+                ref = _per_site_disorder(H, spec, 0.7, rz, bc)
+                assert np.array_equal(got, ref), (L, seed, bc)
 
 
 @settings(max_examples=15, deadline=None)

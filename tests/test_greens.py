@@ -3,6 +3,8 @@ update, Fermi projection decay, and the localization phase diagram."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,8 @@ from bdgtools.models import ModelParams, build_model, central_gap
 PIP = build_model("pip+", delta=0.3, mu=-0.5)
 GAP = central_gap("pip+", ModelParams(0.3, -0.5))
 SPEC = default_spec(r=1)
+# the three ways to ask for lam*V = 0: no spec, zero coupling, no terms
+CLEAN_FORMS = [(None, 0.3), (SPEC, 0.0), (DisorderSpec(()), 0.3)]
 
 
 def _zero_model(dim: int = 2):
@@ -142,7 +146,14 @@ def test_combes_thomas_rejects_in_spectrum_energy():
 
 def test_clean_scan_matches_deterministic_profile():
     z = 0.0 + 1e-4j
-    est = fractional_moment_scan(PIP, None, 0.0, z, L=16)
+    est, *others = [
+        fractional_moment_scan(PIP, spec, lam, z, L=16) for spec, lam in CLEAN_FORMS
+    ]
+    for other in others:
+        assert np.array_equal(other.tau, est.tau)
+        assert (other.rate, other.rate_err, other.fit_window) == (
+            est.rate, est.rate_err, est.fit_window
+        )
     assert est.n_realizations == 1
     assert np.all(est.tau_stderr == 0.0)
     H = assemble_finite_volume(PIP, (16, 16))
@@ -333,7 +344,13 @@ def test_disordered_projection_beats_quartic_power_law():
 def test_projection_shifts_off_eigenvalues_and_reports():
     w = assemble_finite_volume(PIP, (12, 12)).eigenvalues()
     target = float(w[len(w) // 3])
-    dec = fermi_projection_decay(PIP, None, 0.0, target, L=12)
+    dec, *others = [
+        fermi_projection_decay(PIP, spec, lam, target, L=12) for spec, lam in CLEAN_FORMS
+    ]
+    for other in others:
+        assert other.energy == dec.energy
+        assert np.array_equal(other.norms, dec.norms)
+        assert np.array_equal(other.stderr, dec.stderr)
     assert dec.shifted
     assert dec.requested_energy == target
     assert np.abs(w - dec.energy).min() > 1e-8
@@ -380,3 +397,25 @@ def test_phase_diagram_outer_edges_grow_with_coupling():
     los = [e.lo for e in pd.edges]
     assert his[0] < his[1] < his[2]
     assert los[0] > los[1] > los[2]
+
+
+def test_phase_diagram_clean_rows_agree_for_every_clean_form():
+    energies = [-5.0, 0.0, 1.0]
+    kw = dict(L=16, n_realizations=8, seed=2, eps=0.3)
+    ref = localization_phase_diagram(PIP, SPEC, [0.0], energies, **kw)
+    (ref_edge,) = ref.edges
+    assert np.isfinite(ref.rates[0, 2])  # the in-band cell runs a clean scan
+    for spec, lam in CLEAN_FORMS:
+        pd = localization_phase_diagram(PIP, spec, [0.0, lam], energies, **kw)
+        for i in range(2):
+            assert pd.verdicts[i] == ref.verdicts[0]
+            for got, want in [(pd.rates, ref.rates), (pd.r_squared, ref.r_squared)]:
+                assert np.array_equal(got[i], want[0], equal_nan=True)
+            assert np.array_equal(pd.n_realizations[i], ref.n_realizations[0])
+            assert replace(pd.edges[i], lam=0.0) == ref_edge
+
+
+def test_phase_diagram_refuses_non_positive_realizations():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n_realizations"):
+            localization_phase_diagram(PIP, SPEC, [0.2], [0.0], L=8, n_realizations=n)

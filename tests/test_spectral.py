@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bdgtools.disorder import default_spec
+from bdgtools.disorder import DisorderSpec, default_spec
 from bdgtools.lattice import FiberShape, assemble_bloch, tight_binding
 from bdgtools.models import ModelParams, build_model, central_gap, pairing_kind
 from bdgtools.spectral import (
@@ -43,7 +43,13 @@ def test_ids_saturates_at_half_fiber_dimension():
 
 def test_clean_ids_is_antisymmetric_exactly():
     es = [-3.0, -1.0, -0.4, 0.4, 1.0, 3.0]
-    v = ids_estimate(PIP, None, L=10, energies=es).values
+    # no spec, zero coupling and no terms are one and the same clean estimate
+    curves = [
+        ids_estimate(PIP, spec, L=10, energies=es)
+        for spec in (None, default_spec(r=1, lam=0.0), DisorderSpec((), lam=0.5))
+    ]
+    assert curves[1] == curves[0] and curves[2] == curves[0]
+    v = curves[0].values
     assert all(a + b == 0.0 for a, b in zip(v, v[::-1]))
 
 
