@@ -11,6 +11,11 @@
 * ``realspace`` — Chern marker  2 pi i <n| P [[X2,P],[X1,P]] |n>  averaged
   over the central quarter of a finite torus, applicable with disorder.
 
+Every route takes the operator itself.  The Berry and contour routes
+evaluate its Bloch matrices as stacks (one batched kernel call per grid or
+contour, one stacked eigendecomposition or Pauli decomposition); only the
+contour's Nelder-Mead polish assembles single Bloch matrices.
+
 All routes must agree on clean gapped models; each returns a
 :class:`ChernResult` carrying the raw (pre-rounding) value so grid and
 finite-size quality stay visible.  The sign conventions are fixed by the
@@ -37,6 +42,8 @@ from .lattice import (
     TightBindingOperator,
     _as_box,
     _freeze,
+    _hermitian_bloch_points,
+    _hermiticity_violations,
     _require_closure,
     assemble_bloch,
     assemble_finite_volume,
@@ -409,84 +416,92 @@ def eigenphase_table(model: TightBindingOperator, n_k: int = 181) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Pauli decomposition and momentum-space routes
 
+def _pauli_components(m: np.ndarray):
+    """Arrays (p1, p2, p3) of a ``(..., 2, 2)`` stack of traceless Hermitian matrices.
+
+    Every matrix must be Hermitian and traceless to 1e-12 relative to its
+    own scale, and p.sigma must reproduce it at that tolerance.
+    """
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape[-2:]}")
+    if np.any(_hermiticity_violations(m)):
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    trace = m[..., 0, 0] + m[..., 1, 1]
+    bad = np.abs(trace) > 1e-12 * scale
+    if np.any(bad):
+        raise ValueError(
+            f"matrix has nonzero trace {complex(trace[bad][0]):.3e}; only "
+            f"traceless matrices decompose over the Pauli basis alone"
+        )
+    p1, p2, p3 = m[..., 1, 0].real, m[..., 1, 0].imag, m[..., 0, 0].real
+    recon = (
+        p1[..., None, None] * SIGMA[1]
+        + p2[..., None, None] * SIGMA[2]
+        + p3[..., None, None] * SIGMA[3]
+    )
+    defect = np.abs(recon - m).max(axis=(-2, -1))
+    if np.any(defect > 1e-12 * scale):
+        raise ArithmeticError(
+            f"Pauli reconstruction defect {float(defect.max()):.3e} exceeds tolerance"
+        )
+    return p1, p2, p3
+
+
 def pauli_decompose(bloch) -> PauliVector:
     """Coefficients (p1, p2, p3) with H = p.sigma for a traceless 2x2 matrix.
 
     Accepts a Bloch-matrix wrapper or a plain array.  Hermiticity and
     tracelessness are required to 1e-12 (relative to the matrix scale), and
     the reconstruction p.sigma is checked to reproduce the input exactly at
-    that tolerance.
+    that tolerance.  This is the one-matrix call of the stacked
+    decomposition used by :func:`transition_winding`.
     """
     m = np.asarray(getattr(bloch, "matrix", bloch), dtype=complex)
-    if m.shape != (2, 2):
+    if m.ndim != 2:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    scale = max(float(np.abs(m).max()), 1.0)
-    if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    trace = complex(m[0, 0] + m[1, 1])
-    if abs(trace) > 1e-12 * scale:
-        raise ValueError(
-            f"matrix has nonzero trace {trace:.3e}; only traceless matrices "
-            f"decompose over the Pauli basis alone"
-        )
-    p = PauliVector(
-        p1=float(m[1, 0].real), p2=float(m[1, 0].imag), p3=float(m[0, 0].real)
-    )
-    defect = float(np.abs(p.matrix() - m).max())
-    if defect > 1e-12 * scale:
-        raise ArithmeticError(
-            f"Pauli reconstruction defect {defect:.3e} exceeds tolerance"
-        )
-    return p
+    return PauliVector(*(float(p) for p in _pauli_components(m)))
 
 
-def berry_flux_chern(bloch_map, grid_n: int = 48, threads: int = 1) -> ChernResult:
+def berry_flux_chern(model: TightBindingOperator, grid_n: int = 48) -> ChernResult:
     """Chern number as the total lattice Berry flux of the occupied bundle.
 
-    ``bloch_map`` maps k = (k1, k2) to a Hermitian fiber matrix (wrapper or
-    plain array).  On a ``grid_n`` x ``grid_n`` periodic grid the frames of
-    negative-energy eigenvectors define link determinants between nearest
-    grid points; the flux through each plaquette is the principal-branch
-    phase of the four-link product, and minus their sum over the zone,
-    divided by 2 pi, is the raw Chern value.  (The sign matches the marker
-    formula 2 pi i <n| P [[X2,P],[X1,P]] |n> under the e^{i k.j} Bloch
-    convention.)  The spectral gap must stay open on the grid, and the
-    rounded value must be stable under doubling grid_n.
+    The Bloch matrices of the hermiticity-closed ``model`` on a ``grid_n``
+    x ``grid_n`` periodic grid are diagonalized in one stacked ``eigh``;
+    the frames of negative-energy eigenvectors define link determinants
+    between nearest grid points, and the flux through each plaquette is
+    the principal-branch phase of the four-link product (Fukui, Hatsugai
+    and Suzuki, J. Phys. Soc. Jpn. 74, 1674 (2005)).  Minus the sum over
+    the zone, divided by 2 pi, is the raw Chern value.  (The sign matches
+    the marker formula 2 pi i <n| P [[X2,P],[X1,P]] |n> under the
+    e^{i k.j} Bloch convention.)  The spectral gap must stay open on the
+    grid and the occupied-band count must not vary; the error names the
+    momentum of the smallest |E|.  That the rounded value is stable under
+    doubling grid_n is not checked here; the test suite checks it.
     """
     if grid_n < 24:
         raise ValueError(f"grid_n must be >= 24, got {grid_n}")
     ks = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
-
-    def frame(idx):
-        i, j = divmod(idx, grid_n)
-        m = bloch_map((ks[i], ks[j]))
-        m = np.asarray(getattr(m, "matrix", m), dtype=complex)
-        w, v = np.linalg.eigh(m)
-        gap = float(np.abs(w).min())
-        if gap <= 1e-6:
-            raise ValueError(
-                f"spectral gap closes on the grid: |E|min = {gap:.3e} at "
-                f"k = ({ks[i]:.6g}, {ks[j]:.6g})"
-            )
-        return v[:, w < 0.0]
-
-    frames = parallel_map(frame, range(grid_n * grid_n), threads)
-    counts = {f.shape[1] for f in frames}
-    if len(counts) != 1:
+    w, v = np.linalg.eigh(
+        _hermitian_bloch_points(model, ks[:, None], ks[None, :], "berry_flux_chern")
+    )
+    gaps = np.abs(w).min(axis=-1)
+    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[i, j] <= 1e-6:
         raise ValueError(
-            f"occupied-band count varies across the grid: {sorted(counts)}"
+            f"spectral gap closes on the grid: |E|min = {gaps[i, j]:.3e} at "
+            f"k = ({ks[i]:.6g}, {ks[j]:.6g})"
         )
-
-    def at(i, j):
-        return frames[(i % grid_n) * grid_n + (j % grid_n)]
-
-    link1 = np.empty((grid_n, grid_n), dtype=complex)
-    link2 = np.empty((grid_n, grid_n), dtype=complex)
-    for i in range(grid_n):
-        for j in range(grid_n):
-            f = at(i, j)
-            link1[i, j] = np.linalg.det(f.conj().T @ at(i + 1, j))
-            link2[i, j] = np.linalg.det(f.conj().T @ at(i, j + 1))
+    counts = (w < 0.0).sum(axis=-1)
+    if counts.min() != counts.max():
+        raise ValueError(
+            f"occupied-band count varies across the grid: "
+            f"{sorted(set(counts.ravel().tolist()))}"
+        )
+    frames = v[..., : int(counts[0, 0])]  # eigh sorts: occupied columns first
+    adj = np.swapaxes(frames.conj(), -1, -2)
+    link1 = np.linalg.det(adj @ np.roll(frames, -1, axis=0))
+    link2 = np.linalg.det(adj @ np.roll(frames, -1, axis=1))
     flux = 0.0
     for i in range(grid_n):
         for j in range(grid_n):
@@ -510,20 +525,25 @@ def _torus_dist(p, q) -> float:
     return float(np.hypot(d[0], d[1]))
 
 
-def _pauli_plane_zeros(pauli, grid_n: int) -> list[tuple[float, float]]:
+def _pauli_plane_zeros(model: TightBindingOperator, grid_n: int) -> list[tuple[float, float]]:
     """All common zeros of (p1, p2) on the torus, located to high accuracy.
 
-    Scans rho = p1^2 + p2^2 on a periodic grid, polishes every local
-    minimum, and keeps the (deduplicated) minima whose polished value
-    vanishes relative to the global scale of rho.
+    Scans rho = p1^2 + p2^2 on a periodic grid (one stacked Pauli
+    decomposition), polishes every local minimum by Nelder-Mead on single
+    Bloch matrices, and keeps the (deduplicated) minima whose polished
+    value vanishes relative to the global scale of rho.  A polish that does
+    not converge raises :class:`ArithmeticError` naming its start cell.
     """
     ks = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
+    p1, p2, _ = _pauli_components(
+        _hermitian_bloch_points(model, ks[:, None], ks[None, :], "transition_winding")
+    )
+    values = p1 * p1 + p2 * p2
 
     def rho(k):
-        p = pauli((float(k[0]), float(k[1])))
+        p = pauli_decompose(assemble_bloch(model, k))
         return p.p1 * p.p1 + p.p2 * p.p2
 
-    values = np.array([[rho((k1, k2)) for k2 in ks] for k1 in ks])
     scale = max(float(values.max()), 1e-300)
     is_min = np.ones_like(values, dtype=bool)
     for s1 in (-1, 0, 1):
@@ -539,6 +559,12 @@ def _pauli_plane_zeros(pauli, grid_n: int) -> list[tuple[float, float]]:
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-20, "maxiter": 2000},
         )
+        if not res.success:
+            raise ArithmeticError(
+                f"transition_winding: polish of the rho minimum from grid cell "
+                f"({i}, {j}), k = ({ks[i]:.6f}, {ks[j]:.6f}), did not "
+                f"converge: {res.message}"
+            )
         if float(res.fun) > 1e-14 * scale:
             continue
         z = tuple(_wrap_angle(np.asarray(res.x)))
@@ -548,7 +574,7 @@ def _pauli_plane_zeros(pauli, grid_n: int) -> list[tuple[float, float]]:
 
 
 def transition_winding(
-    pauli,
+    model: TightBindingOperator,
     mu: float,
     *,
     eps_list=(0.05, 0.02, 0.01),
@@ -557,15 +583,18 @@ def transition_winding(
 ) -> ChernResult:
     """Chern number from the winding of the transition function of a Pauli family.
 
-    ``pauli`` maps k to a :class:`PauliVector`.  The two natural sections of
-    the lower-band line bundle overlap away from the common zeros of
-    (p1, p2), where they differ by the phase  theta = arg(p1 + i p2); for
-    the chiral d-wave family the zero set must be exactly
-    {(0, 0), (pi, pi)} (verified — unexpected zeros abort with their list),
-    and for 0 < |mu| < 4 the Chern number is the winding of theta around a
-    small circle at the origin.  The winding is evaluated with a
-    two-argument angle and cumulative unwrapping for every radius in
-    ``eps_list`` and must not depend on the radius.
+    ``model`` is a hermiticity-closed operator on a 2x2 fiber whose Bloch
+    matrices are traceless, H(k) = p(k).sigma (e.g. one chirality sector of
+    the chiral d-wave).  The two natural sections of the lower-band line
+    bundle overlap away from the common zeros of (p1, p2), where they
+    differ by the phase  theta = arg(p1 + i p2); for the chiral d-wave
+    family the zero set must be exactly {(0, 0), (pi, pi)} (verified —
+    unexpected zeros abort with their list), and for 0 < |mu| < 4 the Chern
+    number is the winding of theta around a small circle at the origin.
+    The winding is evaluated with a two-argument angle and cumulative
+    unwrapping for every radius in ``eps_list`` and must not depend on the
+    radius.  The zero-set scan and the circle samples each come from one
+    stacked Bloch evaluation and Pauli decomposition.
     """
     mu = float(mu)
     if not abs(mu) < 4.0 or mu == 0.0:
@@ -573,7 +602,7 @@ def transition_winding(
             f"the two-section construction needs 0 < |mu| < 4, got mu = {mu:.6g}"
         )
     expected = ((0.0, 0.0), (math.pi, math.pi))
-    zeros = _pauli_plane_zeros(pauli, zero_grid)
+    zeros = _pauli_plane_zeros(model, zero_grid)
     unexpected = [
         z for z in zeros if min(_torus_dist(z, e) for e in expected) > 1e-6
     ]
@@ -588,13 +617,17 @@ def transition_winding(
             f"zero set of (p1, p2) must be exactly {{(0, 0), (pi, pi)}}; "
             f"found [{found}]"
         )
+    t = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    # math.cos / math.sin / math.atan2 per sample: NumPy's vector
+    # versions may differ from them in the last bit
+    circle = [[(eps * math.cos(x), eps * math.sin(x)) for x in t] for eps in eps_list]
+    k = np.array(circle)
+    p1, p2, _ = _pauli_components(
+        _hermitian_bloch_points(model, k[..., 0], k[..., 1], "transition_winding")
+    )
     windings = []
-    for eps in eps_list:
-        t = 2.0 * math.pi * np.arange(n_samples) / n_samples
-        theta = np.empty(n_samples)
-        for i in range(n_samples):
-            p = pauli((eps * math.cos(t[i]), eps * math.sin(t[i])))
-            theta[i] = math.atan2(p.p2, p.p1)
+    for e, eps in enumerate(eps_list):
+        theta = np.array([math.atan2(y, x) for x, y in zip(p1[e], p2[e])])
         inc = _wrap_angle(np.diff(np.append(theta, theta[0])))
         if float(np.abs(inc).max()) >= _MAX_STEP:
             raise ValueError(
@@ -713,7 +746,8 @@ def chern_mu_scan(
 
     ``model_family`` maps mu to the corresponding model (for the contour
     route it must yield a 2x2-fiber family, e.g. one chirality sector of the
-    chiral d-wave).  Gap closures and per-point failures never abort the
+    chiral d-wave); every route receives that operator.  ``threads`` sizes
+    the worker pool of the transfer route only.  Gap closures and per-point failures never abort the
     scan: they are recorded as error entries, so a scan across a transition
     shows the integer plateau on both sides and a marked closure between.
     """
@@ -732,13 +766,9 @@ def chern_mu_scan(
             if method == "transfer":
                 res = chern_transfer(model, n_k=n_k, threads=threads)
             elif method == "berry":
-                res = berry_flux_chern(
-                    lambda k: assemble_bloch(model, k), grid_n, threads
-                )
+                res = berry_flux_chern(model, grid_n)
             elif method == "contour":
-                res = transition_winding(
-                    lambda k: pauli_decompose(assemble_bloch(model, k)), mu
-                )
+                res = transition_winding(model, mu)
             else:  # realspace
                 vol = assemble_finite_volume(model, L)
                 res = real_space_chern(fermi_projector(vol), L)

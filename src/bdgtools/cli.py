@@ -14,7 +14,8 @@ Subcommands
 Common flags: ``--model`` (catalog name or a model JSON file), ``--params``
 (comma-separated ``key=value`` pairs; ``:``-separated values form lists; a
 JSON object is also accepted), ``--disorder`` (``none``, ``W00``, or a spec
-JSON file), ``--L``, ``--seed``, ``--realizations``, ``--out``, ``--threads``.
+JSON file), ``--L``, ``--seed``, ``--realizations``, ``--out``, ``--threads``
+(for ``chern``, only the transfer route runs on worker threads).
 
 Every run with ``--out`` writes the result plus a ``<out>.manifest.json``
 sidecar recording the resolved inputs; :func:`run_manifest` replays a
@@ -68,6 +69,7 @@ from .greens import (
     tmatrix_update,
 )
 from .lattice import (
+    _hermitian_bloch_points,
     assemble_bloch,
     assemble_finite_volume,
     check_bdg_equation,
@@ -246,14 +248,14 @@ def _run_bands(man: ExperimentManifest) -> str:
     model = _build_from_doc(man.model)
     n = int(man.params["n"])
     ks = np.linspace(-math.pi, math.pi, n)
+    w = np.linalg.eigvalsh(
+        _hermitian_bloch_points(model, ks[:, None], ks[None, :], "bands")
+    )
     lines = ["k1,k2,E_minus,E_plus"]
-    for k1 in ks:
-        for k2 in ks:
-            w = np.linalg.eigvalsh(
-                assemble_bloch(model, (float(k1), float(k2))).matrix
-            )
+    for a, k1 in enumerate(ks):
+        for b, k2 in enumerate(ks):
             lines.append(
-                ",".join([_fmt(k1), _fmt(k2), _fmt(w[0]), _fmt(w[-1])])
+                ",".join([_fmt(k1), _fmt(k2), _fmt(w[a, b, 0]), _fmt(w[a, b, -1])])
             )
     gap = central_gap(model, ModelParams(0.0, 0.0))
     lines.append("# central gap = " + _fmt(gap))
@@ -541,9 +543,7 @@ def _check_winding_grid_stability() -> None:
 def _check_method_cross_agreement() -> None:
     model = build_model("pip+", delta=0.3, mu=-0.5)
     transfer = chern_transfer(model).value
-    berry = berry_flux_chern(
-        lambda k: assemble_bloch(model, k), grid_n=24
-    ).value
+    berry = berry_flux_chern(model, grid_n=24).value
     marker = real_space_chern(
         fermi_projector(assemble_finite_volume(model, (12, 12))), (12, 12)
     ).value
@@ -552,9 +552,7 @@ def _check_method_cross_agreement() -> None:
     )
     for idx, expect in ((0, -2), (1, 2)):
         sector = reduce_su2(build_model("did+", delta=1.0, mu=2.0))[idx]
-        got = berry_flux_chern(
-            lambda k: assemble_bloch(sector, k), grid_n=48
-        ).value
+        got = berry_flux_chern(sector, grid_n=48).value
         assert got == expect, f"chiral d sector {idx}: {got}, expected {expect}"
 
 
@@ -763,7 +761,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--realizations", type=int)
         sp.add_argument("--out", help="output file (manifest written alongside)")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="worker threads for disorder ensembles; in chern, for the "
+            "transfer route only",
+        )
     return parser
 
 

@@ -326,14 +326,15 @@ def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads) -> 
 
     This is the one disorder-ensemble path: realization i is drawn from
     ``seed + i`` and assembled as ``H0 + lam * V``.  A clean ensemble (no
-    spec, ``lam = 0`` or no terms) is the single operator ``H0``.
+    spec, ``lam = 0`` or no terms) is the single operator ``H0``; the
+    realization count must be at least 1 either way.
     """
     if not isinstance(model, TightBindingOperator):
         raise TypeError("model must be a TightBindingOperator")
+    if n_realizations < 1:
+        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     if _is_clean(spec, lam):
         return [fn(assemble_finite_volume(model, L))]
-    if n_realizations < 1:
-        raise ValueError("disordered estimates need n_realizations >= 1")
     return parallel_map(
         lambda i: fn(
             build_random_hamiltonian(

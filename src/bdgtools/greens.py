@@ -31,7 +31,7 @@ from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
-    _bloch_stack,
+    _hermitian_bloch_points,
     assemble_finite_volume,
 )
 
@@ -193,7 +193,8 @@ def bloch_band_grid(model: TightBindingOperator, grid_n: int = 128) -> np.ndarra
     by momentum, columns ascending.
     """
     ks = 2.0 * np.pi * np.arange(grid_n) / grid_n - np.pi
-    return np.linalg.eigvalsh(_bloch_stack(model, ks, ks)).reshape(-1, model.fiber.dim)
+    m = _hermitian_bloch_points(model, ks[:, None], ks[None, :], "bloch_band_grid")
+    return np.linalg.eigvalsh(m).reshape(-1, model.fiber.dim)
 
 
 def spectral_distance(model: TightBindingOperator, z: complex, grid_n: int = 256) -> float:

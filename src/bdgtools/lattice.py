@@ -200,8 +200,12 @@ def _require_closure(model: TightBindingOperator, what: str) -> None:
         )
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
+def _hermiticity_violations(m: np.ndarray) -> np.ndarray:
+    """Mask over the matrices of a ``(..., d, d)`` stack (0-d for one matrix)
+    whose hermiticity defect exceeds HERMITICITY_RTOL times their scale."""
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
+    return defect > HERMITICITY_RTOL * scale
 
 
 @dataclass(frozen=True)
@@ -213,8 +217,7 @@ class BlochMatrix:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
-        scale = max(float(np.abs(m).max()), 1.0)
-        if _hermiticity_defect(m) > HERMITICITY_RTOL * scale:
+        if _hermiticity_violations(m):
             raise ValueError("Bloch matrix is not Hermitian within tolerance")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -234,37 +237,48 @@ def assemble_bloch(model: TightBindingOperator, k) -> BlochMatrix:
     """
     _require_closure(model, "assemble_bloch")
     k = (float(k[0]), float(k[1]))
-    return BlochMatrix(k, _bloch_sum(model, k))
+    return BlochMatrix(k, _bloch_points(model, k[0], k[1]))
 
 
-def _bloch_sum(model: TightBindingOperator, k) -> np.ndarray:
-    """Sum_j e^{i k.j} B_j without the closure/hermiticity checks.
+def _bloch_points(model: TightBindingOperator, k1, k2) -> np.ndarray:
+    """Sum_j e^{i k.j} B_j at broadcast momenta, without checks.
 
-    The per-point Bloch summation kernel (:func:`_bloch_stack` is its grid
-    form): :func:`assemble_bloch` wraps it with the checks, and it serves
-    non-self-adjoint operators such as pairing potentials directly.
+    The one Bloch summation kernel: ``k1`` and ``k2`` broadcast against each
+    other (a product grid, a point list or a single point) and the result
+    is the ``(..., d, d)`` stack of Bloch matrices.  Every entry is summed
+    term by term in the same order with the same arithmetic, so a stack
+    agrees bit for bit with single-point calls.  It serves non-self-adjoint
+    operators such as pairing potentials directly; Hermitian consumers go
+    through :func:`_hermitian_bloch_points` or :func:`assemble_bloch`.
     """
-    k1, k2 = float(k[0]), float(k[1])
+    k1 = np.asarray(k1, dtype=float)
+    k2 = np.asarray(k2, dtype=float)
     d = model.fiber.dim
-    m = np.zeros((d, d), dtype=complex)
+    m = np.zeros(np.broadcast_shapes(k1.shape, k2.shape) + (d, d), dtype=complex)
     for j, b in model.terms.items():
-        m += np.exp(1j * (k1 * j[0] + k2 * j[1])) * b
+        phase = np.asarray(np.exp(1j * (k1 * j[0] + k2 * j[1])))
+        m += phase[..., None, None] * b
     return m
 
 
-def _bloch_stack(model: TightBindingOperator, k1s, k2s) -> np.ndarray:
-    """Bloch matrices on the product grid of two 1-D float arrays, without checks.
+def _hermitian_bloch_points(model: TightBindingOperator, k1, k2, what: str) -> np.ndarray:
+    """:func:`_bloch_points` with the checks of :func:`assemble_bloch`.
 
-    The one grid kernel: entry ``[a, b]`` of the returned
-    ``(len(k1s), len(k2s), d, d)`` stack is ``_bloch_sum(model, (k1s[a],
-    k2s[b]))``, summed term by term in the same order with the same
-    arithmetic, so the two agree bit for bit.
+    The operator must be hermiticity-closed (``what`` names the caller in
+    the error), and every matrix of the stack must pass the
+    :class:`BlochMatrix` hermiticity tolerance; the first one that does not
+    is named by its momentum.
     """
-    d = model.fiber.dim
-    m = np.zeros((len(k1s), len(k2s), d, d), dtype=complex)
-    for j, b in model.terms.items():
-        phase = np.exp(1j * (k1s[:, None] * j[0] + k2s[None, :] * j[1]))
-        m += phase[..., None, None] * b
+    _require_closure(model, what)
+    m = _bloch_points(model, k1, k2)
+    bad = _hermiticity_violations(m)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        k = [float(np.broadcast_to(x, bad.shape)[at]) for x in (k1, k2)]
+        raise ValueError(
+            f"Bloch matrix is not Hermitian within tolerance at "
+            f"k = ({k[0]:.6g}, {k[1]:.6g})"
+        )
     return m
 
 

@@ -33,8 +33,8 @@ from scipy.optimize import minimize
 from .lattice import (
     FiberShape,
     TightBindingOperator,
-    _bloch_stack,
-    _bloch_sum,
+    _bloch_points,
+    _hermitian_bloch_points,
     _require_closure,
     check_bdg_equation,
     tight_binding,
@@ -422,9 +422,11 @@ def _gap_objective(model, params: ModelParams, ks: np.ndarray):
             return _square(np.min(np.abs(np.linalg.eigvalsh(m)), axis=-1))
 
         def esq(k):
-            return float(min_esq(_bloch_sum(model, k)))
+            return float(min_esq(_bloch_points(model, k[0], k[1])))
 
-        values = min_esq(_bloch_stack(model, ks, ks))
+        values = min_esq(
+            _hermitian_bloch_points(model, ks[:, None], ks[None, :], "central_gap")
+        )
         label = (
             f"operator (fiber dimension {model.fiber.dim}, "
             f"{len(model.terms)} terms)"

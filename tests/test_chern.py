@@ -3,6 +3,7 @@ contour, real-space marker, and the cross-method agreements between them."""
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, minimize
 
+import bdgtools.chern as chern
 from bdgtools.chern import (
     ChernResult,
     MuScanEntry,
@@ -43,18 +46,10 @@ from bdgtools.lattice import (
     assemble_finite_volume,
     tight_binding,
 )
-from bdgtools.models import build_model, reduce_su2
+from bdgtools.models import MODEL_NAMES, build_model, reduce_su2
 
 PIP = build_model("pip+", delta=0.3, mu=-0.5)
 DID_PLUS, DID_MINUS = reduce_su2(build_model("did+", delta=1.0, mu=2.0))
-
-
-def _bloch_map(model):
-    return lambda k: assemble_bloch(model, k)
-
-
-def _pauli_map(model):
-    return lambda k: pauli_decompose(assemble_bloch(model, k))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +223,7 @@ def test_eigenphase_table_layout():
 # Pauli decomposition
 
 def test_pauli_decompose_chiral_d_sector_points():
-    at = _pauli_map(DID_PLUS)
+    at = lambda k: pauli_decompose(assemble_bloch(DID_PLUS, k))
     for k, expect in (
         ((0.0, 0.0), (0.0, 0.0, 1.0)),
         ((math.pi, 0.0), (-2.0, 0.0, -1.0)),
@@ -237,13 +232,14 @@ def test_pauli_decompose_chiral_d_sector_points():
         p = at(k)
         np.testing.assert_allclose((p.p1, p.p2, p.p3), expect, atol=1e-14)
     # the conjugate sector flips p2
-    q = _pauli_map(DID_MINUS)((math.pi / 2, math.pi / 2))
+    q = pauli_decompose(assemble_bloch(DID_MINUS, (math.pi / 2, math.pi / 2)))
     np.testing.assert_allclose((q.p1, q.p2, q.p3), (0.0, -1.0, -1.0), atol=1e-14)
 
 
 def test_pauli_decompose_chiral_p_points():
     for name, sign in (("pip+", 1.0), ("pip-", -1.0)):
-        at = _pauli_map(build_model(name, delta=0.3, mu=0.0))
+        model = build_model(name, delta=0.3, mu=0.0)
+        at = lambda k: pauli_decompose(assemble_bloch(model, k))
         p = at((math.pi / 2, 0.0))  # branch-independent point
         np.testing.assert_allclose((p.p1, p.p2, p.p3), (0.0, -0.3, 1.0), atol=1e-14)
         q = at((0.0, math.pi / 2))  # branch-revealing point
@@ -277,14 +273,14 @@ def test_pauli_decompose_inverts_reconstruction(p1, p2, p3):
 # Berry flux
 
 def test_berry_flux_of_flat_trivial_band_is_zero():
-    flat = lambda k: np.diag([1.0, -1.0])
+    flat = tight_binding(FiberShape(2), {(0, 0): np.diag([1.0, -1.0])})
     res = berry_flux_chern(flat, grid_n=24)
     assert res.value == 0 and res.residual < 1e-12
 
 
 def test_berry_flux_chiral_d_sectors_are_opposite():
-    plus = berry_flux_chern(_bloch_map(DID_PLUS), grid_n=48)
-    minus = berry_flux_chern(_bloch_map(DID_MINUS), grid_n=48)
+    plus = berry_flux_chern(DID_PLUS, grid_n=48)
+    minus = berry_flux_chern(DID_MINUS, grid_n=48)
     assert (plus.value, minus.value) == (-2, 2)
     assert plus.residual < 1e-10 and minus.residual < 1e-10
 
@@ -292,32 +288,32 @@ def test_berry_flux_chiral_d_sectors_are_opposite():
 def test_berry_flux_trivial_outside_the_band():
     for mu in (5.0, -5.0):
         sector = reduce_su2(build_model("did+", delta=1.0, mu=mu))[0]
-        res = berry_flux_chern(_bloch_map(sector), grid_n=24)
+        res = berry_flux_chern(sector, grid_n=24)
         assert res.value == 0 and res.residual < 1e-10
 
 
 def test_berry_flux_is_stable_under_grid_doubling():
-    coarse = berry_flux_chern(_bloch_map(PIP), grid_n=24)
-    fine = berry_flux_chern(_bloch_map(PIP), grid_n=48)
+    coarse = berry_flux_chern(PIP, grid_n=24)
+    fine = berry_flux_chern(PIP, grid_n=48)
     assert coarse.value == fine.value == -1
 
 
 def test_berry_flux_reports_gap_closure():
     closed = build_model("pip+", delta=0.3, mu=0.0)
     with pytest.raises(ValueError, match="gap closes"):
-        berry_flux_chern(_bloch_map(closed), grid_n=24)
+        berry_flux_chern(closed, grid_n=24)
 
 
 def test_berry_flux_rejects_coarse_grid():
     with pytest.raises(ValueError, match="grid_n"):
-        berry_flux_chern(_bloch_map(PIP), grid_n=12)
+        berry_flux_chern(PIP, grid_n=12)
 
 
 def test_berry_flux_agrees_with_transfer_winding():
     for delta, mu in ((0.3, -0.5), (0.5, 1.0)):
         model = build_model("pip+", delta=delta, mu=mu)
         assert (
-            berry_flux_chern(_bloch_map(model), grid_n=24).value
+            berry_flux_chern(model, grid_n=24).value
             == chern_transfer(model).value
         )
 
@@ -326,8 +322,8 @@ def test_berry_flux_agrees_with_transfer_winding():
 # transition-function contour
 
 def test_transition_winding_chiral_d_sectors():
-    plus = transition_winding(_pauli_map(DID_PLUS), mu=2.0)
-    minus = transition_winding(_pauli_map(DID_MINUS), mu=2.0)
+    plus = transition_winding(DID_PLUS, mu=2.0)
+    minus = transition_winding(DID_MINUS, mu=2.0)
     assert (plus.value, minus.value) == (-2, 2)
     assert plus.residual < 1e-6 and minus.residual < 1e-6
     assert plus.method == "contour"
@@ -336,14 +332,214 @@ def test_transition_winding_chiral_d_sectors():
 def test_transition_winding_needs_mu_inside_the_band():
     for mu in (0.0, 4.5, -4.0):
         with pytest.raises(ValueError, match="mu"):
-            transition_winding(_pauli_map(DID_PLUS), mu=mu)
+            transition_winding(DID_PLUS, mu=mu)
 
 
 def test_transition_winding_refuses_unexpected_zero_set():
     # sin k1, sin k2 vanish jointly at all four half-period points
-    family = lambda k: PauliVector(math.sin(k[0]), math.sin(k[1]), 0.5)
+    family = _sin_family()
     with pytest.raises(ValueError, match="zero set"):
         transition_winding(family, mu=2.0)
+
+
+def _sin_family():
+    """H(k) = sin k1 sigma1 + sin k2 sigma2 + 0.5 sigma3 as an operator."""
+    s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    s2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    return tight_binding(
+        FiberShape(2),
+        {
+            (1, 0): s1 / 2j, (-1, 0): -s1 / 2j,
+            (0, 1): s2 / 2j, (0, -1): -s2 / 2j,
+            (0, 0): np.diag([0.5, -0.5]),
+        },
+    )
+
+
+def test_sin_family_operator_has_the_pauli_components():
+    model = _sin_family()
+    for k in ((0.3, -1.2), (math.pi / 2, 2.0), (-2.5, 0.7)):
+        p = pauli_decompose(assemble_bloch(model, k))
+        np.testing.assert_allclose(
+            (p.p1, p.p2, p.p3), (math.sin(k[0]), math.sin(k[1]), 0.5), atol=1e-15
+        )
+
+
+def test_transition_winding_refuses_a_non_2x2_fiber():
+    with pytest.raises(ValueError, match=r"2x2 matrix, got shape \(4, 4\)"):
+        transition_winding(build_model("did+", delta=1.0, mu=2.0), mu=2.0)
+
+
+def test_transition_winding_reports_a_polish_that_does_not_converge(monkeypatch):
+    def stalled(fun, x0, **kwargs):
+        return OptimizeResult(
+            x=np.asarray(x0), fun=fun(x0), success=False, nit=2000,
+            message="Maximum number of iterations has been exceeded.",
+        )
+
+    monkeypatch.setattr(chern, "minimize", stalled)
+    with pytest.raises(ArithmeticError, match=r"grid cell \(\d+, \d+\).*did not converge"):
+        transition_winding(DID_PLUS, mu=2.0)
+
+
+# ---------------------------------------------------------------------------
+# batched Berry and contour routes against their per-point references
+
+def _berry_reference(model, grid_n):
+    """The per-point Berry loop: one assemble_bloch and eigh per grid point."""
+    ks = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
+    frames = []
+    for i in range(grid_n):
+        for j in range(grid_n):
+            w, v = np.linalg.eigh(assemble_bloch(model, (ks[i], ks[j])).matrix)
+            if float(np.abs(w).min()) <= 1e-6:
+                return None
+            frames.append(v[:, w < 0.0])
+    at = lambda i, j: frames[(i % grid_n) * grid_n + (j % grid_n)]
+    link1 = np.empty((grid_n, grid_n), dtype=complex)
+    link2 = np.empty((grid_n, grid_n), dtype=complex)
+    for i in range(grid_n):
+        for j in range(grid_n):
+            f = at(i, j)
+            link1[i, j] = np.linalg.det(f.conj().T @ at(i + 1, j))
+            link2[i, j] = np.linalg.det(f.conj().T @ at(i, j + 1))
+    flux = 0.0
+    for i in range(grid_n):
+        for j in range(grid_n):
+            plaq = (
+                link1[i, j]
+                * link2[(i + 1) % grid_n, j]
+                * np.conj(link1[i, (j + 1) % grid_n])
+                * np.conj(link2[i, j])
+            )
+            flux += cmath.phase(plaq)
+    return -flux / (2.0 * math.pi)
+
+
+def _zeros_reference(model, grid_n):
+    """The per-point rho scan and polish of the zero-set search."""
+    ks = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
+
+    def rho(k):
+        p = pauli_decompose(assemble_bloch(model, k))
+        return p.p1 * p.p1 + p.p2 * p.p2
+
+    values = np.array([[rho((k1, k2)) for k2 in ks] for k1 in ks])
+    scale = max(float(values.max()), 1e-300)
+    is_min = np.ones_like(values, dtype=bool)
+    for s1 in (-1, 0, 1):
+        for s2 in (-1, 0, 1):
+            if (s1, s2) != (0, 0):
+                is_min &= values <= np.roll(values, (s1, s2), axis=(0, 1))
+    zeros = []
+    for i, j in np.argwhere(is_min):
+        res = minimize(
+            rho, x0=(ks[i], ks[j]), method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-20, "maxiter": 2000},
+        )
+        if float(res.fun) > 1e-14 * scale:
+            continue
+        z = tuple(chern._wrap_angle(np.asarray(res.x)))
+        if all(chern._torus_dist(z, seen) > 1e-4 for seen in zeros):
+            zeros.append((float(z[0]), float(z[1])))
+    return sorted(zeros)
+
+
+def _contour_reference(model, eps, n_samples=720):
+    t = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    theta = np.empty(n_samples)
+    for i in range(n_samples):
+        k = (eps * math.cos(t[i]), eps * math.sin(t[i]))
+        p = pauli_decompose(assemble_bloch(model, k))
+        theta[i] = math.atan2(p.p2, p.p1)
+    inc = chern._wrap_angle(np.diff(np.append(theta, theta[0])))
+    return float(inc.sum() / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("grid_n", [24, 32, 48])
+def test_berry_flux_is_bit_exact_to_the_per_point_loop(grid_n):
+    models = [build_model(name, delta=0.6, mu=0.9) for name in sorted(MODEL_NAMES)]
+    models += [DID_PLUS, DID_MINUS]
+    checked = 0
+    for model in models:
+        reference = _berry_reference(model, grid_n)
+        if reference is None:  # gap closed on this grid
+            with pytest.raises(ValueError, match="gap closes"):
+                berry_flux_chern(model, grid_n)
+            continue
+        assert berry_flux_chern(model, grid_n).raw == reference
+        checked += 1
+    assert checked >= 8
+
+
+def test_contour_zero_set_and_winding_are_bit_exact_to_the_per_point_scan():
+    for sector in (DID_PLUS, DID_MINUS):
+        assert chern._pauli_plane_zeros(sector, 120) == _zeros_reference(sector, 120)
+        res = transition_winding(sector, mu=2.0)
+        assert res.raw == _contour_reference(sector, 0.01)
+
+
+def test_batched_routes_refuse_a_non_closed_operator():
+    one_way = tight_binding(FiberShape(2), {(1, 0): np.eye(2)})
+    with pytest.raises(ValueError, match="not hermiticity-closed"):
+        berry_flux_chern(one_way, grid_n=24)
+    with pytest.raises(ValueError, match="not hermiticity-closed"):
+        transition_winding(one_way, mu=2.0)
+
+
+def _nearly_closed_chain():
+    """Closed within the block tolerance, but H(k) is not Hermitian near k1 = pi/2."""
+    big = np.diag([1e6, 0.0])
+    return tight_binding(
+        FiberShape(2),
+        {(1, 0): big, (-1, 0): big + np.diag([5e-7, 0.0]), (0, 0): np.diag([1.0, -1.0])},
+    )
+
+
+def test_batched_routes_refuse_a_non_hermitian_stack():
+    model = _nearly_closed_chain()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assemble_bloch(model, (math.pi / 2, 0.0))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        berry_flux_chern(model, grid_n=24)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        transition_winding(model, mu=2.0)
+
+
+def test_berry_flux_reports_a_varying_occupied_count():
+    # E(k) = cos k1 + 0.1 changes sign between grid points, never on one
+    chain = tight_binding(
+        FiberShape(1), {(1, 0): [[0.5]], (-1, 0): [[0.5]], (0, 0): [[0.1]]}
+    )
+    with pytest.raises(ValueError, match=r"occupied-band count varies across the grid: \[0, 1\]"):
+        berry_flux_chern(chain, grid_n=24)
+
+
+def test_berry_gap_closure_names_the_minimum():
+    closed = build_model("pip+", delta=0.3, mu=0.0)
+    ks = -math.pi + 2.0 * math.pi * np.arange(24) / 24
+    gaps = np.array(
+        [[np.abs(np.linalg.eigvalsh(assemble_bloch(closed, (a, b)).matrix)).min()
+          for b in ks] for a in ks]
+    )
+    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    with pytest.raises(ValueError) as err:
+        berry_flux_chern(closed, grid_n=24)
+    assert f"k = ({ks[i]:.6g}, {ks[j]:.6g})" in str(err.value)
+
+
+def test_batched_routes_make_no_per_point_assembly(monkeypatch):
+    calls = []
+
+    def counting(model, k):
+        calls.append(k)
+        return assemble_bloch(model, k)
+
+    monkeypatch.setattr(chern, "assemble_bloch", counting)
+    berry_flux_chern(PIP, grid_n=24)
+    assert calls == []
+    transition_winding(DID_PLUS, mu=2.0)
+    assert 0 < len(calls) < 300  # the Nelder-Mead polishes only
 
 
 # ---------------------------------------------------------------------------

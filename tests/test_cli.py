@@ -22,7 +22,7 @@ from bdgtools.cli import (
     main,
     run_manifest,
 )
-from bdgtools.lattice import tight_binding
+from bdgtools.lattice import assemble_bloch, tight_binding
 from bdgtools.models import ModelParams, build_pairing, central_gap, example_bands
 
 
@@ -73,6 +73,21 @@ def test_bands_chiral_d_uses_both_sectors(tmp_path, capsys):
         k1, k2, lo, hi = map(float, row)
         bp = example_bands("did+", params, (k1, k2))
         assert abs(lo - bp.E_minus) < 1e-12 and abs(hi - bp.E_plus) < 1e-12
+
+
+@pytest.mark.parametrize("model, delta, mu, n", [("pip+", 0.3, -0.5, 9), ("did+", 1.0, 2.0, 6)])
+def test_bands_csv_is_byte_identical_to_the_per_point_loop(model, delta, mu, n, capsys):
+    assert main(["bands", "--model", model, "--params", f"delta={delta},mu={mu},n={n}"]) == 0
+    text = capsys.readouterr().out
+    op = models.build_model(model, delta=delta, mu=mu)
+    ks = np.linspace(-np.pi, np.pi, n)
+    fmt = lambda x: "%.17g" % float(x)
+    lines = ["k1,k2,E_minus,E_plus"]
+    for k1 in ks:
+        for k2 in ks:
+            w = np.linalg.eigvalsh(assemble_bloch(op, (float(k1), float(k2))).matrix)
+            lines.append(",".join([fmt(k1), fmt(k2), fmt(w[0]), fmt(w[-1])]))
+    assert text.splitlines()[:-1] == lines
 
 
 def test_gap_scan_tracks_small_mu(capsys):
@@ -279,6 +294,19 @@ def test_explicit_zero_realizations_is_kept_and_refused(capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "n_realizations" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_clean_ensemble_refuses_a_realization_count_below_one(count, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = [
+        "ids", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,energies=1",
+        "--L", "6", "--realizations", count, "--out", str(out),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_realizations" in err
+    assert not out.exists()
 
 
 def test_phase_diagram_negative_realizations_exits_2(capsys):

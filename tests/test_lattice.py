@@ -175,19 +175,57 @@ def test_bloch_assembly_is_bit_exact_to_the_reference_sum():
                 assert np.array_equal(assemble_bloch(op, (k1, k2)).matrix, reference)
 
 
+def _pointwise_sum(op, k1, k2):
+    d = op.fiber.dim
+    m = np.zeros((d, d), dtype=complex)
+    for j, b in op.terms.items():
+        m += np.exp(1j * (float(k1) * j[0] + float(k2) * j[1])) * b
+    return m
+
+
 def test_bloch_stack_is_bit_exact_to_the_pointwise_sum():
     from bdgtools.greens import bloch_band_grid
 
     models = [build_model(name, delta=0.6, mu=0.9) for name in MODEL_NAMES]
     models += [_random_closed_model(seed) for seed in range(6)]
     ks = -np.pi + 2 * np.pi * np.arange(6) / 6
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-np.pi, np.pi, size=(2, 3, 5))
     for op in models:
-        stack = lattice._bloch_stack(op, ks, ks)
-        pointwise = np.array([[lattice._bloch_sum(op, (k1, k2)) for k2 in ks] for k1 in ks])
+        stack = lattice._bloch_points(op, ks[:, None], ks[None, :])
+        pointwise = np.array([[_pointwise_sum(op, k1, k2) for k2 in ks] for k1 in ks])
         assert np.array_equal(stack, pointwise)
         d = op.fiber.dim
         bands = np.array([np.linalg.eigvalsh(m) for m in pointwise.reshape(-1, d, d)])
         assert np.array_equal(bloch_band_grid(op, 6), bands)
+        # a point list of any shape, and a single point (0-d input)
+        listed = lattice._bloch_points(op, pts[0], pts[1])
+        assert listed.shape == (3, 5, d, d)
+        for idx in np.ndindex(3, 5):
+            assert np.array_equal(listed[idx], _pointwise_sum(op, pts[0][idx], pts[1][idx]))
+        single = lattice._bloch_points(op, 0.7, -2.3)
+        assert single.shape == (d, d)
+        assert np.array_equal(single, _pointwise_sum(op, 0.7, -2.3))
+
+
+def test_hermitian_bloch_points_applies_the_assembly_checks():
+    one_way = tight_binding(FiberShape(1), {(1, 0): [[1.0]]})
+    ks = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="bands: term set is not hermiticity-closed"):
+        lattice._hermitian_bloch_points(one_way, ks[:, None], ks[None, :], "bands")
+    big = 1e6
+    nearly = tight_binding(
+        FiberShape(1), {(1, 0): [[big]], (-1, 0): [[big + 5e-7]]}
+    )
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assemble_bloch(nearly, (np.pi / 2, 0.0))
+    with pytest.raises(ValueError, match=r"not Hermitian within tolerance at k = \(1.5708, 0\)"):
+        lattice._hermitian_bloch_points(nearly, np.array([0.0, np.pi / 2]), 0.0, "bands")
+    model = build_model("pip+", delta=0.3, mu=-0.5)
+    assert np.array_equal(
+        lattice._hermitian_bloch_points(model, ks[:, None], ks[None, :], "bands"),
+        lattice._bloch_points(model, ks[:, None], ks[None, :]),
+    )
 
 
 @settings(max_examples=40, deadline=None)
