@@ -11,11 +11,14 @@ Subcommands
 * ``phase-diagram``  — localization verdicts over the (lambda, E) plane.
 * ``verify``         — the full invariant suite; nonzero exit on any failure.
 
-Common flags: ``--model`` (catalog name or a model JSON file), ``--params``
+Flags: ``--model`` (catalog name or a model JSON file), ``--params``
 (comma-separated ``key=value`` pairs; ``:``-separated values form lists; a
 JSON object is also accepted), ``--disorder`` (``none``, ``W00``, or a spec
 JSON file), ``--L``, ``--seed``, ``--realizations``, ``--out``, ``--threads``
-(for ``chern``, only the transfer route runs on worker threads).
+(for ``chern``, only the transfer route runs on worker threads).  One table,
+``_COMMANDS``, gives each subcommand its flags and ``--params`` keys (with
+validators and defaults); an unknown or refused key, a key given twice, or
+a flag the subcommand does not read exits 2.
 
 Every run with ``--out`` writes the result plus a ``<out>.manifest.json``
 sidecar recording the resolved inputs; :func:`run_manifest` replays a
@@ -31,13 +34,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .chern import (
+    _METHODS,
     berry_flux_chern,
     chern_mu_scan,
     chern_transfer,
@@ -118,43 +123,43 @@ class ExperimentManifest:
     artifact_version: str = __version__
 
     def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "artifact_version": self.artifact_version,
-            "model": self.model,
-            "disorder": self.disorder,
-            "params": self.params,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "ExperimentManifest":
-        doc = json.loads(text)
-        return ExperimentManifest(
-            command=doc["command"],
-            model=doc.get("model"),
-            disorder=doc.get("disorder"),
-            params=doc.get("params", {}),
-            artifact_version=doc.get("artifact_version", __version__),
-        )
+        try:
+            man = ExperimentManifest(**json.loads(text))
+        except TypeError as err:  # a missing, unknown or non-object entry
+            raise ValueError(f"not a manifest: {err}") from None
+        for key, kind in (("command", str), ("params", dict), ("model", (dict, type(None))),
+                          ("disorder", (dict, type(None)))):
+            if not isinstance(getattr(man, key), kind):
+                raise ValueError(f"not a manifest: {key} is {type(getattr(man, key)).__name__}")
+        return man
 
 
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 
-def _parse_params(text: str) -> dict:
-    """``key=value`` pairs (or one JSON object) to a parameter dict."""
+def _parse_params(command: str, text: str) -> dict:
+    """``key=value`` pairs (or one JSON object) to a dict; no key twice."""
     if not text:
         return {}
     if text.lstrip().startswith("{"):
-        return json.loads(text)
-    out: dict = {}
-    for part in text.split(","):
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ValueError(f"--params entries are key=value, got {part!r}")
-        out[key.strip()] = _parse_value(val.strip())
-    return out
+        pairs = json.loads(text, object_pairs_hook=list)
+    else:
+        pairs = []
+        for part in text.split(","):
+            key, eq, val = part.partition("=")
+            if not eq:
+                raise ValueError(f"{command}: --params entries are key=value, got {part!r}")
+            pairs.append((key.strip(), _parse_value(val.strip())))
+    params: dict = {}
+    for key, val in pairs:
+        if key in params:
+            raise ValueError(f"{command}: --params key {key!r} given twice")
+        params[key] = val
+    return params
 
 
 def _parse_value(val: str):
@@ -168,40 +173,89 @@ def _parse_value(val: str):
     return val
 
 
-def _need(params: dict, key: str, command: str):
-    if key not in params:
-        raise ValueError(f"{command} needs --params {key}=...")
-    return params[key]
+# Validators of --params values: each returns the value to record, or raises
+# ValueError or TypeError, which refuses the key.
+
+def _integer(value) -> int:
+    # an int is taken as it is: a 64-bit seed does not survive a float
+    if not isinstance(value, int) and not float(value).is_integer():
+        raise ValueError("must be an integer")
+    return int(value)
 
 
-def _as_floats(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(value)]
+def _count(value) -> int:
+    number = _integer(value)
+    if number < 1:
+        raise ValueError("must be at least 1")
+    return number
 
 
-def _model_doc(args, params: dict, *, needs_mu: bool = True) -> dict:
-    if not args.model:
-        raise ValueError(
-            f"{args.command} needs --model (a catalog name or a model JSON file)"
-        )
-    if args.model in MODEL_NAMES:
-        doc = {
-            "name": args.model,
-            "delta": float(_need(params, "delta", args.command)),
-        }
-        if needs_mu:
-            doc["mu"] = float(_need(params, "mu", args.command))
-        if "sector" in params:
-            doc["sector"] = int(params["sector"])
-        return doc
-    path = Path(args.model)
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ValueError("must be one of " + ", ".join(map(str, choices)))
+        return choices[choices.index(value)]
+    return check
+
+
+def _reals(value) -> list[float]:
+    values = [float(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
+
+
+def _interval(value) -> list[float]:
+    bounds = _reals(value)
+    if len(bounds) != 2 or not bounds[0] < bounds[1]:
+        raise ValueError("must be two increasing values lo:hi")
+    return bounds
+
+
+class _Default(str):
+    """A key default that is not a value; the help shows its text."""
+
+
+_REQUIRED = _Default("required")
+# ``lam`` resolves against --disorder (see _disorder_doc) into the disorder
+# document's "lambda"
+_COUPLING = _Default("the --disorder spec's lambda")
+# recorded in the model document; a model JSON file takes none of them
+_MODEL_KEYS = ("delta", "mu", "sector")
+_CATALOG = {"delta": (float, _REQUIRED), "mu": (float, _REQUIRED), "sector": (_one_of(-1, 1), None)}
+_SCANNED = {k: _CATALOG[k] for k in ("delta", "sector")}  # mu is scanned
+
+
+def _resolve(command: str, keys: dict, given: dict, *, fill: bool = True) -> dict:
+    """Check ``given`` against a key table ``{key: (validator, default)}``: every
+    key known and accepted.  Default None marks an optional key.  With ``fill``
+    (a command line) missing keys take their defaults; without it (a manifest)
+    every non-optional key must be there."""
+    for key in given:
+        if key not in keys:
+            raise ValueError(f"{command}: unknown key {key!r}; it takes {', '.join(keys)}")
+    values = {}
+    for key, (check, default) in keys.items():
+        if key in given:
+            try:
+                values[key] = check(given[key])
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{command}: {key}={given[key]!r}: {err}") from None
+        elif default is _REQUIRED or default is not None and not fill:
+            raise ValueError(f"{command}: needs {key}=...")
+        elif default is not None and not isinstance(default, _Default):
+            values[key] = default
+    return values
+
+
+def _model_doc(choice: str) -> dict:
+    if choice in MODEL_NAMES:
+        return {"name": choice}
+    path = Path(choice)
     if not path.is_file():
         names = ", ".join(sorted(MODEL_NAMES))
-        raise ValueError(
-            f"unknown model {args.model!r}: neither a catalog name ({names}) "
-            f"nor an existing JSON file"
-        )
+        raise ValueError(f"unknown model {choice!r}: neither a catalog name ({names}) "
+                         "nor an existing JSON file")
     return {"operator": json.loads(path.read_text())}
 
 
@@ -223,22 +277,21 @@ def _build_from_doc(doc: dict, mu: float | None = None):
     return model
 
 
-def _disorder_doc(choice: str | None, model, lam: float) -> dict | None:
-    if choice in (None, "none"):
-        if lam != 0.0:
-            raise ValueError(
-                "a nonzero coupling needs --disorder (W00 or a spec JSON file)"
-            )
-        return None
+def _disorder_doc(choice: str, model, lam: float | None) -> tuple[dict | None, float]:
+    """The ``--disorder`` document and its coupling: ``lam`` when given,
+    else the spec file's own ``lambda`` (0 for ``W00`` and ``none``)."""
+    if choice == "none":
+        if lam:
+            raise ValueError("a nonzero coupling needs --disorder (W00 or a spec JSON file)")
+        return None, 0.0
     if choice == "W00":
-        return json.loads(spec_to_json(default_spec(r=model.fiber.r, lam=lam)))
-    return json.loads(Path(choice).read_text())
-
-
-def _spec_from_doc(doc: dict | None, model) -> DisorderSpec | None:
-    if doc is None:
-        return None
-    return spec_from_json(json.dumps(doc), r=model.fiber.r)
+        lam = 0.0 if lam is None else lam
+        return json.loads(spec_to_json(default_spec(r=model.fiber.r, lam=lam))), lam
+    doc = json.loads(Path(choice).read_text())
+    if lam is None:
+        return doc, float(doc.get("lambda", 0.0))
+    doc["lambda"] = lam
+    return doc, lam
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +299,7 @@ def _spec_from_doc(doc: dict | None, model) -> DisorderSpec | None:
 
 def _run_bands(man: ExperimentManifest) -> str:
     model = _build_from_doc(man.model)
-    n = int(man.params["n"])
-    ks = np.linspace(-math.pi, math.pi, n)
+    ks = np.linspace(-math.pi, math.pi, man.params["n"])
     w = np.linalg.eigvalsh(
         _hermitian_bloch_points(model, ks[:, None], ks[None, :], "bands")
     )
@@ -267,7 +319,7 @@ def _run_gap_scan(man: ExperimentManifest) -> str:
     if "name" not in doc:
         raise ValueError("gap-scan needs a catalog model name")
     p = man.params
-    mus = np.linspace(float(p["mu_min"]), float(p["mu_max"]), int(p["n"]))
+    mus = np.linspace(p["mu_min"], p["mu_max"], p["n"])
     if _resolve_band_tag(doc["name"]) in _CLOSED_FORM_TAGS:
         gap_of = lambda mu: central_gap(
             doc["name"], ModelParams(doc["delta"], float(mu))
@@ -282,38 +334,26 @@ def _run_gap_scan(man: ExperimentManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ensemble(man: ExperimentManifest):
+    """The model and disorder spec of a run, and its ensemble keywords."""
+    model, doc, p = _build_from_doc(man.model), man.disorder, man.params
+    spec = None if doc is None else spec_from_json(json.dumps(doc), r=model.fiber.r)
+    ensemble = dict(L=p["L"], n_realizations=p["realizations"], seed=p["seed"],
+                    threads=p["threads"])
+    return model, spec, ensemble
+
+
 def _run_ids(man: ExperimentManifest) -> str:
-    model = _build_from_doc(man.model)
-    spec = _spec_from_doc(man.disorder, model)
-    p = man.params
-    estimator = ids_squared_estimate if p.get("squared") else ids_estimate
-    curve = estimator(
-        model,
-        spec,
-        L=p["L"],
-        n_realizations=p["realizations"],
-        energies=_as_floats(p["energies"]),
-        seed=p["seed"],
-        threads=p["threads"],
-    )
-    return curve.to_csv()
+    model, spec, ensemble = _ensemble(man)
+    estimator = ids_squared_estimate if man.params["squared"] else ids_estimate
+    return estimator(model, spec, energies=man.params["energies"], **ensemble).to_csv()
 
 
 def _run_dos(man: ExperimentManifest) -> str:
-    model = _build_from_doc(man.model)
-    spec = _spec_from_doc(man.disorder, model)
+    model, spec, ensemble = _ensemble(man)
     p = man.params
-    hist = dos_histogram(
-        model,
-        spec,
-        L=p["L"],
-        n_realizations=p["realizations"],
-        bins=p["bins"],
-        seed=p["seed"],
-        energy_range=tuple(p["erange"]) if "erange" in p else None,
-        squared=bool(p.get("squared")),
-        threads=p["threads"],
-    )
+    hist = dos_histogram(model, spec, bins=p["bins"], energy_range=p.get("erange"),
+                         squared=bool(p["squared"]), **ensemble)
     return hist.to_csv()
 
 
@@ -323,33 +363,17 @@ def _run_chern(man: ExperimentManifest) -> str:
         raise ValueError("chern needs a catalog model name")
     p = man.params
     entries = chern_mu_scan(
-        lambda mu: _build_from_doc(doc, mu=mu),
-        _as_floats(p["mus"]),
-        method=p.get("method", "transfer"),
-        grid_n=int(p.get("grid_n", 48)),
-        n_k=int(p.get("n_k", 64)),
-        L=p["L"],
-        threads=p["threads"],
+        lambda mu: _build_from_doc(doc, mu=mu), p["mus"], method=p["method"],
+        grid_n=p["grid_n"], n_k=p["n_k"], L=p["L"], threads=p["threads"],
     )
     return scan_csv(entries)
 
 
 def _run_fmm_decay(man: ExperimentManifest) -> str:
-    model = _build_from_doc(man.model)
-    spec = _spec_from_doc(man.disorder, model)
+    model, spec, ensemble = _ensemble(man)
     p = man.params
-    est = fractional_moment_scan(
-        model,
-        spec,
-        float(p["lam"]),
-        complex(float(p["E"]), float(p["eps"])),
-        s=float(p["s"]),
-        L=p["L"],
-        n_realizations=p["realizations"],
-        max_dist=p.get("max_dist"),
-        seed=p["seed"],
-        threads=p["threads"],
-    )
+    est = fractional_moment_scan(model, spec, p["lam"], complex(p["E"], p["eps"]), s=p["s"],
+                                 max_dist=p.get("max_dist"), **ensemble)
     lines = ["d,tau,stderr"]
     for d, t, e in zip(est.distances, est.tau, est.tau_stderr):
         lines.append("%d,%s,%s" % (d, _fmt(t), _fmt(e)))
@@ -364,22 +388,12 @@ def _run_fmm_decay(man: ExperimentManifest) -> str:
 
 
 def _run_phase_diagram(man: ExperimentManifest) -> str:
-    model = _build_from_doc(man.model)
-    spec = _spec_from_doc(man.disorder, model)
+    model, spec, ensemble = _ensemble(man)
     if spec is None:
         raise ValueError("phase-diagram needs --disorder (W00 or a spec file)")
     p = man.params
     diagram = localization_phase_diagram(
-        model,
-        spec,
-        _as_floats(p["lambdas"]),
-        _as_floats(p["energies"]),
-        s=float(p["s"]),
-        eps=float(p["eps"]),
-        L=p["L"],
-        n_realizations=p["realizations"],
-        seed=p["seed"],
-        threads=p["threads"],
+        model, spec, p["lambdas"], p["energies"], s=p["s"], eps=p["eps"], **ensemble
     )
     text = diagram.to_csv()
     mu = (man.model or {}).get("mu")
@@ -606,105 +620,82 @@ def _verify_report() -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-def _run_verify(man: ExperimentManifest) -> str:
-    return _verify_report()[0]
+# ---------------------------------------------------------------------------
+# wiring: one table per subcommand drives the parser, the manifest and replay
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand.  With keys it takes --model and --params; None for ``L``,
+    ``realizations`` or ``disorder`` leaves that flag out."""
+
+    help: str
+    run: Callable[[ExperimentManifest], str]
+    keys: dict  # --params key -> (validator, default)
+    L: int | None = None
+    realizations: int | None = None
+    disorder: str | None = None
+    lam_in_params: bool = False  # params echo the coupling; replay checks it
+
+    def flags(self) -> list[str]:
+        """The shared flags recorded in params."""
+        optional = {"L": self.L, "realizations": self.realizations}
+        return ["seed", "threads"] + [f for f, d in optional.items() if d is not None]
+
+    def recorded(self) -> dict:
+        """The key table of a manifest's params."""
+        keys = {k: v for k, v in self.keys.items()
+                if k not in _MODEL_KEYS and (k != "lam" or self.lam_in_params)}
+        return {**keys, **{flag: (_integer, _REQUIRED) for flag in self.flags()}}
 
 
-_RUNNERS = {
-    "bands": _run_bands,
-    "gap-scan": _run_gap_scan,
-    "ids": _run_ids,
-    "dos": _run_dos,
-    "chern": _run_chern,
-    "fmm-decay": _run_fmm_decay,
-    "phase-diagram": _run_phase_diagram,
-    "verify": _run_verify,
+_ENSEMBLE = dict(L=16, realizations=32, disorder="none")
+_COMMANDS = {
+    "bands": _Command("Bloch band extremes on a k grid", _run_bands, {
+        **_CATALOG, "n": (_count, 33),
+    }),
+    "gap-scan": _Command("central gap across a mu window", _run_gap_scan, {
+        **_SCANNED, "mu_min": (float, _REQUIRED), "mu_max": (float, _REQUIRED), "n": (_count, 21),
+    }),
+    "ids": _Command("integrated density of states", _run_ids, {
+        **_CATALOG, "lam": (float, _COUPLING), "energies": (_reals, _REQUIRED),
+        "squared": (_one_of(0, 1), 0),
+    }, **_ENSEMBLE),
+    "dos": _Command("density-of-states histogram", _run_dos, {
+        **_CATALOG, "lam": (float, _COUPLING), "bins": (_count, 64), "erange": (_interval, None),
+        "squared": (_one_of(0, 1), 0),
+    }, **_ENSEMBLE),
+    "chern": _Command("Chern numbers along a mu scan", _run_chern, {
+        **_SCANNED, "mus": (_reals, _REQUIRED), "method": (_one_of(*_METHODS), "transfer"),
+        "grid_n": (_count, 48), "n_k": (_count, 64),
+    }, L=20),
+    "fmm-decay": _Command("fractional-moment decay profile", _run_fmm_decay, {
+        **_CATALOG, "lam": (float, _COUPLING), "E": (float, 0.0),
+        "eps": (float, EPS_DEFAULT), "s": (float, S_DEFAULT), "max_dist": (_count, None),
+    }, L=32, realizations=64, disorder="none", lam_in_params=True),
+    "phase-diagram": _Command("localization verdicts over (lambda, E)", _run_phase_diagram, {
+        **_CATALOG, "lambdas": (_reals, _REQUIRED), "energies": (_reals, _REQUIRED),
+        "s": (float, S_DEFAULT), "eps": (float, EPS_DEFAULT),
+    }, L=16, realizations=16, disorder="W00"),
+    "verify": _Command("run the invariant suite", lambda man: _verify_report()[0], {}),
 }
 
 
-# ---------------------------------------------------------------------------
-# wiring
-
 def _manifest_from_args(args) -> ExperimentManifest:
-    params = _parse_params(args.params)
-    cmd = args.command
-    common = {
-        "seed": int(args.seed),
-        "threads": int(args.threads),
-    }
-    model_doc: dict | None = None
-    disorder_doc: dict | None = None
-    if cmd == "bands":
-        model_doc = _model_doc(args, params)
-        run = {"n": int(params.get("n", 33))}
-    elif cmd == "gap-scan":
-        model_doc = _model_doc(args, params, needs_mu=False)
-        run = {
-            "mu_min": float(_need(params, "mu_min", cmd)),
-            "mu_max": float(_need(params, "mu_max", cmd)),
-            "n": int(params.get("n", 21)),
-        }
-    elif cmd in ("ids", "dos"):
-        model_doc = _model_doc(args, params)
-        lam = float(params.get("lam", 0.0))
-        disorder_doc = _disorder_doc(args.disorder, _build_from_doc(model_doc), lam)
-        run = {
-            "L": int(args.L),
-            "realizations": 32 if args.realizations is None else int(args.realizations),
-            "squared": int(bool(params.get("squared", 0))),
-        }
-        if cmd == "ids":
-            run["energies"] = _as_floats(_need(params, "energies", cmd))
-        else:
-            run["bins"] = int(params.get("bins", 64))
-            if "erange" in params:
-                run["erange"] = _as_floats(params["erange"])
-    elif cmd == "chern":
-        model_doc = _model_doc(args, params, needs_mu=False)
-        run = {
-            "mus": _as_floats(_need(params, "mus", cmd)),
-            "method": str(params.get("method", "transfer")),
-            "grid_n": int(params.get("grid_n", 48)),
-            "n_k": int(params.get("n_k", 64)),
-            "L": int(args.L),
-        }
-    elif cmd == "fmm-decay":
-        model_doc = _model_doc(args, params)
-        lam = float(params.get("lam", 0.0))
-        disorder_doc = _disorder_doc(args.disorder, _build_from_doc(model_doc), lam)
-        run = {
-            "lam": lam,
-            "E": float(params.get("E", 0.0)),
-            "eps": float(params.get("eps", EPS_DEFAULT)),
-            "s": float(params.get("s", S_DEFAULT)),
-            "L": int(args.L),
-            "realizations": 64 if args.realizations is None else int(args.realizations),
-        }
-        if "max_dist" in params:
-            run["max_dist"] = int(params["max_dist"])
-    elif cmd == "phase-diagram":
-        model_doc = _model_doc(args, params)
-        disorder_doc = _disorder_doc(
-            args.disorder or "W00", _build_from_doc(model_doc), 0.0
-        )
-        run = {
-            "lambdas": _as_floats(_need(params, "lambdas", cmd)),
-            "energies": _as_floats(_need(params, "energies", cmd)),
-            "s": float(params.get("s", S_DEFAULT)),
-            "eps": float(params.get("eps", EPS_DEFAULT)),
-            "L": int(args.L),
-            "realizations": 16 if args.realizations is None else int(args.realizations),
-        }
-    elif cmd == "verify":
-        run = {}
-    else:  # pragma: no cover — argparse restricts choices
-        raise ValueError(f"unknown command {cmd!r}")
-    return ExperimentManifest(
-        command=cmd,
-        model=model_doc,
-        disorder=disorder_doc,
-        params={**common, **run},
-    )
+    cmd = _COMMANDS[args.command]
+    model = disorder = None
+    values: dict = {}
+    if cmd.keys:
+        model = _model_doc(args.model)
+        keys = {k: v for k, v in cmd.keys.items() if "name" in model or k not in _MODEL_KEYS}
+        values = _resolve(args.command, keys, _parse_params(args.command, args.params))
+        model.update((k, values.pop(k)) for k in _MODEL_KEYS if k in values)
+    if cmd.disorder:
+        lam = values.pop("lam", None)
+        disorder, lam = _disorder_doc(args.disorder, _build_from_doc(model), lam)
+        if cmd.lam_in_params:
+            values["lam"] = lam
+    params = {**values, **{flag: getattr(args, flag) for flag in cmd.flags()}}
+    return ExperimentManifest(args.command, model, disorder, params)
 
 
 def _emit(text: str, out: str | None, manifest: ExperimentManifest) -> None:
@@ -721,10 +712,28 @@ def run_manifest(path, out: str | None = None) -> str:
 
     Replaying a manifest produced by a previous run reproduces that run's
     output byte for byte: every estimator is deterministic given the
-    recorded seeds and the number formats are fixed.
+    recorded seeds and the number formats are fixed.  The params and the
+    catalog model keys are checked against the command's key table first;
+    an unknown, missing, refused or ill-typed entry, or a recorded ``lam``
+    other than the disorder's ``lambda``, raises ``ValueError``.
     """
     man = ExperimentManifest.from_json(Path(path).read_text())
-    text = _RUNNERS[man.command](man)
+    if man.command not in _COMMANDS:
+        raise ValueError(f"unknown command {man.command!r}")
+    cmd, model = _COMMANDS[man.command], man.model
+    if (model is None) == bool(cmd.keys) or man.disorder is not None and not cmd.disorder:
+        raise ValueError(f"{man.command}: its model or disorder entry does not fit it")
+    if "name" in (model or {}):
+        keys = {k: cmd.keys[k] for k in _MODEL_KEYS if k in cmd.keys}
+        given = {k: v for k, v in model.items() if k != "name"}
+        model = {"name": model["name"], **_resolve(man.command, keys, given, fill=False)}
+    elif model is not None and set(model) != {"operator"}:
+        raise ValueError(f"{man.command}: model needs a name or an operator")
+    params = _resolve(man.command, cmd.recorded(), man.params, fill=False)
+    lam = (man.disorder or {}).get("lambda", 0.0)
+    if params.get("lam", lam) != lam:
+        raise ValueError(f"{man.command}: lam={params['lam']!r} is not the disorder's lambda")
+    text = cmd.run(replace(man, model=model, params=params))
     if out is not None:
         Path(out).write_text(text)
     return text
@@ -740,34 +749,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("bands", "Bloch band extremes on a k grid", None),
-        ("gap-scan", "central gap across a mu window", None),
-        ("ids", "integrated density of states", 16),
-        ("dos", "density-of-states histogram", 16),
-        ("chern", "Chern numbers along a mu scan", 20),
-        ("fmm-decay", "fractional-moment decay profile", 32),
-        ("phase-diagram", "localization verdicts over (lambda, E)", 16),
-        ("verify", "run the invariant suite", None),
-    )
-    for name, help_text, L_default in specs:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--model", help="catalog name or model JSON file")
-        sp.add_argument(
-            "--params", default="", help="key=value pairs, ':' separates lists"
-        )
-        sp.add_argument("--disorder", help="none, W00, or a spec JSON file")
-        sp.add_argument("--L", type=int, default=L_default, help="torus side")
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        if cmd.keys:
+            keys = ", ".join(f"{k} ({'optional' if d is None else d})"
+                             for k, (_, d) in cmd.keys.items())
+            sp.add_argument("--model", required=True, help="catalog name or model JSON file")
+            sp.add_argument("--params", default="", help="key=value pairs, ':' separates list "
+                            "items; keys: " + keys)
+        if cmd.disorder:
+            sp.add_argument("--disorder", default=cmd.disorder,
+                            help="none, W00, or a spec JSON file")
+        if cmd.L is not None:
+            sp.add_argument("--L", type=int, default=cmd.L, help="torus side")
+        if cmd.realizations is not None:
+            sp.add_argument("--realizations", type=int, default=cmd.realizations)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--realizations", type=int)
         sp.add_argument("--out", help="output file (manifest written alongside)")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for disorder ensembles; in chern, for the "
-            "transfer route only",
-        )
+        sp.add_argument("--threads", type=int, default=1, help="worker threads for "
+                        "disorder ensembles; in chern, for the transfer route only")
     return parser
 
 
@@ -781,11 +781,10 @@ def main(argv=None) -> int:
         man = _manifest_from_args(args)
         if args.command == "verify":
             text, ok = _verify_report()
-            _emit(text, args.out, man)
-            return 0 if ok else 1
-        text = _RUNNERS[man.command](man)
+        else:
+            text, ok = _COMMANDS[man.command].run(man), True
         _emit(text, args.out, man)
-        return 0
+        return 0 if ok else 1
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

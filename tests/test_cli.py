@@ -4,10 +4,13 @@ and the verify suite's sensitivity to injected defects."""
 from __future__ import annotations
 
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +19,15 @@ from scipy.optimize import OptimizeResult
 
 from bdgtools import models
 from bdgtools.cli import (
+    _COMMANDS,
     ExperimentManifest,
     _build_parser,
     _manifest_from_args,
     main,
     run_manifest,
 )
-from bdgtools.lattice import assemble_bloch, tight_binding
+from bdgtools.disorder import default_spec, spec_to_json
+from bdgtools.lattice import assemble_bloch, model_to_json, tight_binding
 from bdgtools.models import ModelParams, build_pairing, central_gap, example_bands
 
 
@@ -334,8 +339,11 @@ def test_non_converged_gap_refinement_exits_2(monkeypatch, capsys):
     assert "did not converge" in err and "Traceback" not in err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _readme_commands() -> list[str]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     lines = []
     for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():
@@ -344,11 +352,251 @@ def _readme_commands() -> list[str]:
     return lines
 
 
-def test_readme_cli_examples_parse():
+def _bench_argvs(spec_dir: Path) -> dict[str, list[str]]:
+    """Every CLI argv of the benchmark's three workloads at their tiny sizes."""
+    module = "perfbench_workloads"
+    if module not in sys.modules:  # the module's dataclass needs it registered
+        found = importlib.util.spec_from_file_location(module, ROOT / "perfbench" / "workloads.py")
+        sys.modules[module] = importlib.util.module_from_spec(found)
+        found.loader.exec_module(sys.modules[module])
+    workloads = sys.modules[module]
+    argvs = {}
+    for name in ("momentum", "ensemble", "localization"):
+        workloads.write_inputs(name, spec_dir)
+        for exp in workloads.experiments(name, 0, tiny=True, threads=1):
+            if exp.argv is not None:
+                spec = str(spec_dir / "spec.json")
+                argvs[f"{name}: {exp.label}"] = [spec if a == "{spec}" else a for a in exp.argv]
+    return argvs
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the manifest JSON of each input, pinned from the code that built
+# manifests command by command: valid inputs keep these bytes.  README lines
+# are keyed by subcommand, benchmark argvs by "workload: label".
+README_MANIFESTS = {
+    "bands": "df5913080cb3adff31fec3ea15635c0c0d699e46a1c19441621cb1caff9b56c8",
+    "gap-scan": "6e91d7ff441d8fb35627c840241c29e07bbeb3afbe4efaf44182780fb6ddbbe2",
+    "ids": "a93c39bb2c74f6558d313eea422109a537daeb2ed5f08d6c635cbed039822bef",
+    "chern": "369c9f630b236e6cdbf3d16bc4e822c3e2e86c646e0e4d7f132efdeb47b63be6",
+    "fmm-decay": "9973aec04946cf4ef8c03e705a292bd7c8218f24a2b5a313ab78ce416ea64b7d",
+    "phase-diagram": "03b2e3023d906008defac3813b6483b0832d23b097ad182b2e6be3ceba9f1b9a",
+    "verify": "0217eaf9e1bf1ea5811626bbf39ca70150c47036e89cf1667497d38ffdb6f5f9",
+}
+BENCH_MANIFESTS = {
+    "momentum: bands pip+": "12c6891e5178443798378ea08bd32a367f3b7beccf0ca79e5c1e1d18781ec84c",
+    "momentum: bands did+": "6a2c54f4217d6b73f911f61b24351c32ff912ba793fac0a3aafeab1d28a5d8e2",
+    "momentum: gap-scan pip+": "b0098852d8fde8e9f9750dce6634ecda817110099269339b5efb170544e451bb",
+    "momentum: chern pip+ transfer": "1bd77d699ad7e4a1ade6a6dd85207a6a6b85996d1fe33aa3ad61002d5f49b787",
+    "momentum: chern pip+ berry": "488f0fe8e06e904db9c149d56124dd7fc433f08ab9c9130cb5e6f80aa38ef4ac",
+    "momentum: chern did+ berry": "04728d0445d4aa672e0500cf401fd823232582e88da95db42ec9dad418dd2edc",
+    "momentum: chern did+ contour": "8567f820750dd4bda2865beb57f7c60d2f550b918bfd6bd0bdbd2b1dc4b2532c",
+    "momentum: chern pip+ realspace": "4c178b79adaf5a53ecad0078c157a8a7bc48a361ab88751b4b3ef2af278fb0b8",
+    "momentum: verify": "0217eaf9e1bf1ea5811626bbf39ca70150c47036e89cf1667497d38ffdb6f5f9",
+    "ensemble: ids E": "32abde9161f0f41370ed83d0d0cdcbae3e995431ca9562545dd5b81ac148cbce",
+    "ensemble: ids -E": "a868b751d4f1b2dd9a7a457e6faaa5d55fe3f4f28274fbe545a8ccaf3fccd4de",
+    "ensemble: ids squared E^2": "4a8b7ae61c13c224d58e983be7fbdc775cacdf79c8664a4d070fc58ce4df54b2",
+    "ensemble: dos pip+ squared": "da7a7575f1799aa97879989349ff2de2c98f3e535179d9b2929f8662425aa9cd",
+    "ensemble: dos did+": "fd7de9f3cb514e5967ab029b2006d4572d6e114395715e871b498dc12ffac149",
+    "ensemble: dos pip+ W00+W10": "8b3c5721ba5c0cc1963fdcf3f90d37daaf613f5a806d57e3a329330f50c3200a",
+    "ensemble: dos pip+ clean": "5e041834650bbaef373deef1ad57a28f48db08bef03b2de3189475faeb269f6c",
+    "localization: fmm-decay": "54a4ec13692a462ecd1f31e4830eb6c1eea7695614cf44705866da448a87dca3",
+    "localization: phase-diagram": "0ef364d94665bf4fc18e466c1f762a3ee8949e7a36d81478e83382401a5261ae",
+}
+
+
+def test_readme_cli_examples_parse(tmp_path):
     commands = _readme_commands()
     assert len(commands) >= 7
     parser = _build_parser()
+    pinned = {}
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         man = _manifest_from_args(args)
         assert man.command == args.command, line
+        pinned[args.command] = _sha256(man.to_json())
+    assert pinned == README_MANIFESTS
+    bench = {}
+    for label, argv in _bench_argvs(tmp_path).items():  # written manifests replay exactly
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0, label
+        manifest = Path(str(out) + ".manifest.json")
+        bench[label] = _sha256(manifest.read_text())
+        assert run_manifest(manifest) == out.read_text(), label
+    assert bench == BENCH_MANIFESTS
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+def test_replay_keeps_a_64_bit_seed_exact(seed, tmp_path):
+    out = tmp_path / "dos.csv"  # one realization: the histogram tells the seeds apart
+    assert main(["dos", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,lam=0.5",
+                 "--disorder", "W00", "--L", "6", "--realizations", "1", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    manifest = Path(str(out) + ".manifest.json")
+    assert json.loads(manifest.read_text())["params"]["seed"] == seed
+    assert run_manifest(manifest) == out.read_text()
+
+
+def _exit_2(argv, capsys, command: str, *named: str) -> None:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}:") and "Traceback" not in err, err
+    for word in named:
+        assert word in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["chern", "--model", "pip+", "--params",
+          "delta=0.3,mus=-0.5,method=berry,grid=24,gridn=30"], "'grid'"),
+        (["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,lam=2"], "'lam'"),
+        (["gap-scan", "--model", "pip+", "--params", "delta=0.3,mu=0,mu_min=0,mu_max=1"], "'mu'"),
+        (["chern", "--model", "pip+", "--params", "delta=0.3,mus=0.5,method=wilson"], "method"),
+    ],
+)
+def test_unknown_or_refused_params_key_exits_2(argv, key, capsys):
+    _exit_2(argv, capsys, argv[0], key)
+
+
+@pytest.mark.parametrize("erange", ["1", "2:-2", "-1:0:1"])
+def test_dos_erange_needs_two_increasing_values(erange, tmp_path, capsys):
+    out = tmp_path / "dos.csv"
+    argv = ["dos", "--model", "pip+", "--params", f"delta=0.3,mu=-0.5,erange={erange}",
+            "--L", "4", "--out", str(out)]
+    _exit_2(argv, capsys, "dos", "erange")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,n=2.7"], "n="),
+        (["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,n=0"], "n="),
+        (["gap-scan", "--model", "pip+", "--params", "delta=0.3,mu_min=0,mu_max=1,n=0"], "n="),
+        (["chern", "--model", "did+", "--params",
+          "delta=1,mus=2,method=contour,sector=0"], "sector="),
+        (["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,n=3,n=5"], "'n' given twice"),
+        (["chern", "--model", "pip+", "--params", '{"delta": 0.3, "mus": 1, "mus": 2}'],
+         "'mus' given twice"),
+    ],
+)
+def test_integer_sector_and_duplicate_keys_are_refused(argv, key, capsys):
+    _exit_2(argv, capsys, argv[0], key)
+
+
+def test_catalog_keys_are_refused_with_a_model_file(tmp_path, capsys):
+    path = tmp_path / "pip.json"
+    path.write_text(model_to_json(models.build_model("pip+", delta=0.3, mu=-0.5)))
+    base = ["bands", "--model", str(path)]
+    assert main(base + ["--params", "n=3"]) == 0
+    capsys.readouterr()
+    for key in ("delta=0.3", "mu=-0.5", "sector=1"):
+        _exit_2(base + ["--params", f"n=3,{key}"], capsys, "bands", repr(key.split("=")[0]))
+
+
+def _spec_run(tmp_path, capsys, command, params, *extra):
+    argv = [command, "--model", "pip+", "--params", "delta=0.3,mu=-0.5" + params, *extra]
+    out = tmp_path / f"{len(list(tmp_path.iterdir()))}.csv"
+    assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+    return out.read_text(), json.loads(Path(str(out) + ".manifest.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("ids", (",energies=0.5:1", "--L", "6", "--realizations", "4")),
+        ("dos", ("", "--L", "6", "--realizations", "4")),
+        ("fmm-decay", ("", "--L", "16", "--realizations", "8")),
+    ],
+)
+def test_spec_file_coupling_is_lam_else_the_specs_lambda(command, extra, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_to_json(default_spec(r=1, lam=0.3)))
+    keys, flags = extra[0], list(extra[1:])
+    run = lambda params, *disorder: _spec_run(tmp_path, capsys, command, keys + params,
+                                              *disorder, *flags)
+    own, own_man = run("", "--disorder", str(spec))
+    assert own_man["disorder"]["lambda"] == 0.3
+    assert own == run(",lam=0.3", "--disorder", str(spec))[0]
+    assert own != run("")[0]  # the spec's own coupling is not the clean operator
+    clean = run(",lam=0", "--disorder", str(spec))
+    assert clean[0] == run("")[0] and clean[1]["disorder"]["lambda"] == 0.0
+    other, other_man = run(",lam=0.7", "--disorder", str(spec))
+    assert other not in (own, clean[0]) and other_man["disorder"]["lambda"] == 0.7
+    if command == "fmm-decay":
+        assert own_man["params"]["lam"] == 0.3 and other_man["params"]["lam"] == 0.7
+    else:
+        assert "lam" not in own_man["params"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--model", "pip+", "--params", "delta=0.3,mus=-0.5", "--disorder", "W00"],
+        ["chern", "--model", "pip+", "--params", "delta=0.3,mus=-0.5", "--realizations", "9"],
+        ["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5", "--L", "99"],
+        ["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5", "--disorder", "W00"],
+        ["gap-scan", "--model", "pip+", "--params", "delta=0.3,mu_min=0,mu_max=1", "--L", "8"],
+        ["verify", "--model", "pip+"],
+        ["verify", "--params", "n=3"],
+        ["verify", "--L", "8"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_subcommand_help_lists_its_keys_and_shared_flags(capsys):
+    for name, cmd in _COMMANDS.items():
+        assert main([name, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in ("--seed", "--threads", "--out"):
+            assert flag in text, (name, flag)
+        for key in cmd.keys:
+            assert f" {key} (" in text, (name, key)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(lambda doc: doc["params"].update(grid=24), "'grid'", id="unknown"),
+        pytest.param(lambda doc: doc["params"].update(n=2.7), "n=", id="fraction"),
+        pytest.param(lambda doc: doc["params"].update(n="many"), "n=", id="text"),
+        pytest.param(lambda doc: doc["params"].pop("n"), "needs n", id="missing"),
+        pytest.param(lambda doc: doc["params"].update(seed=[1]), "seed=", id="list-seed"),
+        pytest.param(lambda doc: doc["model"].update(sector=0), "sector=", id="sector-0"),
+        pytest.param(lambda doc: doc["model"].update(lam=1), "'lam'", id="model-key"),
+        pytest.param(lambda doc: doc["model"].pop("name"), "model", id="model-no-name"),
+        pytest.param(lambda doc: doc.update(command=[]), "command", id="list-command"),
+        pytest.param(lambda doc: doc.update(params=[1]), "params", id="list-params"),
+        pytest.param(lambda doc: doc.update(model="did+"), "model", id="text-model"),
+        pytest.param(lambda doc: doc.update(model=None), "model", id="no-model"),
+        pytest.param(lambda doc: doc.update(disorder={}), "disorder", id="unread-disorder"),
+    ],
+)
+def test_replay_refuses_unknown_or_ill_typed_keys(edit, key, tmp_path):
+    out = tmp_path / "bands.csv"
+    assert main(["bands", "--model", "did+", "--params", "delta=1,mu=2,n=3", "--out", str(out)]) == 0
+    manifest = Path(str(out) + ".manifest.json")
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(key)):
+        run_manifest(manifest)
+
+
+def test_replay_refuses_a_params_lam_unlike_the_disorders(tmp_path):
+    argv = ["fmm-decay", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,lam=0.2",
+            "--disorder", "W00"]
+    man = _manifest_from_args(_build_parser().parse_args(argv))
+    assert man.params["lam"] == man.disorder["lambda"] == 0.2
+    path = tmp_path / "fmm.manifest.json"
+    path.write_text(ExperimentManifest(man.command, man.model, man.disorder,
+                                       {**man.params, "lam": 0.5}).to_json())
+    with pytest.raises(ValueError, match="lam=0.5"):
+        run_manifest(path)
