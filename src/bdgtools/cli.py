@@ -287,9 +287,11 @@ def _disorder_doc(choice: str, model, lam: float | None) -> tuple[dict | None, f
     if choice == "W00":
         lam = 0.0 if lam is None else lam
         return json.loads(spec_to_json(default_spec(r=model.fiber.r, lam=lam))), lam
-    doc = json.loads(Path(choice).read_text())
+    text = Path(choice).read_text()
+    spec = spec_from_json(text, r=model.fiber.r)  # refuses a non-spec document
+    doc = json.loads(text)
     if lam is None:
-        return doc, float(doc.get("lambda", 0.0))
+        return doc, spec.lam
     doc["lambda"] = lam
     return doc, lam
 
@@ -641,11 +643,16 @@ class _Command:
         optional = {"L": self.L, "realizations": self.realizations}
         return ["seed", "threads"] + [f for f, d in optional.items() if d is not None]
 
+    def flag_keys(self) -> dict:
+        """The key table of the shared flags: integers, and at least 1 thread."""
+        return {flag: (_count if flag == "threads" else _integer, _REQUIRED)
+                for flag in self.flags()}
+
     def recorded(self) -> dict:
         """The key table of a manifest's params."""
         keys = {k: v for k, v in self.keys.items()
                 if k not in _MODEL_KEYS and (k != "lam" or self.lam_in_params)}
-        return {**keys, **{flag: (_integer, _REQUIRED) for flag in self.flags()}}
+        return {**keys, **self.flag_keys()}
 
 
 _ENSEMBLE = dict(L=16, realizations=32, disorder="none")
@@ -694,7 +701,8 @@ def _manifest_from_args(args) -> ExperimentManifest:
         disorder, lam = _disorder_doc(args.disorder, _build_from_doc(model), lam)
         if cmd.lam_in_params:
             values["lam"] = lam
-    params = {**values, **{flag: getattr(args, flag) for flag in cmd.flags()}}
+    flags = {flag: getattr(args, flag) for flag in cmd.flags()}
+    params = {**values, **_resolve(args.command, cmd.flag_keys(), flags)}
     return ExperimentManifest(args.command, model, disorder, params)
 
 

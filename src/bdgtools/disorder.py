@@ -13,13 +13,17 @@ Self-adjointness is guaranteed by the two closure rules
 so each unordered pair {(j,l), (-j,l+j)} carries a single random draw.  The
 draw is produced by a counter-based generator (Philox) keyed on
 (seed, j, l) of the canonical class representative; the field is therefore
-reproducible, order-independent and safe to sample in parallel.
+reproducible, order-independent and safe to sample in parallel.  One
+vectorized Philox pass draws every site of a displacement at once, bit for
+bit the draws of NumPy's ``Philox``.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,6 +140,8 @@ class DisorderTerm:
     name: str | None = None  # W catalog name when constructed from one
 
     def __post_init__(self) -> None:
+        if len(self.j) != 2:
+            raise ValueError(f"a disorder term's displacement j is a pair, got {self.j!r}")
         object.__setattr__(self, "j", (int(self.j[0]), int(self.j[1])))
         w = np.array(self.W, dtype=complex)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -211,26 +217,72 @@ def default_spec(r: int = 1, lam: float = 0.0, nu: Distribution | None = None) -
     )
 
 
+class _FieldView(Mapping):
+    """Read-only (j, l) -> v view of one read-only (L1, L2) array per j.
+
+    Iteration is sorted by (j, l).
+    """
+
+    def __init__(self, fields: dict):
+        for a in fields.values():
+            a.setflags(write=False)
+        self.fields = MappingProxyType(fields)
+
+    @classmethod
+    def from_items(cls, L: tuple[int, int], values) -> "_FieldView":
+        """Arrays from a (j, l) -> v mapping covering every site of each j."""
+        by_j: dict = {}
+        for (j, l), v in values.items():
+            by_j.setdefault((int(j[0]), int(j[1])), {})[(int(l[0]), int(l[1]))] = float(v)
+        sites = set(np.ndindex(L))
+        fields = {}
+        for j, by_l in by_j.items():
+            if by_l.keys() != sites:
+                raise ValueError(f"field at displacement {j} does not cover the box {L}")
+            fields[j] = np.array([by_l[l] for l in np.ndindex(L)], dtype=float).reshape(L)
+        return cls(fields)
+
+    def __getitem__(self, key) -> float:
+        j, l = key
+        a = self.fields.get((j[0], j[1]))
+        if a is None or not (0 <= l[0] < a.shape[0] and 0 <= l[1] < a.shape[1]):
+            raise KeyError(key)
+        return float(a[l[0], l[1]])
+
+    def __iter__(self):
+        for j in sorted(self.fields):
+            for l in np.ndindex(self.fields[j].shape):
+                yield (j, l)
+
+    def __len__(self) -> int:
+        return sum(a.size for a in self.fields.values())
+
+
 @dataclass(frozen=True)
 class DisorderRealization:
     """One sampled field v_{j,l} on the L1 x L2 torus.
 
-    ``values`` carries every (j, l) pair of the spec, mirrors included, so
-    the constraint v_{j,l} = v_{-j,l+j} can be read off directly.
+    The field is stored as one read-only (L1, L2) array per displacement j,
+    mirrors included, so the constraint v_{j,l} = v_{-j,l+j} reads
+    ``field(-j) == np.roll(field(j), j, axis=(0, 1))``.  ``values`` is a
+    read-only (j, l) -> v Mapping view of the same arrays.  A realization
+    may also be built from any such mapping, as long as it covers every
+    site of each displacement it names.
     """
 
     L: tuple[int, int]
-    values: dict
+    values: Mapping
     seed: int
 
+    def __post_init__(self) -> None:
+        L = _as_box(self.L)
+        object.__setattr__(self, "L", L)
+        if not isinstance(self.values, _FieldView):
+            object.__setattr__(self, "values", _FieldView.from_items(L, self.values))
+
     def field(self, j) -> np.ndarray:
-        """Couplings at displacement j as an (L1, L2) array indexed by l."""
-        j = (int(j[0]), int(j[1]))
-        out = np.empty(self.L, dtype=float)
-        for l1 in range(self.L[0]):
-            for l2 in range(self.L[1]):
-                out[l1, l2] = self.values[(j, (l1, l2))]
-        return out
+        """Couplings at displacement j as a read-only (L1, L2) array indexed by l."""
+        return self.values.fields[(int(j[0]), int(j[1]))]
 
 
 def _pack(x: tuple[int, int]) -> int:
@@ -238,7 +290,10 @@ def _pack(x: tuple[int, int]) -> int:
 
 
 def _class_uniform(seed: int, j: tuple[int, int], l: tuple[int, int]) -> float:
-    """The single uniform [0,1) draw attached to the disorder class (j, l)."""
+    """The single uniform [0,1) draw attached to the disorder class (j, l).
+
+    The scalar reference of :func:`_philox_uniforms`, which the sampler uses.
+    """
     # dtype must be explicit: a plain list would go through float64 and lose
     # the low counter bits for values >= 2^63
     counter = np.array([_pack(j), _pack(l), 0, 0], dtype=np.uint64)
@@ -246,37 +301,70 @@ def _class_uniform(seed: int, j: tuple[int, int], l: tuple[int, int]) -> float:
     return float(np.random.Generator(np.random.Philox(counter=counter, key=key)).random())
 
 
+# Philox4x64-10 round multipliers and key increments (Salmon et al.,
+# "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = a_hi * b_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * b
+
+
+def _philox_uniforms(seed: int, j: tuple[int, int], L: tuple[int, int]) -> np.ndarray:
+    """``_class_uniform(seed, j, l)`` for every site l of the box, as an (L1, L2) array.
+
+    One Philox4x64-10 block per class, as NumPy's ``Philox`` computes it:
+    the counter (pack(j), pack(l), 0, 0) is bumped once, with carry, before
+    the first block, and word 0 becomes the double (x >> 11) * 2^-53.
+    """
+    l1, l2 = np.indices(L, dtype=np.uint64)
+    offset = np.uint64(1 << 31)
+    ctr = [
+        np.full(L, _pack(j), dtype=np.uint64),
+        ((l1 + offset) << _SHIFT32) + (l2 + offset),
+        np.zeros(L, dtype=np.uint64),
+        np.zeros(L, dtype=np.uint64),
+    ]
+    carry = np.ones(L, dtype=bool)
+    for i in range(4):
+        ctr[i] = ctr[i] + carry.astype(np.uint64)
+        carry &= ctr[i] == 0
+    k0, k1 = seed & _MASK64, 0
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ np.uint64(k0), lo1, hi0 ^ ctr[3] ^ np.uint64(k1), lo0]
+    return (ctr[0] >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
 def sample_realization(spec: DisorderSpec, L, seed: int) -> DisorderRealization:
     """Draw the constrained random field for one disorder realization.
 
     Each equivalence class {(j,l), (-j,l+j)} receives exactly one draw,
     attached to the representative with lexicographically positive j; the
-    partner entry is filled with the same value.  The stream depends only on
-    (seed, j, l), not on evaluation order.
+    mirror field at -j is the same array rolled by j.  The stream depends
+    only on (seed, j, l), not on evaluation order.
     """
     L = _as_box(L)
-    values: dict = {}
+    fields = {}
     for t in spec.terms:
-        if not _canonical(t.j):
-            continue
-        us = np.array(
-            [
-                _class_uniform(seed, t.j, (l1, l2))
-                for l2 in range(L[1])
-                for l1 in range(L[0])
-            ]
-        )
-        vs = t.nu.transform(us)
-        i = 0
-        for l2 in range(L[1]):
-            for l1 in range(L[0]):
-                v = float(vs[i])
-                i += 1
-                values[(t.j, (l1, l2))] = v
-                if t.j != (0, 0):
-                    lp = ((l1 + t.j[0]) % L[0], (l2 + t.j[1]) % L[1])
-                    values[((-t.j[0], -t.j[1]), lp)] = v
-    return DisorderRealization(L, values, int(seed))
+        if _canonical(t.j):
+            v = t.nu.transform(_philox_uniforms(seed, t.j, L))
+            fields[t.j] = v
+            if t.j != (0, 0):
+                fields[(-t.j[0], -t.j[1])] = np.roll(v, t.j, axis=(0, 1))
+    return DisorderRealization(L, _FieldView(fields), int(seed))
 
 
 def _is_clean(spec: DisorderSpec | None, lam: float) -> bool:
@@ -285,7 +373,7 @@ def _is_clean(spec: DisorderSpec | None, lam: float) -> bool:
 
 
 def build_random_hamiltonian(
-    H0: TightBindingOperator,
+    H0: TightBindingOperator | FiniteVolumeOperator,
     spec: DisorderSpec,
     lam: float,
     realization: DisorderRealization,
@@ -293,11 +381,22 @@ def build_random_hamiltonian(
 ) -> FiniteVolumeOperator:
     """Finite-volume H = H0 + lam * V for one disorder realization.
 
-    With ``bc="open"`` a disorder hop leaving the box is dropped, as in
-    H0; its mirror class, which re-enters across the opposite face, goes
-    with it, so V stays Hermitian.
+    ``H0`` is the clean operator, or its finite volume already assembled on
+    the realization's box with boundary condition ``bc``; the ensemble path
+    passes the latter, so it assembles H0 once per ensemble.  With
+    ``bc="open"`` a disorder hop leaving the box is dropped, as in H0; its
+    mirror class, which re-enters across the opposite face, goes with it,
+    so V stays Hermitian.
     """
-    base = assemble_finite_volume(H0, realization.L, bc=bc)
+    if isinstance(H0, FiniteVolumeOperator):
+        if (H0.L, H0.bc) != (realization.L, bc):
+            raise ValueError(
+                f"H0 is assembled on the {H0.bc} box {H0.L}, "
+                f"the realization needs the {bc} box {realization.L}"
+            )
+        base = H0
+    else:
+        base = assemble_finite_volume(H0, realization.L, bc=bc)
     if _is_clean(spec, lam):
         return base
     if spec.fiber_dim != H0.fiber.dim:
@@ -324,21 +423,22 @@ def build_random_hamiltonian(
 def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads) -> list:
     """``fn`` of every realization's finite-volume Hamiltonian, in order.
 
-    This is the one disorder-ensemble path: realization i is drawn from
-    ``seed + i`` and assembled as ``H0 + lam * V``.  A clean ensemble (no
-    spec, ``lam = 0`` or no terms) is the single operator ``H0``; the
-    realization count must be at least 1 either way.
+    This is the one disorder-ensemble path: H0 is assembled once, and
+    realization i is drawn from ``seed + i`` and added as ``H0 + lam * V``.
+    A clean ensemble (no spec, ``lam = 0`` or no terms) is the single
+    operator ``H0``; the realization count must be at least 1 either way.
     """
     if not isinstance(model, TightBindingOperator):
         raise TypeError("model must be a TightBindingOperator")
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    base = assemble_finite_volume(model, L)
     if _is_clean(spec, lam):
-        return [fn(assemble_finite_volume(model, L))]
+        return [fn(base)]
     return parallel_map(
         lambda i: fn(
             build_random_hamiltonian(
-                model, spec, lam, sample_realization(spec, L, seed + i)
+                base, spec, lam, sample_realization(spec, L, seed + i)
             )
         ),
         range(n_realizations),
@@ -376,10 +476,19 @@ def spec_to_json(spec: DisorderSpec) -> str:
 
 
 def spec_from_json(text: str, r: int | None = None) -> DisorderSpec:
-    """Parse a spec document; W entries may be catalog names (needs ``r``)."""
+    """Parse a spec document; W entries may be catalog names (needs ``r``).
+
+    A document that is not an object with a ``terms`` list of objects, each
+    with ``j`` and ``W``, or a term whose entries do not parse, raises
+    ``ValueError``.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
+        raise ValueError('a disorder spec is a JSON object with a "terms" list')
     terms = []
     for entry in doc["terms"]:
+        if not isinstance(entry, dict) or not {"j", "W"} <= entry.keys():
+            raise ValueError(f'a disorder term needs "j" and "W", got {entry!r}')
         w = entry["W"]
         name = None
         if isinstance(w, str):
@@ -387,20 +496,21 @@ def spec_from_json(text: str, r: int | None = None) -> DisorderSpec:
                 raise ValueError("catalog W names require the fiber dimension r")
             name = w
             w = standard_W(w, r)
-        else:
-            w = np.array(
-                [[complex(x["re"], x["im"]) for x in row] for row in w], dtype=complex
-            )
-        nu = Distribution.from_json(entry["nu"]) if "nu" in entry else Distribution()
-        terms.append(DisorderTerm(tuple(entry["j"]), w, nu, name))
+        try:
+            if name is None:
+                w = np.array(
+                    [[complex(x["re"], x["im"]) for x in row] for row in w], dtype=complex
+                )
+            nu = Distribution.from_json(entry["nu"]) if "nu" in entry else Distribution()
+            terms.append(DisorderTerm(tuple(entry["j"]), w, nu, name))
+        except (AttributeError, TypeError, KeyError, IndexError) as err:
+            raise ValueError(f"bad disorder term {entry!r}: {err!r}") from None
     return DisorderSpec(tuple(terms), lam=float(doc.get("lambda", 0.0)))
 
 
 def realization_to_csv(realization: DisorderRealization) -> str:
-    """Audit dump, one row per stored entry: j1,j2,l1,l2,v."""
+    """Audit dump, one row per stored entry sorted by (j, l): j1,j2,l1,l2,v."""
     lines = ["j1,j2,l1,l2,v"]
-    for (j, l) in sorted(realization.values):
-        lines.append(
-            "%d,%d,%d,%d,%.17g" % (j[0], j[1], l[0], l[1], realization.values[(j, l)])
-        )
+    for (j, l), v in realization.values.items():
+        lines.append("%d,%d,%d,%d,%.17g" % (j[0], j[1], l[0], l[1], v))
     return "\n".join(lines) + "\n"

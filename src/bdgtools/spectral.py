@@ -177,8 +177,11 @@ def dos_histogram(
     full sampled spectrum) or an explicit increasing edge array.  With
     ``squared`` the histogram is over the spectrum of H^2, which makes the
     density comparison rho(E) = |E| rho2(E^2) a bin-exact statement when the
-    squared edges are the squares of the direct ones.
+    squared edges are the squares of the direct ones.  An ``energy_range``
+    that is empty or reversed raises ``ValueError``.
     """
+    if energy_range is not None and not energy_range[0] < energy_range[1]:
+        raise ValueError(f"energy_range must be increasing (lo, hi), got {tuple(energy_range)}")
     spectra, Lt = _realization_spectra(model, disorder, L, n_realizations, seed, threads)
     if squared:
         spectra = [np.sort(e * e) for e in spectra]

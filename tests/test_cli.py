@@ -533,6 +533,48 @@ def test_spec_file_coupling_is_lam_else_the_specs_lambda(command, extra, tmp_pat
         assert "lam" not in own_man["params"]
 
 
+_MINIMAL_ARGV = {
+    "bands": ["--model", "pip+", "--params", "delta=0.3,mu=-0.5"],
+    "gap-scan": ["--model", "pip+", "--params", "delta=0.3,mu_min=0,mu_max=1"],
+    "ids": ["--model", "pip+", "--params", "delta=0.3,mu=-0.5,energies=1,lam=0.2",
+            "--disorder", "W00", "--L", "6", "--realizations", "2"],
+    "dos": ["--model", "pip+", "--params", "delta=0.3,mu=-0.5", "--L", "4"],
+    "chern": ["--model", "pip+", "--params", "delta=0.3,mus=-0.5"],
+    "fmm-decay": ["--model", "pip+", "--params", "delta=0.3,mu=-0.5"],
+    "phase-diagram": ["--model", "pip+", "--params", "delta=0.3,mu=0.5,lambdas=0:0.2,energies=0"],
+    "verify": [],
+}
+
+
+def test_minimal_argvs_cover_every_subcommand():
+    assert set(_MINIMAL_ARGV) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+def test_threads_below_one_exit_2(command, threads, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = [command, *_MINIMAL_ARGV[command], "--threads", threads, "--out", str(out)]
+    _exit_2(argv, capsys, command, f"threads={threads}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ["[1]", '{"lambda": 0.3}', '{"terms": [{"j": [0, 0]}]}'],
+    ids=["list", "no-terms", "term-without-W"],
+)
+@pytest.mark.parametrize("command", ["ids", "dos", "fmm-decay"])
+def test_disorder_file_that_is_not_a_spec_exits_2(command, doc, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(doc)
+    argv = [command, "--model", "pip+", "--params", "delta=0.3,mu=-0.5" +
+            (",energies=1" if command == "ids" else ""), "--disorder", str(spec)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "term" in err, err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -569,6 +611,7 @@ def test_every_subcommand_help_lists_its_keys_and_shared_flags(capsys):
         pytest.param(lambda doc: doc["params"].update(n="many"), "n=", id="text"),
         pytest.param(lambda doc: doc["params"].pop("n"), "needs n", id="missing"),
         pytest.param(lambda doc: doc["params"].update(seed=[1]), "seed=", id="list-seed"),
+        pytest.param(lambda doc: doc["params"].update(threads=0), "threads=", id="zero-threads"),
         pytest.param(lambda doc: doc["model"].update(sector=0), "sector=", id="sector-0"),
         pytest.param(lambda doc: doc["model"].update(lam=1), "'lam'", id="model-key"),
         pytest.param(lambda doc: doc["model"].pop("name"), "model", id="model-no-name"),

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdgtools import disorder
 from bdgtools.disorder import (
     DisorderRealization,
     DisorderSpec,
@@ -23,6 +24,7 @@ from bdgtools.disorder import (
     spec_to_json,
     standard_W,
 )
+from bdgtools.disorder import _class_uniform, _philox_uniforms, _realization_map
 from bdgtools.lattice import assemble_finite_volume, spectrum_symmetry_check
 from bdgtools.models import build_model
 
@@ -176,6 +178,104 @@ def test_field_accessor_matches_values():
     f = rz.field((0, 0))
     assert f.shape == (5, 7)
     assert f[3, 4] == rz.values[((0, 0), (3, 4))]
+
+
+# ---------------------------------------------------------------------------
+# vectorized field sampling against the scalar per-class reference
+
+SEEDS = [0, 5, 2**63 + 7, 2**64 - 1]
+BOXES = pytest.mark.parametrize("L", [(37, 23), (1, 3)], ids=["37x23", "1x3"])
+
+
+@BOXES
+@pytest.mark.parametrize("j", [(0, 0), (1, 0), (2, -3)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vectorized_draws_equal_the_scalar_philox_bit_for_bit(seed, j, L):
+    got = _philox_uniforms(seed, j, L)
+    ref = np.array(
+        [[_class_uniform(seed, j, (l1, l2)) for l2 in range(L[1])] for l1 in range(L[0])]
+    )
+    assert got.shape == L
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _scalar_realization(spec: DisorderSpec, L, seed: int) -> dict:
+    """Reference field: one ``_class_uniform`` per class, mirrors filled by hand."""
+    values = {}
+    for t in spec.terms:
+        if not (t.j > (0, 0) or t.j == (0, 0)):
+            continue
+        sites = [(l1, l2) for l2 in range(L[1]) for l1 in range(L[0])]
+        vs = t.nu.transform(np.array([_class_uniform(seed, t.j, l) for l in sites]))
+        for (l1, l2), v in zip(sites, vs):
+            values[(t.j, (l1, l2))] = float(v)
+            if t.j != (0, 0):
+                lp = ((l1 + t.j[0]) % L[0], (l2 + t.j[1]) % L[1])
+                values[((-t.j[0], -t.j[1]), lp)] = float(v)
+    return values
+
+
+def _spec_with(nu: Distribution) -> DisorderSpec:
+    return DisorderSpec(
+        (
+            DisorderTerm((0, 0), standard_W("W00", 1), nu),
+            DisorderTerm((1, 0), standard_W("W10", 1), nu),
+            DisorderTerm((2, -3), standard_W("W01", 1), nu),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [Distribution("uniform", r_support=1.5),
+     Distribution("truncated_gaussian", sigma=0.5, cutoff=1.5)],
+    ids=["uniform", "truncated_gaussian"],
+)
+@BOXES
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampled_field_equals_the_scalar_construction(seed, L, nu):
+    spec = _spec_with(nu)
+    rz = sample_realization(spec, L, seed)
+    ref = _scalar_realization(spec, L, seed)
+    assert dict(rz.values) == ref and list(rz.values) == sorted(ref)
+    for (j, l), v in ref.items():
+        assert rz.field(j)[l] == v
+    csv = "".join(
+        "%d,%d,%d,%d,%.17g\n" % (j[0], j[1], l[0], l[1], ref[(j, l)]) for (j, l) in sorted(ref)
+    )
+    assert realization_to_csv(rz) == "j1,j2,l1,l2,v\n" + csv
+    assert realization_to_csv(DisorderRealization(L, ref, seed)) == realization_to_csv(rz)
+
+
+def test_values_and_field_arrays_are_read_only():
+    spec = _three_term_spec()
+    sampled = sample_realization(spec, (5, 6), seed=1)
+    built = DisorderRealization((5, 6), dict(sampled.values), seed=1)
+    for rz in (sampled, built):
+        with pytest.raises(TypeError):
+            rz.values[((0, 0), (0, 0))] = 1.0
+        for t in spec.terms:
+            f = rz.field(t.j)
+            assert not f.flags.writeable
+            with pytest.raises(ValueError):
+                f[0, 0] = 1.0
+    assert built.values == sampled.values
+
+
+def test_realization_from_a_mapping_keeps_its_entries():
+    L = (4, 3)
+    mapping = {((0, 0), (l1, l2)): 0.1 * l1 - l2 for l1 in range(4) for l2 in range(3)}
+    rz = DisorderRealization(L, mapping, seed=7)
+    assert rz.L == L and rz.seed == 7 and dict(rz.values) == mapping
+    np.testing.assert_array_equal(
+        rz.field((0, 0)), [[0.1 * l1 - l2 for l2 in range(3)] for l1 in range(4)]
+    )
+    assert ((0, 0), (4, 0)) not in rz.values and ((0, 0), (-1, 0)) not in rz.values
+    with pytest.raises(KeyError):
+        rz.field((1, 0))
+    del mapping[((0, 0), (2, 1))]
+    with pytest.raises(ValueError, match="cover"):
+        DisorderRealization(L, mapping, seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +439,42 @@ def test_site_map_assembly_matches_per_site_reference(name, spec_kind):
                 assert np.array_equal(got, ref), (L, seed, bc)
 
 
+@pytest.mark.parametrize("L", [(6, 6), (5, 7)])
+@pytest.mark.parametrize("name", ["pip+", "did+"])
+def test_ensemble_path_assembles_H0_once_and_matches_build_random_hamiltonian(
+    name, L, monkeypatch
+):
+    H = build_model(name, delta=0.6, mu=-0.5)
+    spec = _offsite_spec(H.fiber.r)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_finite_volume(*args, **kwargs)
+
+    monkeypatch.setattr(disorder, "assemble_finite_volume", counted)
+    got = _realization_map(lambda fv: fv.matrix, H, spec, 0.7, L, 4, 10, 2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for i, m in enumerate(got):
+        ref = build_random_hamiltonian(H, spec, 0.7, sample_realization(spec, L, 10 + i))
+        assert m.shape == ref.matrix.shape and (m != ref.matrix).nnz == 0
+
+
+def test_assembled_H0_must_fit_the_realization():
+    H = build_model("pip+", delta=0.3, mu=-0.5)
+    spec = default_spec(r=1)
+    rz = sample_realization(spec, (6, 6), seed=0)
+    for base, bc in [(assemble_finite_volume(H, (6, 7)), "periodic"),
+                     (assemble_finite_volume(H, (6, 6)), "open")]:
+        with pytest.raises(ValueError, match="box"):
+            build_random_hamiltonian(base, spec, 0.5, rz, bc=bc)
+    for bc in ("periodic", "open"):
+        base = assemble_finite_volume(H, (6, 6), bc=bc)
+        got = build_random_hamiltonian(base, spec, 0.5, rz, bc=bc).matrix
+        assert (got != build_random_hamiltonian(H, spec, 0.5, rz, bc=bc).matrix).nnz == 0
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 2.0))
 def test_disorder_operator_self_adjoint_property(seed, lam):
@@ -404,6 +540,21 @@ def test_spec_json_catalog_names_need_fiber():
     with pytest.raises(ValueError, match="fiber"):
         spec_from_json(text)
     assert spec_from_json(text, r=1).fiber_dim == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1]", '{"lambda": 0.3}', '{"terms": 3}', '{"terms": [[0, 0]]}',
+     '{"terms": [{"j": [0, 0]}]}', '{"terms": [{"W": "W00"}]}',
+     '{"terms": [{"j": 5, "W": "W00"}]}', '{"terms": [{"j": [1], "W": "W00"}]}',
+     '{"terms": [{"j": [1, 0, 5], "W": "W10"}]}',
+     '{"terms": [{"j": [0, 0], "W": [[1]]}]}',
+     '{"terms": [{"j": [0, 0], "W": "W00", "nu": 3}]}',
+     '{"terms": [{"j": [0, 0], "W": "W00", "nu": {"kind": "uniform", "params": {"r": 1}}}]}'],
+)
+def test_spec_from_json_refuses_a_document_that_is_not_a_spec(text):
+    with pytest.raises(ValueError, match="terms|term"):
+        spec_from_json(text, r=1)
 
 
 def test_realization_csv_format():

@@ -240,6 +240,12 @@ def test_dos_bin_validation():
         dos_histogram(PIP, None, L=8, bins=np.array([0.0, 1.0, 0.5]))
 
 
+@pytest.mark.parametrize("energy_range", [(2.0, -2.0), (1.0, 1.0)], ids=["reversed", "empty"])
+def test_dos_refuses_an_empty_or_reversed_energy_range(energy_range):
+    with pytest.raises(ValueError, match="energy_range"):
+        dos_histogram(PIP, None, L=4, bins=16, energy_range=energy_range)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 
