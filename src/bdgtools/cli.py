@@ -198,8 +198,15 @@ def _one_of(*choices):
     return check
 
 
+def _real(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("must be a finite number")
+    return number
+
+
 def _reals(value) -> list[float]:
-    values = [float(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
+    values = [_real(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
     if not values:
         raise ValueError("needs at least one value")
     return values
@@ -222,7 +229,7 @@ _REQUIRED = _Default("required")
 _COUPLING = _Default("the --disorder spec's lambda")
 # recorded in the model document; a model JSON file takes none of them
 _MODEL_KEYS = ("delta", "mu", "sector")
-_CATALOG = {"delta": (float, _REQUIRED), "mu": (float, _REQUIRED), "sector": (_one_of(-1, 1), None)}
+_CATALOG = {"delta": (_real, _REQUIRED), "mu": (_real, _REQUIRED), "sector": (_one_of(-1, 1), None)}
 _SCANNED = {k: _CATALOG[k] for k in ("delta", "sector")}  # mu is scanned
 
 
@@ -661,14 +668,14 @@ _COMMANDS = {
         **_CATALOG, "n": (_count, 33),
     }),
     "gap-scan": _Command("central gap across a mu window", _run_gap_scan, {
-        **_SCANNED, "mu_min": (float, _REQUIRED), "mu_max": (float, _REQUIRED), "n": (_count, 21),
+        **_SCANNED, "mu_min": (_real, _REQUIRED), "mu_max": (_real, _REQUIRED), "n": (_count, 21),
     }),
     "ids": _Command("integrated density of states", _run_ids, {
-        **_CATALOG, "lam": (float, _COUPLING), "energies": (_reals, _REQUIRED),
+        **_CATALOG, "lam": (_real, _COUPLING), "energies": (_reals, _REQUIRED),
         "squared": (_one_of(0, 1), 0),
     }, **_ENSEMBLE),
     "dos": _Command("density-of-states histogram", _run_dos, {
-        **_CATALOG, "lam": (float, _COUPLING), "bins": (_count, 64), "erange": (_interval, None),
+        **_CATALOG, "lam": (_real, _COUPLING), "bins": (_count, 64), "erange": (_interval, None),
         "squared": (_one_of(0, 1), 0),
     }, **_ENSEMBLE),
     "chern": _Command("Chern numbers along a mu scan", _run_chern, {
@@ -676,12 +683,12 @@ _COMMANDS = {
         "grid_n": (_count, 48), "n_k": (_count, 64),
     }, L=20),
     "fmm-decay": _Command("fractional-moment decay profile", _run_fmm_decay, {
-        **_CATALOG, "lam": (float, _COUPLING), "E": (float, 0.0),
-        "eps": (float, EPS_DEFAULT), "s": (float, S_DEFAULT), "max_dist": (_count, None),
+        **_CATALOG, "lam": (_real, _COUPLING), "E": (_real, 0.0),
+        "eps": (_real, EPS_DEFAULT), "s": (_real, S_DEFAULT), "max_dist": (_count, None),
     }, L=32, realizations=64, disorder="none", lam_in_params=True),
     "phase-diagram": _Command("localization verdicts over (lambda, E)", _run_phase_diagram, {
         **_CATALOG, "lambdas": (_reals, _REQUIRED), "energies": (_reals, _REQUIRED),
-        "s": (float, S_DEFAULT), "eps": (float, EPS_DEFAULT),
+        "s": (_real, S_DEFAULT), "eps": (_real, EPS_DEFAULT),
     }, L=16, realizations=16, disorder="W00"),
     "verify": _Command("run the invariant suite", lambda man: _verify_report()[0], {}),
 }

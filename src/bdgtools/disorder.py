@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.stats import truncnorm
 
 from ._parallel import parallel_map
@@ -34,7 +33,7 @@ from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
-    _site_permutation,
+    _assemble,
     assemble_finite_volume,
 )
 
@@ -77,12 +76,12 @@ class Distribution:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "truncated_gaussian"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "uniform" and not self.r_support > 0:
-            raise ValueError("uniform distribution needs r_support > 0")
+        if self.kind == "uniform" and not 0 < self.r_support < np.inf:
+            raise ValueError("uniform distribution needs a finite r_support > 0")
         if self.kind == "truncated_gaussian" and not (
-            self.sigma > 0 and self.cutoff > 0
+            0 < self.sigma < np.inf and 0 < self.cutoff < np.inf
         ):
-            raise ValueError("truncated gaussian needs sigma > 0 and cutoff > 0")
+            raise ValueError("truncated gaussian needs finite sigma > 0 and cutoff > 0")
 
     @property
     def support_radius(self) -> float:
@@ -190,8 +189,8 @@ class DisorderSpec:
         object.__setattr__(
             self, "terms", tuple(completed[j] for j in sorted(completed))
         )
-        if not self.lam >= 0:
-            raise ValueError("coupling lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"coupling lam must be finite and >= 0, got {self.lam!r}")
 
     @property
     def fiber_dim(self) -> int:
@@ -404,19 +403,12 @@ def build_random_hamiltonian(
             f"disorder matrices act on dimension {spec.fiber_dim}, "
             f"model fiber has dimension {H0.fiber.dim}"
         )
-    n = realization.L[0] * realization.L[1]
-    v_total = sp.csr_matrix((n * spec.fiber_dim,) * 2, dtype=complex)
-    for t in spec.terms:
-        # column l carries v_{j,l}; the site map owns the boundary rule
-        sites = _site_permutation(realization.L, t.j, bc) @ sp.diags(
-            realization.field(t.j).ravel(order="F")
-        )
-        v_total = v_total + sp.kron(sites, sp.csr_matrix(t.W), format="csr")
-    defect = float(np.abs(v_total - v_total.getH()).max())
-    if defect > 1e-12 * max(float(np.abs(v_total).max()), 1.0):
-        raise AssertionError(f"disorder operator not self-adjoint (defect {defect:.3e})")
+    V = _assemble(
+        realization.L, bc, spec.fiber_dim,
+        ((t.j, realization.field(t.j), t.W) for t in spec.terms),
+    )
     return FiniteVolumeOperator(
-        realization.L, base.fiber, base.matrix + float(lam) * v_total, base.bc
+        realization.L, base.fiber, base.matrix + float(lam) * V, base.bc
     )
 
 
@@ -444,6 +436,15 @@ def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads) -> 
         range(n_realizations),
         threads,
     )
+
+
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the realizations (axis 0) and its standard error
+    ``std(ddof=1) / sqrt(n)``, zero for a single realization."""
+    mean = samples.mean(axis=0)
+    if len(samples) < 2:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
 
 
 def gap_closure_threshold(mu: float, r_support: float) -> float:

@@ -26,12 +26,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .disorder import DisorderSpec, _is_clean, _realization_map
+from .disorder import DisorderSpec, _is_clean, _mean_stderr, _realization_map
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
     _hermitian_bloch_points,
+    _hop,
     assemble_finite_volume,
 )
 
@@ -327,7 +328,6 @@ def fractional_moment_scan(
     max_dist: int | None = None,
     seed: int = 0,
     threads: int = 1,
-    wrap_check: bool = True,
 ) -> DecayEstimate:
     """Monte-Carlo estimate of ``tau(d) = E ||G^z(n0, n0 + d e1)||_F^s``.
 
@@ -367,19 +367,8 @@ def fractional_moment_scan(
             model, spec, lam, box, n_realizations, seed, threads,
         )
     )
-    n_used = len(profiles)
-
-    tau = profiles.mean(axis=0)
-    if n_used > 1:
-        stderr = profiles.std(axis=0, ddof=1) / math.sqrt(n_used)
-    else:
-        stderr = np.zeros_like(tau)
-
-    wrapped = (
-        _wrap_exclusions(model, z, box, dists)
-        if wrap_check
-        else np.zeros(len(dists), dtype=bool)
-    )
+    tau, stderr = _mean_stderr(profiles)
+    wrapped = _wrap_exclusions(model, z, box, dists)
     keep = (
         (dists >= 1)
         & ~wrapped
@@ -402,7 +391,7 @@ def fractional_moment_scan(
         amplitude=math.exp(intercept),
         r_squared=r2,
         fit_window=window,
-        n_realizations=n_used,
+        n_realizations=len(profiles),
         s=float(s),
         z=z,
     )
@@ -461,10 +450,13 @@ def tmatrix_update(
     The class ``{(j, l), (-j, l+j)}`` with coupling value ``v`` perturbs the
     operator by ``lam*v*(W_op + W_op^*)`` for ``j != 0`` and by
     ``lam*v*W_op`` for the on-site class (which has no mirror partner and a
-    self-adjoint ``W``).  ``v = 0`` returns the unperturbed resolvent
-    exactly; otherwise the Woodbury identity confines the work to the
-    support of the perturbation, so the correction has rank at most
-    ``rank(W + W^*)``.
+    self-adjoint ``W``).  The partner site l + j follows the box's boundary
+    rule: on an open box a class whose hop leaves the box is dropped, as in
+    :func:`~bdgtools.disorder.build_random_hamiltonian`.  ``v = 0`` or a
+    dropped class returns the unperturbed resolvent exactly; otherwise the
+    Woodbury identity confines the work to the support of the perturbation,
+    so the correction has rank at most ``rank(W + W^*)``.  The site ``l``
+    must lie in the box.
     """
     W = np.asarray(W, dtype=complex)
     d = H.fiber.dim
@@ -472,6 +464,8 @@ def tmatrix_update(
         raise ValueError(f"W has shape {W.shape}, expected ({d}, {d})")
     j = (int(j[0]), int(j[1]))
     l = (int(l[0]), int(l[1]))
+    if not (0 <= l[0] < H.L[0] and 0 <= l[1] < H.L[1]):
+        raise ValueError(f"site {l} lies outside the box {H.L}")
     base = ResolventSolver(H, z)
     if j == (0, 0):
         if np.abs(W - W.conj().T).max() > 1e-12 * max(np.abs(W).max(), 1.0):
@@ -479,7 +473,10 @@ def tmatrix_update(
         sites = [l]
         a = lam * v * W
     else:
-        lp = ((l[0] + j[0]) % H.L[0], (l[1] + j[1]) % H.L[1])
+        t1, t2, kept = _hop(H.L, H.bc, j, *l)
+        if not kept:
+            return ResolventUpdate(base, [], None, None, None, None)
+        lp = (int(t1), int(t2))
         if lp == l:
             raise ValueError(f"displacement {j} wraps onto its own site on box {H.L}")
         sites = [l, lp]
@@ -578,12 +575,7 @@ def fermi_projection_decay(
         for a, dd in enumerate(dists):
             sl_m = H.site_slice((n0[0] + int(dd), n0[1]))
             profiles[i, a] = float(np.linalg.norm(P[sl_n, sl_m]))
-    norms = profiles.mean(axis=0)
-    stderr = (
-        profiles.std(axis=0, ddof=1) / math.sqrt(n_used)
-        if n_used > 1
-        else np.zeros_like(norms)
-    )
+    norms, stderr = _mean_stderr(profiles)
     keep = (dists >= 1) & (norms > 0.0)
     if keep.sum() >= 2:
         _, slope, _, _ = _line_fit(np.log(dists[keep]), np.log(norms[keep]))

@@ -333,27 +333,44 @@ def _as_box(L) -> tuple[int, int]:
     return (int(L), int(L)) if np.isscalar(L) else (int(L[0]), int(L[1]))
 
 
-def _site_permutation(
-    L: tuple[int, int], j: Displacement, bc: str
-) -> sp.coo_matrix:
-    """Sparse matrix of the site map l -> l + j (wrapping or truncating)."""
-    L1, L2 = L
-    l1, l2 = np.meshgrid(np.arange(L1), np.arange(L2), indexing="ij")
-    l1, l2 = l1.ravel(), l2.ravel()
+def _hop(L: tuple[int, int], bc: str, j: Displacement, l1, l2):
+    """Targets ``(t1, t2)`` of the hops l -> l + j from the sites ``(l1, l2)``
+    (arrays or ints) and the mask of the hops that exist: the one boundary
+    rule.  A periodic box wraps l + j around; an open box drops hops leaving it.
+    """
+    t1, t2 = np.add(l1, j[0]), np.add(l2, j[1])
     if bc == "periodic":
-        keep = np.ones(l1.shape, dtype=bool)
-        t1, t2 = (l1 + j[0]) % L1, (l2 + j[1]) % L2
-    else:  # open: hops leaving the box are dropped
-        t1, t2 = l1 + j[0], l2 + j[1]
-        keep = (t1 >= 0) & (t1 < L1) & (t2 >= 0) & (t2 < L2)
-        t1, t2 = t1[keep], t2[keep]
-        l1, l2 = l1[keep], l2[keep]
-    rows = t1 + L1 * t2
-    cols = l1 + L1 * l2
-    n = L1 * L2
-    return sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
-    )
+        return t1 % L[0], t2 % L[1], np.ones(t1.shape, dtype=bool)
+    return t1, t2, (t1 >= 0) & (t1 < L[0]) & (t2 >= 0) & (t2 < L[1])
+
+
+def _assemble(L: tuple[int, int], bc: str, d: int, entries) -> sp.csr_matrix:
+    """One CSR matrix from ``(j, weights, block)`` entries in one COO pass.
+
+    Each hop l -> l + j of :func:`_hop` puts ``weights[l] * block`` (weights an
+    (L1, L2) array, or None for 1) in the fiber rows of l + j and columns of l.
+    Coinciding hops are summed and exact zeros dropped; the result must be
+    Hermitian within :data:`HERMITICITY_RTOL` of its largest entry (so finite).
+    """
+    l1, l2 = np.indices(L)
+    rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for j, weights, block in entries:
+        t1, t2, keep = _hop(L, bc, j, l1, l2)
+        w = np.ones(L) if weights is None else np.asarray(weights, dtype=float)
+        a, b = np.nonzero(block)
+        rows.append((d * (t1 + L[0] * t2)[keep][:, None] + a).ravel())
+        cols.append((d * (l1 + L[0] * l2)[keep][:, None] + b).ravel())
+        data.append((w[keep][:, None] * block[a, b]).ravel())
+    # "+ 0.0" as in a sum that starts from zero: no part of an entry stays -0.0
+    ijv = (np.concatenate(data) + 0.0, (np.concatenate(rows), np.concatenate(cols)))
+    total = sp.coo_matrix(ijv, shape=(L[0] * L[1] * d,) * 2, dtype=complex).tocsr()
+    total.eliminate_zeros()
+    defect = float(np.abs(total - total.getH()).max())
+    if not defect <= HERMITICITY_RTOL * max(float(np.abs(total.data).max(initial=0.0)), 1.0):
+        raise AssertionError(
+            f"assembled finite-volume matrix lost hermiticity (defect {defect:.3e})"
+        )
+    return total
 
 
 def assemble_finite_volume(
@@ -380,19 +397,8 @@ def assemble_finite_volume(
         )
     if bc not in ("periodic", "open"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    d = model.fiber.dim
-    n = L[0] * L[1] * d
-    total = sp.csr_matrix((n, n), dtype=complex)
-    for j, b in model.terms.items():
-        perm = _site_permutation(L, j, bc)
-        total = total + sp.kron(perm, sp.csr_matrix(b), format="csr")
-    defect = float(np.abs(total - total.getH()).max()) if total.nnz else 0.0
-    scale = max(float(np.abs(total).max()) if total.nnz else 0.0, 1.0)
-    if defect > HERMITICITY_RTOL * scale:
-        raise AssertionError(
-            f"assembled finite-volume matrix lost hermiticity (defect {defect:.3e})"
-        )
-    return FiniteVolumeOperator(L, model.fiber, total, bc)
+    entries = ((j, None, b) for j, b in model.terms.items())
+    return FiniteVolumeOperator(L, model.fiber, _assemble(L, bc, model.fiber.dim, entries), bc)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSpec, _realization_map
+from .disorder import DisorderSpec, _mean_stderr, _realization_map
 from .lattice import TightBindingOperator, _as_box
 
 __all__ = [
@@ -90,12 +90,7 @@ def _realization_spectra(model, disorder, L, n_realizations, seed, threads):
 
 
 def _curve_from_counts(energies, per_realization_counts, nsites) -> IdsCurve:
-    counts = np.asarray(per_realization_counts, dtype=float) / nsites
-    mean = counts.mean(axis=0)
-    if counts.shape[0] > 1:
-        err = counts.std(axis=0, ddof=1) / np.sqrt(counts.shape[0])
-    else:
-        err = np.zeros_like(mean)
+    mean, err = _mean_stderr(np.asarray(per_realization_counts, dtype=float) / nsites)
     return IdsCurve(
         tuple(float(e) for e in energies),
         tuple(mean.tolist()),
@@ -178,10 +173,14 @@ def dos_histogram(
     ``squared`` the histogram is over the spectrum of H^2, which makes the
     density comparison rho(E) = |E| rho2(E^2) a bin-exact statement when the
     squared edges are the squares of the direct ones.  An ``energy_range``
-    that is empty or reversed raises ``ValueError``.
+    that is not finite, empty or reversed raises ``ValueError``.
     """
-    if energy_range is not None and not energy_range[0] < energy_range[1]:
-        raise ValueError(f"energy_range must be increasing (lo, hi), got {tuple(energy_range)}")
+    if energy_range is not None and not (
+        np.all(np.isfinite(energy_range)) and energy_range[0] < energy_range[1]
+    ):
+        raise ValueError(
+            f"energy_range must be finite and increasing (lo, hi), got {tuple(energy_range)}"
+        )
     spectra, Lt = _realization_spectra(model, disorder, L, n_realizations, seed, threads)
     if squared:
         spectra = [np.sort(e * e) for e in spectra]
@@ -201,11 +200,7 @@ def dos_histogram(
     widths = np.diff(edges)
     nsites = Lt[0] * Lt[1]
     per = np.array([_bin_counts(e, edges) for e in spectra]) / (nsites * widths)
-    density = per.mean(axis=0)
-    if per.shape[0] > 1:
-        err = per.std(axis=0, ddof=1) / np.sqrt(per.shape[0])
-    else:
-        err = np.zeros_like(density)
+    density, err = _mean_stderr(per)
     return DosHistogram(
         tuple(edges.tolist()),
         tuple(density.tolist()),

@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -474,6 +475,59 @@ def test_dos_erange_needs_two_increasing_values(erange, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, key",
     [
+        (["dos", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,erange=-inf:inf", "--L", "4"],
+         "erange="),
+        (["phase-diagram", "--model", "pip+", "--params",
+          "delta=0.3,mu=0.5,lambdas=0.1,energies=nan", "--L", "6", "--realizations", "2"],
+         "energies="),
+        (["ids", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,lam=inf,energies=0.5",
+          "--disorder", "W00", "--L", "4"], "lam="),
+        (["fmm-decay", "--model", "pip+", "--params", '{"delta": 0.3, "mu": -0.5, "E": NaN}'],
+         "E="),
+        (["gap-scan", "--model", "pip+", "--params", "delta=Infinity,mu_min=0,mu_max=1"],
+         "delta="),
+        (["chern", "--model", "pip+", "--params", "delta=0.3,mus=-0.5:-inf"], "mus="),
+    ],
+    ids=["dos-erange", "phase-diagram-energies", "ids-lam", "fmm-decay-E", "gap-scan-delta",
+         "chern-mus"],
+)
+def test_non_finite_reals_exit_2(argv, key, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    _exit_2(argv + ["--out", str(out)], capsys, argv[0], key, "finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("energies", [0.5, math.nan]), ("lam", math.inf)])
+def test_replay_refuses_non_finite_reals(key, value, tmp_path):
+    out = tmp_path / "fmm.csv" if key == "lam" else tmp_path / "ids.csv"
+    argv = (["fmm-decay", "--model", "pip+", "--params", "delta=0.3,mu=-0.5", "--L", "16",
+             "--realizations", "1"] if key == "lam" else
+            ["ids", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,energies=0.5", "--L", "4",
+             "--realizations", "1"])
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = Path(str(out) + ".manifest.json")
+    doc = json.loads(manifest.read_text())
+    doc["params"][key] = value  # written as NaN or Infinity
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{key}=.*finite"):
+        run_manifest(manifest)
+
+
+def test_spec_file_with_an_infinite_lambda_exits_2(tmp_path, capsys):
+    doc = json.loads(spec_to_json(default_spec(r=1)))
+    doc["lambda"] = math.inf
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    argv = ["ids", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,energies=1",
+            "--disorder", str(spec), "--L", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lam" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
         (["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,n=2.7"], "n="),
         (["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,n=0"], "n="),
         (["gap-scan", "--model", "pip+", "--params", "delta=0.3,mu_min=0,mu_max=1,n=0"], "n="),
@@ -613,6 +667,8 @@ def test_every_subcommand_help_lists_its_keys_and_shared_flags(capsys):
         pytest.param(lambda doc: doc["params"].update(seed=[1]), "seed=", id="list-seed"),
         pytest.param(lambda doc: doc["params"].update(threads=0), "threads=", id="zero-threads"),
         pytest.param(lambda doc: doc["model"].update(sector=0), "sector=", id="sector-0"),
+        pytest.param(lambda doc: doc["model"].update(delta=math.inf), "delta=", id="infinite-delta"),
+        pytest.param(lambda doc: doc["model"].update(mu=math.nan), "mu=", id="nan-mu"),
         pytest.param(lambda doc: doc["model"].update(lam=1), "'lam'", id="model-key"),
         pytest.param(lambda doc: doc["model"].pop("name"), "model", id="model-no-name"),
         pytest.param(lambda doc: doc.update(command=[]), "command", id="list-command"),

@@ -3,6 +3,8 @@ random Hamiltonian assembly and the coupling threshold."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,7 +26,7 @@ from bdgtools.disorder import (
     spec_to_json,
     standard_W,
 )
-from bdgtools.disorder import _class_uniform, _philox_uniforms, _realization_map
+from bdgtools.disorder import _class_uniform, _mean_stderr, _philox_uniforms, _realization_map
 from bdgtools.lattice import assemble_finite_volume, spectrum_symmetry_check
 from bdgtools.models import build_model
 
@@ -95,6 +97,27 @@ def test_distribution_validation():
         Distribution("truncated_gaussian", sigma=-1.0)
     with pytest.raises(ValueError):
         Distribution("cauchy")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [dict(kind="uniform", r_support=np.inf), dict(kind="uniform", r_support=np.nan),
+     dict(kind="truncated_gaussian", sigma=np.inf), dict(kind="truncated_gaussian", cutoff=np.inf),
+     dict(kind="truncated_gaussian", sigma=np.nan)],
+    ids=["inf-support", "nan-support", "inf-sigma", "inf-cutoff", "nan-sigma"],
+)
+def test_distribution_refuses_non_finite_parameters(params):
+    with pytest.raises(ValueError, match="finite"):
+        Distribution(**params)
+
+
+def test_non_finite_field_fails_the_hermiticity_check():
+    spec = default_spec(r=1)
+    field = {((0, 0), l): 0.5 for l in np.ndindex(4, 4)}
+    field[((0, 0), (1, 2))] = np.inf
+    rz = DisorderRealization((4, 4), field, seed=0)
+    with pytest.raises(AssertionError, match="hermiticity"), np.errstate(invalid="ignore"):
+        build_random_hamiltonian(build_model("pip+", delta=0.3, mu=-0.5), spec, 0.5, rz)
 
 
 def test_uniform_moments():
@@ -439,6 +462,25 @@ def test_site_map_assembly_matches_per_site_reference(name, spec_kind):
                 assert np.array_equal(got, ref), (L, seed, bc)
 
 
+@pytest.mark.parametrize("name", ["pip+", "did+"])
+def test_hops_sharing_one_entry_match_the_per_site_reference(name):
+    # on the periodic 4 x 5 box the hops l -> l + (2, 0) and l -> l - (2, 0)
+    # land on the same site, so V sums two draws in each of their entries
+    H = build_model(name, delta=0.6, mu=-0.5)
+    r = H.fiber.r
+    spec = DisorderSpec(
+        (DisorderTerm((0, 0), standard_W("W00", r)), DisorderTerm((2, 0), standard_W("W10", r)))
+    )
+    L = (4, 5)
+    hops = sum(L[0] * L[1] * np.count_nonzero(t.W) for t in spec.terms)
+    for seed in range(3):
+        rz = sample_realization(spec, L, seed=seed)
+        V = build_random_hamiltonian(H, spec, 1.0, rz).matrix - assemble_finite_volume(H, L).matrix
+        assert 0 < V.nnz < hops
+        got = build_random_hamiltonian(H, spec, 0.7, rz).dense()
+        assert np.array_equal(got, _per_site_disorder(H, spec, 0.7, rz, "periodic")), seed
+
+
 @pytest.mark.parametrize("L", [(6, 6), (5, 7)])
 @pytest.mark.parametrize("name", ["pip+", "did+"])
 def test_ensemble_path_assembles_H0_once_and_matches_build_random_hamiltonian(
@@ -483,6 +525,26 @@ def test_disorder_operator_self_adjoint_property(seed, lam):
     rz = sample_realization(spec, (5, 5), seed=seed)
     m = build_random_hamiltonian(H, spec, lam, rz).dense()
     assert np.abs(m - m.conj().T).max() <= 1e-12
+
+
+def test_mean_stderr_is_the_standard_error_and_zero_for_one_realization():
+    samples = np.array([[1.0, 2.0], [3.0, 2.0], [8.0, 2.0]])
+    mean, err = _mean_stderr(samples)
+    np.testing.assert_array_equal(mean, [4.0, 2.0])
+    np.testing.assert_array_equal(err, samples.std(axis=0, ddof=1) / np.sqrt(3))
+    mean, err = _mean_stderr(samples[:1])
+    np.testing.assert_array_equal(mean, [1.0, 2.0])
+    np.testing.assert_array_equal(err, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan, -0.5])
+def test_spec_refuses_a_coupling_that_is_not_finite_and_nonnegative(lam):
+    with pytest.raises(ValueError, match="lam"):
+        default_spec(r=1, lam=lam)
+    doc = json.loads(spec_to_json(default_spec(r=1)))
+    doc["lambda"] = lam  # written as Infinity or NaN
+    with pytest.raises(ValueError, match="lam"):
+        spec_from_json(json.dumps(doc), r=1)
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def test_scan_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 # T-matrix update
 
-def _disordered_fixture(seed: int = 11, lam: float = 0.2, L=(5, 5)):
+def _disordered_fixture(seed: int = 11, lam: float = 0.2, L=(5, 5), bc="periodic"):
     spec = DisorderSpec(
         (
             DisorderTerm((0, 0), standard_W("W00", 1), Distribution(), "W00"),
@@ -243,16 +243,18 @@ def _disordered_fixture(seed: int = 11, lam: float = 0.2, L=(5, 5)):
         )
     )
     real = sample_realization(spec, L, seed=seed)
-    return build_random_hamiltonian(PIP, spec, lam, real)
+    return build_random_hamiltonian(PIP, spec, lam, real, bc=bc)
 
 
 def _dense_updated_resolvent(H, lam, v, W, l, j, z):
     A = np.zeros((H.dim, H.dim), dtype=complex)
     sl_l = H.site_slice(l)
+    lp = (l[0] + j[0], l[1] + j[1])
+    inside = 0 <= lp[0] < H.L[0] and 0 <= lp[1] < H.L[1]
     if j == (0, 0):
         A[sl_l, sl_l] = W
-    else:
-        lp = ((l[0] + j[0]) % H.L[0], (l[1] + j[1]) % H.L[1])
+    elif H.bc == "periodic" or inside:  # an open box has no hop that leaves it
+        lp = (lp[0] % H.L[0], lp[1] % H.L[1])
         A[H.site_slice(lp), sl_l] = W
         A[sl_l, H.site_slice(lp)] = np.asarray(W).conj().T
     return np.linalg.inv(z * np.eye(H.dim) - (H.dense() + lam * v * A))
@@ -277,6 +279,37 @@ def test_tmatrix_update_matches_dense_inversion(l, j, wname, v):
             ref = dense[H.site_slice(n), H.site_slice(m)]
             err = np.abs(upd.block(n, m) - ref).max()
             assert err <= 1e-10 * max(np.abs(ref).max(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "l,j,wname,dropped",
+    [
+        ((4, 2), (1, 0), "W10", True),  # leaves the box across the right face
+        ((2, 4), (0, 1), "W01", True),  # leaves it across the top face
+        ((0, 2), (1, 0), "W10", False),  # face site, hop into the box
+        ((2, 2), (0, 1), "W01", False),  # interior
+        ((0, 0), (0, 0), "W00", False),  # corner, on-site
+    ],
+)
+def test_tmatrix_update_on_an_open_box_matches_dense_inversion(l, j, wname, dropped):
+    H = _disordered_fixture(bc="open")
+    z = 0.3 + 0.1j
+    W = standard_W(wname, 1)
+    upd = tmatrix_update(H, 0.2, 0.7, W, l, j, z)
+    assert (upd.tmatrix is None) == dropped
+    dense = _dense_updated_resolvent(H, 0.2, 0.7, W, l, j, z)
+    for n in [l, (0, 2), (2, 0), (2, 2), (4, 2)]:
+        for m in [l, (0, 2), (1, 3), (2, 4)]:
+            ref = dense[H.site_slice(n), H.site_slice(m)]
+            err = np.abs(upd.block(n, m) - ref).max()
+            assert err <= 1e-10 * max(np.abs(ref).max(), 1.0), (n, m)
+
+
+def test_tmatrix_update_refuses_a_site_outside_the_box():
+    H = _disordered_fixture()
+    for l in [(5, 2), (-1, 0)]:
+        with pytest.raises(ValueError, match="outside the box"):
+            tmatrix_update(H, 0.2, 0.7, standard_W("W10", 1), l, (1, 0), 0.3 + 0.1j)
 
 
 def test_tmatrix_vanishing_value_returns_unperturbed_resolvent():

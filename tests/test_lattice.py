@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -311,6 +312,46 @@ def test_open_bc_drops_wrapping_hops():
     assert np.abs(m[left, right]).max() == 0.0
     per = assemble_finite_volume(H, (6, 6), bc="periodic").dense()
     assert np.abs(per[left, right]).max() > 0.4
+
+
+def _kron_sum(model, L, bc):
+    """Reference finite volume: a running CSR sum of kron(site map of j, B_j)."""
+    L1, L2 = L
+    n, d = L1 * L2, model.fiber.dim
+    l1, l2 = np.meshgrid(np.arange(L1), np.arange(L2), indexing="ij")
+    l1, l2 = l1.ravel(), l2.ravel()
+    total = sp.csr_matrix((n * d, n * d), dtype=complex)
+    for j, b in model.terms.items():
+        t1, t2 = l1 + j[0], l2 + j[1]
+        if bc == "open":
+            keep = (t1 >= 0) & (t1 < L1) & (t2 >= 0) & (t2 < L2)
+        else:
+            keep = np.ones(n, dtype=bool)
+        rows = (t1 % L1 + L1 * (t2 % L2))[keep]
+        cols = (l1 + L1 * l2)[keep]
+        sites = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        total = total + sp.kron(sites, sp.csr_matrix(b), format="csr")
+    return total
+
+
+def _catalog_operators():
+    for name in sorted(MODEL_NAMES):
+        model = build_model(name, delta=0.6, mu=-0.5)
+        yield name, model
+        if name == "did+":
+            for i, sector in enumerate(reduce_su2(model)):
+                yield f"did+ sector {i}", sector
+
+
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+@pytest.mark.parametrize("L", [(3, 4), (5, 7), (6, 6), (16, 16)])
+def test_finite_volume_assembly_is_bit_exact_to_the_kron_sum(L, bc):
+    for name, model in _catalog_operators():
+        got = assemble_finite_volume(model, L, bc=bc).matrix
+        ref = _kron_sum(model, L, bc)
+        assert np.array_equal(got.indptr, ref.indptr), name
+        assert np.array_equal(got.indices, ref.indices), name
+        assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64)), name
 
 
 def test_translation_covariance_on_torus():

@@ -249,6 +249,16 @@ def test_dos_refuses_an_empty_or_reversed_energy_range(energy_range):
 # ---------------------------------------------------------------------------
 # CSV output
 
+@pytest.mark.parametrize(
+    "energy_range",
+    [(-np.inf, np.inf), (np.nan, 1.0), (-1.0, np.inf)],
+    ids=["infinite", "nan", "half-infinite"],
+)
+def test_dos_refuses_a_non_finite_energy_range(energy_range):
+    with pytest.raises(ValueError, match="finite"):
+        dos_histogram(PIP, None, L=4, bins=16, energy_range=energy_range)
+
+
 def test_ids_csv_layout():
     c = ids_estimate(PIP, None, L=8, energies=[-1.0, 1.0])
     lines = c.to_csv().splitlines()
