@@ -11,10 +11,10 @@
 * ``realspace`` — Chern marker  2 pi i <n| P [[X2,P],[X1,P]] |n>  averaged
   over the central quarter of a finite torus, applicable with disorder.
 
-Every route takes the operator itself.  The Berry and contour routes
-evaluate its Bloch matrices as stacks (one batched kernel call per grid or
-contour, one stacked eigendecomposition or Pauli decomposition); only the
-contour's Nelder-Mead polish assembles single Bloch matrices.
+Every route takes the operator itself.  The transfer, Berry and contour
+routes evaluate its Bloch sums as stacks, one kernel call per k1 scan, grid
+or contour; only the contour's Nelder-Mead polish and the transfer route's
+bisections and shifts past a singular a(k1) evaluate single points.
 
 All routes must agree on clean gapped models; each returns a
 :class:`ChernResult` carrying the raw (pre-rounding) value so grid and
@@ -35,18 +35,18 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import minimize
 
-from ._parallel import parallel_map
 from .greens import bloch_band_grid
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
+    _bloch_points,
     _freeze,
     _hermitian_bloch_points,
     _hermiticity_violations,
     _require_closure,
-    assemble_bloch,
     assemble_finite_volume,
+    phs_conjugation,
 )
 from .models import SIGMA
 
@@ -88,12 +88,19 @@ _METHODS = ("transfer", "berry", "contour", "realspace")
 #: Largest admissible per-segment phase increment of det U.
 _MAX_STEP = 0.5 * math.pi
 
+#: Bisections of one aliased det U segment before the winding gives up.
+_MAX_REFINE = 12
+#: Contour radii of the transition-function winding, which must agree.
+_CONTOUR_RADII = (0.05, 0.02, 0.01)
+#: Side of the periodic grid scanned for the zeros of (p1, p2).
+_ZERO_GRID = 120
+#: Smallest transfer k1 scan, Berry grid side and marker torus side.
+_MIN_N_K, _MIN_GRID_N, _MIN_SIDE = 8, 24, 4
 
-def _symplectic_form(d: int) -> np.ndarray:
-    """The conserved form I = [[0, -1], [1, 0]] in d x d blocks."""
-    one = np.eye(d)
-    zero = np.zeros((d, d))
-    return np.block([[zero, -one], [one, zero]])
+
+def _at_least(name: str, value: int, bound: int) -> None:
+    if value < bound:
+        raise ValueError(f"{name} must be >= {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,7 @@ class TransferData:
             raise ValueError(
                 f"inconsistent shapes: a {a.shape}, b {b.shape}, T {T.shape}"
             )
-        form = _symplectic_form(d)
+        form = phs_conjugation("odd", d)
         defect = float(np.linalg.norm(T.conj().T @ form @ T - form, 2))
         bound = 1e-10 * float(np.linalg.norm(T, 2)) ** 2
         if defect > bound:
@@ -213,6 +220,41 @@ def _round_result(
 # ---------------------------------------------------------------------------
 # Transfer-matrix route
 
+def _transfer_blocks(model: TightBindingOperator, k1) -> tuple[np.ndarray, np.ndarray]:
+    """a(k1) and b(k1): the Bloch sums at k2 = 0 of the j2 = -1 and j2 = 0 terms.
+
+    One kernel call each; ``k1`` is a number or an array, and the blocks are
+    the matching ``(..., d, d)`` stacks.  Terms with |j2| > 1 are refused.
+    """
+    _require_closure(model, "transfer_matrix")
+    for j in model.terms:
+        if abs(j[1]) > 1:
+            raise ValueError(
+                f"transfer_matrix needs hopping range <= 1 in direction 2; "
+                f"found a term at displacement {j}"
+            )
+    rows = ({j: blk for j, blk in model.terms.items() if j[1] == row} for row in (-1, 0))
+    return tuple(_bloch_points(TightBindingOperator(model.fiber, t), k1, 0.0) for t in rows)
+
+
+def _transfer_data(k1: float, a: np.ndarray, b: np.ndarray) -> TransferData:
+    """The checked transfer data of the blocks a(k1), b(k1)."""
+    d = a.shape[0]
+    svals = np.linalg.svd(a, compute_uv=False)
+    cond_a = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    if not math.isfinite(cond_a) or cond_a >= COND_MAX:
+        raise ValueError(
+            f"a(k1) is numerically singular at k1 = {k1:.9g} (condition "
+            f"number {cond_a:.3e}); shift k1 by ~1e-6 and retry — generic "
+            f"momenta are fine"
+        )
+    a_inv = np.linalg.inv(a)
+    T = np.block(
+        [[-b @ a_inv, -a.conj().T], [a_inv, np.zeros((d, d), dtype=complex)]]
+    )
+    return TransferData(k1=k1, a=a, b=b, T=T, cond_a=cond_a)
+
+
 def transfer_matrix(model: TightBindingOperator, k1: float) -> TransferData:
     """Zero-energy transfer matrix across direction 2 at momentum k1.
 
@@ -227,35 +269,8 @@ def transfer_matrix(model: TightBindingOperator, k1: float) -> TransferData:
     maps (a psi_{n+1}, psi_n) -> (a psi_{n+2}, psi_{n+1}) for solutions of
     H psi = 0 and conserves the form I = [[0, -1], [1, 0]].
     """
-    _require_closure(model, "transfer_matrix")
     k1 = float(k1)
-    d = model.fiber.dim
-    a = np.zeros((d, d), dtype=complex)
-    b = np.zeros((d, d), dtype=complex)
-    for j, blk in model.terms.items():
-        if abs(j[1]) > 1:
-            raise ValueError(
-                f"transfer_matrix needs hopping range <= 1 in direction 2; "
-                f"found a term at displacement {j}"
-            )
-        w = np.exp(1j * k1 * j[0])
-        if j[1] == -1:
-            a = a + w * blk
-        elif j[1] == 0:
-            b = b + w * blk
-    svals = np.linalg.svd(a, compute_uv=False)
-    cond_a = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if not math.isfinite(cond_a) or cond_a >= COND_MAX:
-        raise ValueError(
-            f"a(k1) is numerically singular at k1 = {k1:.9g} (condition "
-            f"number {cond_a:.3e}); shift k1 by ~1e-6 and retry — generic "
-            f"momenta are fine"
-        )
-    a_inv = np.linalg.inv(a)
-    T = np.block(
-        [[-b @ a_inv, -a.conj().T], [a_inv, np.zeros((d, d), dtype=complex)]]
-    )
-    return TransferData(k1=k1, a=a, b=b, T=T, cond_a=cond_a)
+    return _transfer_data(k1, *_transfer_blocks(model, k1))
 
 
 def contracting_subspace(data: TransferData) -> np.ndarray:
@@ -285,9 +300,7 @@ def contracting_subspace(data: TransferData) -> np.ndarray:
             f"{sdim}, expected {half}: zero energy is not in a gap"
         )
     phi = q[:, :half].copy()
-    defect = float(
-        np.linalg.norm(phi.conj().T @ _symplectic_form(half) @ phi, 2)
-    )
+    defect = float(np.linalg.norm(phi.conj().T @ phs_conjugation("odd", half) @ phi, 2))
     if defect > PLANE_TOL:
         raise ArithmeticError(
             f"contracting plane is not I-Lagrangian (defect {defect:.3e}) at "
@@ -321,7 +334,7 @@ def u_matrix(phi: np.ndarray, k1: float = 0.0) -> UMatrix:
     return UMatrix(k1=float(k1), U=u)
 
 
-def winding_number(u_samples, refine=None, max_refine: int = 12) -> ChernResult:
+def winding_number(u_samples, refine=None) -> ChernResult:
     """Winding of det U around a closed k1 loop from ordered samples.
 
     The total phase of det U is accumulated from principal-branch increments
@@ -329,7 +342,7 @@ def winding_number(u_samples, refine=None, max_refine: int = 12) -> ChernResult:
     period later.  Every increment must stay below pi/2 — otherwise the
     samples could alias a faster winding.  When a ``refine`` callable
     (k1 -> :class:`UMatrix`) is supplied, offending segments are bisected up
-    to ``max_refine`` times before giving up.  The accumulated total is an
+    to ``_MAX_REFINE`` times before giving up.  The accumulated total is an
     integer multiple of 2 pi by construction, so the residual is at rounding
     level whenever the routine returns at all.
     """
@@ -345,7 +358,7 @@ def winding_number(u_samples, refine=None, max_refine: int = 12) -> ChernResult:
         inc = cmath.phase(d_hi / d_lo)
         if abs(inc) < _MAX_STEP:
             return inc
-        if refine is None or depth >= max_refine:
+        if refine is None or depth >= _MAX_REFINE:
             raise ValueError(
                 f"det U phase jumps by {inc:+.3f} between k1 = {k_lo:.9g} "
                 f"and k1 = {k_hi:.9g}: the samples alias the winding; use a "
@@ -369,10 +382,10 @@ def winding_number(u_samples, refine=None, max_refine: int = 12) -> ChernResult:
     return _round_result("transfer", raw, grid)
 
 
-def _u_of(model: TightBindingOperator, k1: float) -> UMatrix:
-    """U(k1) with a one-shot 1e-6 momentum shift past singular a(k1)."""
+def _u_of(model: TightBindingOperator, k1: float, blocks=None) -> UMatrix:
+    """U(k1) from given or assembled blocks, shifted once by 1e-6 past a singular a(k1)."""
     try:
-        data = transfer_matrix(model, k1)
+        data = transfer_matrix(model, k1) if blocks is None else _transfer_data(float(k1), *blocks)
     except ValueError as err:
         if "singular" not in str(err):
             raise
@@ -380,21 +393,17 @@ def _u_of(model: TightBindingOperator, k1: float) -> UMatrix:
     return u_matrix(contracting_subspace(data), data.k1)
 
 
-def chern_transfer(
-    model: TightBindingOperator,
-    *,
-    n_k: int = 64,
-    max_refine: int = 12,
-    threads: int = 1,
-) -> ChernResult:
+def _u_scan(model: TightBindingOperator, ks: np.ndarray) -> list[UMatrix]:
+    """U(k1) at every momentum of ``ks``, from one stacked block assembly."""
+    a, b = _transfer_blocks(model, ks)
+    return [_u_of(model, k, (a_k, b_k)) for k, a_k, b_k in zip(ks, a, b)]
+
+
+def chern_transfer(model: TightBindingOperator, *, n_k: int = 64) -> ChernResult:
     """Chern number from the winding of det U(k1) over one period."""
-    if n_k < 8:
-        raise ValueError(f"n_k must be >= 8, got {n_k}")
+    _at_least("n_k", n_k, _MIN_N_K)
     ks = -math.pi + 2.0 * math.pi * np.arange(n_k) / n_k
-    samples = parallel_map(lambda k: _u_of(model, k), ks, threads)
-    return winding_number(
-        samples, refine=lambda k: _u_of(model, k), max_refine=max_refine
-    )
+    return winding_number(_u_scan(model, ks), refine=lambda k: _u_of(model, k))
 
 
 def eigenphase_table(model: TightBindingOperator, n_k: int = 181) -> np.ndarray:
@@ -403,14 +412,11 @@ def eigenphase_table(model: TightBindingOperator, n_k: int = 181) -> np.ndarray:
     Returns an (n_k, 1 + d) array with rows (k1, phase_1 ... phase_d),
     phases sorted ascending within each row.
     """
-    if n_k < 2:
-        raise ValueError(f"n_k must be >= 2, got {n_k}")
-    rows = []
-    for k in np.linspace(-math.pi, math.pi, n_k):
-        u = _u_of(model, float(k))
-        phases = np.sort(np.angle(np.linalg.eigvals(u.U)))
-        rows.append([u.k1, *phases])
-    return np.array(rows)
+    _at_least("n_k", n_k, 2)
+    return np.array([
+        [u.k1, *np.sort(np.angle(np.linalg.eigvals(u.U)))]
+        for u in _u_scan(model, np.linspace(-math.pi, math.pi, n_k))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +485,7 @@ def berry_flux_chern(model: TightBindingOperator, grid_n: int = 48) -> ChernResu
     momentum of the smallest |E|.  That the rounded value is stable under
     doubling grid_n is not checked here; the test suite checks it.
     """
-    if grid_n < 24:
-        raise ValueError(f"grid_n must be >= 24, got {grid_n}")
+    _at_least("grid_n", grid_n, _MIN_GRID_N)
     ks = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
     w, v = np.linalg.eigh(
         _hermitian_bloch_points(model, ks[:, None], ks[None, :], "berry_flux_chern")
@@ -541,7 +546,7 @@ def _pauli_plane_zeros(model: TightBindingOperator, grid_n: int) -> list[tuple[f
     values = p1 * p1 + p2 * p2
 
     def rho(k):
-        p = pauli_decompose(assemble_bloch(model, k))
+        p = pauli_decompose(_bloch_points(model, k[0], k[1]))
         return p.p1 * p.p1 + p.p2 * p.p2
 
     scale = max(float(values.max()), 1e-300)
@@ -574,12 +579,7 @@ def _pauli_plane_zeros(model: TightBindingOperator, grid_n: int) -> list[tuple[f
 
 
 def transition_winding(
-    model: TightBindingOperator,
-    mu: float,
-    *,
-    eps_list=(0.05, 0.02, 0.01),
-    n_samples: int = 720,
-    zero_grid: int = 120,
+    model: TightBindingOperator, mu: float, *, n_samples: int = 720
 ) -> ChernResult:
     """Chern number from the winding of the transition function of a Pauli family.
 
@@ -592,8 +592,8 @@ def transition_winding(
     unexpected zeros abort with their list), and for 0 < |mu| < 4 the Chern
     number is the winding of theta around a small circle at the origin.
     The winding is evaluated with a two-argument angle and cumulative
-    unwrapping for every radius in ``eps_list`` and must not depend on the
-    radius.  The zero-set scan and the circle samples each come from one
+    unwrapping for every radius in ``_CONTOUR_RADII`` and must not depend on
+    the radius.  The zero-set scan and the circle samples each come from one
     stacked Bloch evaluation and Pauli decomposition.
     """
     mu = float(mu)
@@ -602,7 +602,7 @@ def transition_winding(
             f"the two-section construction needs 0 < |mu| < 4, got mu = {mu:.6g}"
         )
     expected = ((0.0, 0.0), (math.pi, math.pi))
-    zeros = _pauli_plane_zeros(model, zero_grid)
+    zeros = _pauli_plane_zeros(model, _ZERO_GRID)
     unexpected = [
         z for z in zeros if min(_torus_dist(z, e) for e in expected) > 1e-6
     ]
@@ -620,13 +620,12 @@ def transition_winding(
     t = 2.0 * math.pi * np.arange(n_samples) / n_samples
     # math.cos / math.sin / math.atan2 per sample: NumPy's vector
     # versions may differ from them in the last bit
-    circle = [[(eps * math.cos(x), eps * math.sin(x)) for x in t] for eps in eps_list]
-    k = np.array(circle)
+    k = np.array([[(eps * math.cos(x), eps * math.sin(x)) for x in t] for eps in _CONTOUR_RADII])
     p1, p2, _ = _pauli_components(
         _hermitian_bloch_points(model, k[..., 0], k[..., 1], "transition_winding")
     )
     windings = []
-    for e, eps in enumerate(eps_list):
+    for e, eps in enumerate(_CONTOUR_RADII):
         theta = np.array([math.atan2(y, x) for x, y in zip(p1[e], p2[e])])
         inc = _wrap_angle(np.diff(np.append(theta, theta[0])))
         if float(np.abs(inc).max()) >= _MAX_STEP:
@@ -638,12 +637,10 @@ def transition_winding(
     rounded = {int(round(w)) for w in windings}
     if len(rounded) != 1:
         detail = ", ".join(
-            f"eps={e}: {w:+.6f}" for e, w in zip(eps_list, windings)
+            f"eps={e}: {w:+.6f}" for e, w in zip(_CONTOUR_RADII, windings)
         )
         raise ValueError(f"winding depends on the contour radius: {detail}")
-    raw = windings[-1]
-    grid = f"eps in {tuple(eps_list)}, {n_samples} samples"
-    return _round_result("contour", raw, grid)
+    return _round_result("contour", windings[-1], f"eps in {_CONTOUR_RADII}, {n_samples} samples")
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +675,10 @@ def real_space_chern(P: np.ndarray, L) -> ChernResult:
     L = _as_box(L)
     L1, L2 = L
     d = P.shape[0]
-    if P.shape != (d, d) or L1 < 4 or L2 < 4 or d % (L1 * L2) != 0:
+    if P.shape != (d, d) or min(L) < _MIN_SIDE or d % (L1 * L2) != 0:
         raise ValueError(
             f"projector of shape {P.shape} does not fit a fibered {L1}x{L2} "
-            f"torus with at least 4 sites per side"
+            f"torus with at least {_MIN_SIDE} sites per side"
         )
     f = d // (L1 * L2)
     sites = np.arange(d) // f
@@ -740,22 +737,35 @@ def chern_mu_scan(
     grid_n: int = 48,
     n_k: int = 64,
     L: int = 20,
-    threads: int = 1,
 ) -> list[MuScanEntry]:
     """Chern number along a chemical-potential scan, one entry per mu.
 
     ``model_family`` maps mu to the corresponding model (for the contour
     route it must yield a 2x2-fiber family, e.g. one chirality sector of the
-    chiral d-wave); every route receives that operator.  ``threads`` sizes
-    the worker pool of the transfer route only.  Gap closures and per-point failures never abort the
-    scan: they are recorded as error entries, so a scan across a transition
-    shows the integer plateau on both sides and a marked closure between.
+    chiral d-wave); every route receives that operator.  A setting the
+    route would refuse at every mu (``n_k``, ``grid_n``, ``L``, a first model
+    without a 2x2 fiber for the contour) raises ``ValueError`` up front.  Gap
+    closures and other per-point failures are recorded as error entries, so
+    a scan across a transition shows both plateaus and the closure between.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
+    mu_list = [float(mu) for mu in mu_list]
+    if method == "transfer":
+        _at_least("n_k", n_k, _MIN_N_K)
+    elif method == "berry":
+        _at_least("grid_n", grid_n, _MIN_GRID_N)
+    elif method == "realspace":
+        _at_least("the torus side L", min(_as_box(L)), _MIN_SIDE)
+    elif mu_list:  # contour
+        dim = model_family(mu_list[0]).fiber.dim
+        if dim != 2:
+            raise ValueError(
+                f"the contour route needs a 2x2 fiber, e.g. one chirality "
+                f"sector; the model at mu = {mu_list[0]:.6g} has a {dim}x{dim} fiber"
+            )
     entries: list[MuScanEntry] = []
     for mu in mu_list:
-        mu = float(mu)
         try:
             model = model_family(mu)
             gap = float(np.abs(bloch_band_grid(model, grid_n=64)).min())
@@ -764,7 +774,7 @@ def chern_mu_scan(
                     f"gap-closed: min |E| = {gap:.3e} on the Bloch grid"
                 )
             if method == "transfer":
-                res = chern_transfer(model, n_k=n_k, threads=threads)
+                res = chern_transfer(model, n_k=n_k)
             elif method == "berry":
                 res = berry_flux_chern(model, grid_n)
             elif method == "contour":

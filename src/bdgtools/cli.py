@@ -15,7 +15,7 @@ Flags: ``--model`` (catalog name or a model JSON file), ``--params``
 (comma-separated ``key=value`` pairs; ``:``-separated values form lists; a
 JSON object is also accepted), ``--disorder`` (``none``, ``W00``, or a spec
 JSON file), ``--L``, ``--seed``, ``--realizations``, ``--out``, ``--threads``
-(for ``chern``, only the transfer route runs on worker threads).  One table,
+(worker threads of the disorder ensembles; recorded by all).  One table,
 ``_COMMANDS``, gives each subcommand its flags and ``--params`` keys (with
 validators and defaults); an unknown or refused key, a key given twice, or
 a flag the subcommand does not read exits 2.
@@ -80,6 +80,7 @@ from .lattice import (
     check_bdg_equation,
     check_phs,
     model_from_json,
+    phs_conjugation,
     spectrum_symmetry_check,
 )
 from .models import (
@@ -373,7 +374,7 @@ def _run_chern(man: ExperimentManifest) -> str:
     p = man.params
     entries = chern_mu_scan(
         lambda mu: _build_from_doc(doc, mu=mu), p["mus"], method=p["method"],
-        grid_n=p["grid_n"], n_k=p["n_k"], L=p["L"], threads=p["threads"],
+        grid_n=p["grid_n"], n_k=p["n_k"], L=p["L"],
     )
     return scan_csv(entries)
 
@@ -536,9 +537,7 @@ def _check_tmatrix_oracle() -> None:
 
 def _check_transfer_plane_defects() -> None:
     model = build_model("pip+", delta=0.3, mu=-0.5)
-    form = np.block(
-        [[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
-    )
+    form = phs_conjugation("odd", 2)
     for k1 in (-2.1, -0.4, 0.9, 2.8):
         data = transfer_matrix(model, k1)
         T = np.asarray(data.T)
@@ -782,7 +781,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output file (manifest written alongside)")
         sp.add_argument("--threads", type=int, default=1, help="worker threads for "
-                        "disorder ensembles; in chern, for the transfer route only")
+                        "disorder ensembles; other subcommands only record it")
     return parser
 
 

@@ -30,14 +30,13 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "FiberShape",
-    "HoppingTerm",
     "TightBindingOperator",
     "BlochMatrix",
     "FiniteVolumeOperator",
@@ -79,14 +78,6 @@ class FiberShape:
     def dim(self) -> int:
         """Total fiber dimension (r, or 2r with particle-hole doubling)."""
         return 2 * self.r if self.ph else self.r
-
-
-@dataclass(frozen=True)
-class HoppingTerm:
-    """A single displacement/block pair of a tight-binding operator."""
-
-    displacement: Displacement
-    block: np.ndarray
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -144,10 +135,6 @@ class TightBindingOperator:
         """Block at displacement ``j`` (zero matrix if absent)."""
         d = self.fiber.dim
         return self.terms.get((int(j[0]), int(j[1])), np.zeros((d, d), dtype=complex))
-
-    def hopping_terms(self) -> Iterable[HoppingTerm]:
-        for j, b in self.terms.items():
-            yield HoppingTerm(j, b)
 
     @cached_property
     def _closure(self) -> tuple[float, Displacement | None, float]:
@@ -349,9 +336,19 @@ def _assemble(L: tuple[int, int], bc: str, d: int, entries) -> sp.csr_matrix:
 
     Each hop l -> l + j of :func:`_hop` puts ``weights[l] * block`` (weights an
     (L1, L2) array, or None for 1) in the fiber rows of l + j and columns of l.
-    Coinciding hops are summed and exact zeros dropped; the result must be
-    Hermitian within :data:`HERMITICITY_RTOL` of its largest entry (so finite).
+    A periodic box needs L1, L2 > 2R, R the largest ||j||_inf of the entries,
+    so that no hop wraps onto itself and the hops by j and -j never share a
+    matrix entry; H0 and a disorder term V follow this one rule.  Coinciding
+    hops are summed and exact zeros dropped; the result must be Hermitian
+    within :data:`HERMITICITY_RTOL` of its largest entry (so finite).
     """
+    entries = list(entries)
+    R = max((max(abs(j[0]), abs(j[1])) for j, _, _ in entries), default=0)
+    if bc == "periodic" and (L[0] <= 2 * R or L[1] <= 2 * R):
+        raise ValueError(
+            f"periodic box {L} too small for hopping range R={R}: "
+            f"need L1, L2 > 2R={2 * R} so no single hop wraps onto itself"
+        )
     l1, l2 = np.indices(L)
     rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for j, weights, block in entries:
@@ -389,12 +386,6 @@ def assemble_finite_volume(
     L = _as_box(L)
     if L[0] < 1 or L[1] < 1:
         raise ValueError(f"box side lengths must be positive, got {L}")
-    R = model.range
-    if bc == "periodic" and (L[0] <= 2 * R or L[1] <= 2 * R):
-        raise ValueError(
-            f"periodic box {L} too small for hopping range R={R}: "
-            f"need L1, L2 > 2R={2 * R} so no single hop wraps onto itself"
-        )
     if bc not in ("periodic", "open"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     entries = ((j, None, b) for j, b in model.terms.items())

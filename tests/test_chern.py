@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, minimize
 
 import bdgtools.chern as chern
+import bdgtools.lattice as lattice
 from bdgtools.chern import (
     ChernResult,
     MuScanEntry,
@@ -217,6 +218,149 @@ def test_eigenphase_table_layout():
     phases = table[:, 1:]
     assert (np.diff(phases, axis=1) >= 0).all()
     assert (np.abs(phases) <= math.pi + 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# the transfer route on the Bloch kernel against the per-term loop it replaced
+
+def _blocks_reference(model, k1):
+    """a(k1), b(k1) summed term by term, e^{i k1 j1} B_j over j2 = -1 and j2 = 0."""
+    d = model.fiber.dim
+    a = np.zeros((d, d), dtype=complex)
+    b = np.zeros((d, d), dtype=complex)
+    for j, blk in model.terms.items():
+        w = np.exp(1j * k1 * j[0])
+        if j[1] == -1:
+            a = a + w * blk
+        elif j[1] == 0:
+            b = b + w * blk
+    return a, b
+
+
+def _transfer_reference(model, k1):
+    """The one-point transfer matrix from the per-term blocks."""
+    a, b = _blocks_reference(model, k1)
+    svals = np.linalg.svd(a, compute_uv=False)
+    if not svals[-1] > 0 or svals[0] / svals[-1] >= chern.COND_MAX:
+        raise ValueError("singular")
+    a_inv = np.linalg.inv(a)
+    d = a.shape[0]
+    T = np.block([[-b @ a_inv, -a.conj().T], [a_inv, np.zeros((d, d), dtype=complex)]])
+    return TransferData(k1=float(k1), a=a, b=b, T=T, cond_a=float(svals[0] / svals[-1]))
+
+
+def _u_reference(model, k1):
+    try:
+        data = _transfer_reference(model, k1)
+    except ValueError:
+        data = _transfer_reference(model, k1 + 1e-6)
+    return u_matrix(contracting_subspace(data), data.k1)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _random_closed_operator(seed):
+    """A hermiticity-closed operator with random blocks, |j1| <= 2, |j2| <= 1."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    rand = lambda: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    onsite = rand()
+    terms = {(0, 0): onsite + onsite.conj().T}
+    for j in ((1, 0), (2, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1)):
+        if rng.uniform() < 0.7 or j == (0, 1):
+            blk = rand()
+            terms[j] = blk
+            terms[(-j[0], -j[1])] = blk.conj().T
+    return tight_binding(FiberShape(d), terms)
+
+
+_KERNEL_MODELS = [
+    pytest.param(build_model(name, delta=0.6, mu=0.9), id=name) for name in sorted(MODEL_NAMES)
+] + [pytest.param(_random_closed_operator(seed), id=f"random-{seed}") for seed in range(6)]
+
+
+@pytest.mark.parametrize("model", _KERNEL_MODELS)
+def test_transfer_blocks_and_matrix_are_bit_exact_to_the_per_term_loop(model):
+    rng = np.random.default_rng(5)
+    ks = np.concatenate([[-math.pi, -0.0, 0.0, math.pi], rng.uniform(-math.pi, math.pi, 24)])
+    a_stack, b_stack = chern._transfer_blocks(model, ks)
+    for i, k1 in enumerate(ks):
+        a, b = _blocks_reference(model, float(k1))
+        one_a, one_b = chern._transfer_blocks(model, float(k1))
+        for got in (one_a, a_stack[i]):
+            assert np.array_equal(_bits(got), _bits(a)), k1
+        for got in (one_b, b_stack[i]):
+            assert np.array_equal(_bits(got), _bits(b)), k1
+        try:
+            ref = _transfer_reference(model, float(k1))
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                transfer_matrix(model, float(k1))
+            continue
+        for data in (transfer_matrix(model, k1), chern._transfer_data(float(k1), a_stack[i], b_stack[i])):
+            assert data.cond_a == ref.cond_a
+            for name in ("a", "b", "T"):
+                assert np.array_equal(_bits(getattr(data, name)), _bits(getattr(ref, name))), (k1, name)
+
+
+@pytest.mark.parametrize(
+    "name, mu", [("pip+", -0.5), ("pip+", 0.5), ("did+", 2.0), ("did+", -1.0)]
+)
+def test_chern_transfer_and_eigenphases_are_bit_exact_to_the_per_point_path(name, mu):
+    model = build_model(name, delta=0.3 if name == "pip+" else 1.0, mu=mu)
+    ks = -math.pi + 2.0 * math.pi * np.arange(64) / 64
+    reference = winding_number(
+        [_u_reference(model, float(k)) for k in ks],
+        refine=lambda k: _u_reference(model, k),
+    )
+    result = chern_transfer(model, n_k=64)
+    assert (result.raw, result.grid, result.value) == (
+        reference.raw, reference.grid, reference.value
+    )
+    rows = []
+    for k in np.linspace(-math.pi, math.pi, 61):
+        u = _u_reference(model, float(k))
+        rows.append([u.k1, *np.sort(np.angle(np.linalg.eigvals(u.U)))])
+    assert np.array_equal(_bits(eigenphase_table(model, n_k=61)), _bits(np.array(rows)))
+
+
+def test_transfer_scan_assembles_its_blocks_once(monkeypatch):
+    calls = []
+
+    def counting(model, k1):
+        calls.append(np.shape(k1))
+        return blocks(model, k1)
+
+    blocks = chern._transfer_blocks
+    monkeypatch.setattr(chern, "_transfer_blocks", counting)
+    chern_transfer(PIP, n_k=32)
+    assert calls == [(32,)]
+    calls.clear()
+    eigenphase_table(PIP, n_k=17)
+    assert calls == [(17,)]
+
+
+def test_transfer_route_shifts_past_a_singular_hopping_block():
+    # a(k1) = diag(cos k1, 0.3) is singular at k1 = +-pi/2, samples of n_k = 8;
+    # the bands 2.5 + 2 cos k1 cos k2 and -1 + 0.6 cos k2 keep zero energy gapped
+    half, third = np.diag([0.5, 0.0]), np.diag([0.0, 0.3])
+    chain = tight_binding(
+        FiberShape(2),
+        {
+            (0, 0): np.diag([2.5, -1.0]), (0, -1): third, (0, 1): third,
+            (1, -1): half, (-1, -1): half, (-1, 1): half, (1, 1): half,
+        },
+    )
+    with pytest.raises(ValueError, match="singular"):
+        transfer_matrix(chain, math.pi / 2)
+    ks = -math.pi + 2.0 * math.pi * np.arange(8) / 8
+    samples = chern._u_scan(chain, ks)
+    assert [u.k1 for u in samples] == [
+        float(k) + 1e-6 if i in (2, 6) else float(k) for i, k in enumerate(ks)
+    ]
+    assert [u.k1 for u in samples] == [_u_reference(chain, float(k)).k1 for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +672,31 @@ def test_berry_gap_closure_names_the_minimum():
     assert f"k = ({ks[i]:.6g}, {ks[j]:.6g})" in str(err.value)
 
 
-def test_batched_routes_make_no_per_point_assembly(monkeypatch):
-    calls = []
+def test_batched_routes_check_each_bloch_matrix_once(monkeypatch):
+    stack_checks, pauli_checks, polish = [], [], []
 
-    def counting(model, k):
-        calls.append(k)
-        return assemble_bloch(model, k)
+    def counting(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(chern, "assemble_bloch", counting)
+    # BlochMatrix and the stacked checks look the lattice test up at call time
+    monkeypatch.setattr(
+        lattice, "_hermiticity_violations",
+        counting(stack_checks, lattice._hermiticity_violations),
+    )
+    monkeypatch.setattr(
+        chern, "_hermiticity_violations",
+        counting(pauli_checks, chern._hermiticity_violations),
+    )
+    monkeypatch.setattr(chern, "pauli_decompose", counting(polish, chern.pauli_decompose))
     berry_flux_chern(PIP, grid_n=24)
-    assert calls == []
+    assert len(stack_checks) == 1
     transition_winding(DID_PLUS, mu=2.0)
-    assert 0 < len(calls) < 300  # the Nelder-Mead polishes only
+    assert len(stack_checks) == 3  # the rho scan and the circles, one check each
+    assert 0 < len(polish) < 300  # the Nelder-Mead polishes only
+    assert len(pauli_checks) == 2 + len(polish)  # one per stack, one per polish point
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +771,39 @@ def test_mu_scan_contour_route():
     family = lambda mu: reduce_su2(build_model("did+", delta=1.0, mu=mu))[0]
     (entry,) = chern_mu_scan(family, [2.0], method="contour")
     assert entry.result.value == -2
+
+
+@pytest.mark.parametrize(
+    "method, kwargs, family, message",
+    [
+        ("transfer", {"n_k": 4}, "pip+", "n_k must be >= 8, got 4"),
+        ("berry", {"grid_n": 5}, "pip+", "grid_n must be >= 24, got 5"),
+        ("realspace", {"L": 3}, "pip+", "torus side L must be >= 4, got 3"),
+        ("realspace", {"L": (12, 3)}, "pip+", "torus side L must be >= 4, got 3"),
+        ("contour", {}, "did+", "needs a 2x2 fiber"),
+    ],
+    ids=["transfer-n_k", "berry-grid_n", "realspace-L", "realspace-L2", "contour-fiber"],
+)
+def test_mu_scan_refuses_a_setting_its_route_refuses_at_every_mu(
+    method, kwargs, family, message
+):
+    built = []
+
+    def models(mu):
+        built.append(mu)
+        return build_model(family, delta=0.3, mu=mu)
+
+    with pytest.raises(ValueError, match=message):
+        chern_mu_scan(models, [-0.5, 0.5], method=method, **kwargs)
+    assert built == ([-0.5] if method == "contour" else [])
+
+
+def test_mu_scan_checks_only_the_settings_its_route_reads():
+    family = lambda mu: build_model("pip+", delta=0.3, mu=mu)
+    (entry,) = chern_mu_scan(family, [-0.5], grid_n=5, L=3)
+    assert entry.result.value == -1
+    (entry,) = chern_mu_scan(family, [-0.5], method="berry", n_k=4, L=3)
+    assert entry.result.value == -1
 
 
 def test_mu_scan_rejects_unknown_method():

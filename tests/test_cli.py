@@ -151,6 +151,38 @@ def test_chern_contour_on_a_chirality_sector(capsys):
     assert rows[1][1] == "contour" and rows[1][3] == "-2"
 
 
+@pytest.mark.parametrize(
+    "model, params, extra, message",
+    [
+        ("pip+", "delta=0.3,mus=-0.5:0.5,method=berry,grid_n=5", [], "grid_n must be >= 24, got 5"),
+        ("pip+", "delta=0.3,mus=-0.5:0.5,n_k=4", [], "n_k must be >= 8, got 4"),
+        ("pip+", "delta=0.3,mus=-0.5:0.5,method=realspace", ["--L", "3"],
+         "torus side L must be >= 4, got 3"),
+        ("did+", "delta=1,mus=2,method=contour", [], "needs a 2x2 fiber"),  # no sector
+    ],
+    ids=["berry-grid_n", "transfer-n_k", "realspace-L", "contour-fiber"],
+)
+def test_chern_setting_refused_at_every_mu_exits_2(model, params, extra, message, tmp_path, capsys):
+    out = tmp_path / "chern.csv"
+    argv = ["chern", "--model", model, "--params", params, *extra, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
+def test_chern_replay_refuses_a_setting_refused_at_every_mu(tmp_path):
+    out = tmp_path / "chern.csv"
+    assert main(["chern", "--model", "pip+", "--params", "delta=0.3,mus=-0.5",
+                 "--out", str(out)]) == 0
+    path = Path(str(out) + ".manifest.json")
+    doc = json.loads(path.read_text())
+    doc["params"]["n_k"] = 4
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="n_k must be >= 8, got 4"):
+        run_manifest(path)
+
+
 def test_manifest_replay_is_byte_identical(tmp_path):
     out = tmp_path / "ids.csv"
     args = [

@@ -4,6 +4,7 @@ random Hamiltonian assembly and the coupling threshold."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bdgtools.disorder import (
     standard_W,
 )
 from bdgtools.disorder import _class_uniform, _mean_stderr, _philox_uniforms, _realization_map
-from bdgtools.lattice import assemble_finite_volume, spectrum_symmetry_check
+from bdgtools.lattice import assemble_finite_volume, spectrum_symmetry_check, tight_binding
 from bdgtools.models import build_model
 
 
@@ -463,22 +464,32 @@ def test_site_map_assembly_matches_per_site_reference(name, spec_kind):
 
 
 @pytest.mark.parametrize("name", ["pip+", "did+"])
-def test_hops_sharing_one_entry_match_the_per_site_reference(name):
+def test_a_periodic_box_too_small_for_the_disorder_range_is_refused(name):
     # on the periodic 4 x 5 box the hops l -> l + (2, 0) and l -> l - (2, 0)
-    # land on the same site, so V sums two draws in each of their entries
+    # would land on the same site pair; H0 of range 2 is refused there too
     H = build_model(name, delta=0.6, mu=-0.5)
     r = H.fiber.r
     spec = DisorderSpec(
         (DisorderTerm((0, 0), standard_W("W00", r)), DisorderTerm((2, 0), standard_W("W10", r)))
     )
     L = (4, 5)
-    hops = sum(L[0] * L[1] * np.count_nonzero(t.W) for t in spec.terms)
-    for seed in range(3):
-        rz = sample_realization(spec, L, seed=seed)
-        V = build_random_hamiltonian(H, spec, 1.0, rz).matrix - assemble_finite_volume(H, L).matrix
-        assert 0 < V.nnz < hops
-        got = build_random_hamiltonian(H, spec, 0.7, rz).dense()
-        assert np.array_equal(got, _per_site_disorder(H, spec, 0.7, rz, "periodic")), seed
+    message = re.escape(
+        "periodic box (4, 5) too small for hopping range R=2: "
+        "need L1, L2 > 2R=4 so no single hop wraps onto itself"
+    )
+    wide = tight_binding(H.fiber, {(2, 0): np.eye(H.fiber.dim), (-2, 0): np.eye(H.fiber.dim)})
+    with pytest.raises(ValueError, match=message):
+        assemble_finite_volume(wide, L)
+    rz = sample_realization(spec, L, seed=0)
+    for h0 in (H, assemble_finite_volume(H, L)):
+        with pytest.raises(ValueError, match=message):
+            build_random_hamiltonian(h0, spec, 0.7, rz)
+    with pytest.raises(ValueError, match=message):  # the ensemble path
+        _realization_map(lambda fv: fv, H, spec, 0.7, L, 2, 0, 1)
+    # an open box has no wrap-around, and the clean periodic box stays valid
+    got = build_random_hamiltonian(H, spec, 0.7, rz, bc="open").dense()
+    assert np.array_equal(got, _per_site_disorder(H, spec, 0.7, rz, "open"))
+    assert build_random_hamiltonian(H, spec, 0.0, rz) is not None
 
 
 @pytest.mark.parametrize("L", [(6, 6), (5, 7)])
