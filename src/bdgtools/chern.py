@@ -44,11 +44,12 @@ from .lattice import (
     _freeze,
     _hermitian_bloch_points,
     _hermiticity_violations,
+    _periodic_grid,
     _require_closure,
     assemble_finite_volume,
     phs_conjugation,
 )
-from .models import SIGMA
+from .models import _GAP_GRID, SIGMA
 
 __all__ = [
     "TransferData",
@@ -94,6 +95,8 @@ _MAX_REFINE = 12
 _CONTOUR_RADII = (0.05, 0.02, 0.01)
 #: Side of the periodic grid scanned for the zeros of (p1, p2).
 _ZERO_GRID = 120
+#: Samples on each contour circle of the transition-function winding.
+_CONTOUR_SAMPLES = 720
 #: Smallest transfer k1 scan, Berry grid side and marker torus side.
 _MIN_N_K, _MIN_GRID_N, _MIN_SIDE = 8, 24, 4
 
@@ -402,7 +405,7 @@ def _u_scan(model: TightBindingOperator, ks: np.ndarray) -> list[UMatrix]:
 def chern_transfer(model: TightBindingOperator, *, n_k: int = 64) -> ChernResult:
     """Chern number from the winding of det U(k1) over one period."""
     _at_least("n_k", n_k, _MIN_N_K)
-    ks = -math.pi + 2.0 * math.pi * np.arange(n_k) / n_k
+    ks = _periodic_grid(n_k)
     return winding_number(_u_scan(model, ks), refine=lambda k: _u_of(model, k))
 
 
@@ -486,7 +489,7 @@ def berry_flux_chern(model: TightBindingOperator, grid_n: int = 48) -> ChernResu
     doubling grid_n is not checked here; the test suite checks it.
     """
     _at_least("grid_n", grid_n, _MIN_GRID_N)
-    ks = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
+    ks = _periodic_grid(grid_n)
     w, v = np.linalg.eigh(
         _hermitian_bloch_points(model, ks[:, None], ks[None, :], "berry_flux_chern")
     )
@@ -539,7 +542,7 @@ def _pauli_plane_zeros(model: TightBindingOperator, grid_n: int) -> list[tuple[f
     value vanishes relative to the global scale of rho.  A polish that does
     not converge raises :class:`ArithmeticError` naming its start cell.
     """
-    ks = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
+    ks = _periodic_grid(grid_n)
     p1, p2, _ = _pauli_components(
         _hermitian_bloch_points(model, ks[:, None], ks[None, :], "transition_winding")
     )
@@ -578,9 +581,7 @@ def _pauli_plane_zeros(model: TightBindingOperator, grid_n: int) -> list[tuple[f
     return sorted(zeros)
 
 
-def transition_winding(
-    model: TightBindingOperator, mu: float, *, n_samples: int = 720
-) -> ChernResult:
+def transition_winding(model: TightBindingOperator, mu: float) -> ChernResult:
     """Chern number from the winding of the transition function of a Pauli family.
 
     ``model`` is a hermiticity-closed operator on a 2x2 fiber whose Bloch
@@ -592,9 +593,10 @@ def transition_winding(
     unexpected zeros abort with their list), and for 0 < |mu| < 4 the Chern
     number is the winding of theta around a small circle at the origin.
     The winding is evaluated with a two-argument angle and cumulative
-    unwrapping for every radius in ``_CONTOUR_RADII`` and must not depend on
-    the radius.  The zero-set scan and the circle samples each come from one
-    stacked Bloch evaluation and Pauli decomposition.
+    unwrapping of 720 samples per circle, for every radius in
+    ``_CONTOUR_RADII``, and must not depend on the radius.  The zero-set
+    scan and the circle samples each come from one stacked Bloch evaluation
+    and Pauli decomposition.
     """
     mu = float(mu)
     if not abs(mu) < 4.0 or mu == 0.0:
@@ -617,7 +619,7 @@ def transition_winding(
             f"zero set of (p1, p2) must be exactly {{(0, 0), (pi, pi)}}; "
             f"found [{found}]"
         )
-    t = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    t = 2.0 * math.pi * np.arange(_CONTOUR_SAMPLES) / _CONTOUR_SAMPLES
     # math.cos / math.sin / math.atan2 per sample: NumPy's vector
     # versions may differ from them in the last bit
     k = np.array([[(eps * math.cos(x), eps * math.sin(x)) for x in t] for eps in _CONTOUR_RADII])
@@ -631,7 +633,7 @@ def transition_winding(
         if float(np.abs(inc).max()) >= _MAX_STEP:
             raise ValueError(
                 f"transition-function phase jumps by {np.abs(inc).max():.3f} "
-                f"at radius {eps}: increase n_samples"
+                f"at radius {eps}: the {_CONTOUR_SAMPLES} samples alias the winding"
             )
         windings.append(float(inc.sum() / (2.0 * math.pi)))
     rounded = {int(round(w)) for w in windings}
@@ -640,16 +642,18 @@ def transition_winding(
             f"eps={e}: {w:+.6f}" for e, w in zip(_CONTOUR_RADII, windings)
         )
         raise ValueError(f"winding depends on the contour radius: {detail}")
-    return _round_result("contour", windings[-1], f"eps in {_CONTOUR_RADII}, {n_samples} samples")
+    return _round_result(
+        "contour", windings[-1], f"eps in {_CONTOUR_RADII}, {_CONTOUR_SAMPLES} samples"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Real-space route
 
-def fermi_projector(H: FiniteVolumeOperator, energy: float = 0.0) -> np.ndarray:
-    """Dense spectral projector of a finite-volume operator below ``energy``."""
+def fermi_projector(H: FiniteVolumeOperator) -> np.ndarray:
+    """Dense spectral projector of a finite-volume operator onto E < 0."""
     w, v = np.linalg.eigh(H.dense())
-    occ = v[:, w < float(energy)]
+    occ = v[:, w < 0.0]
     return occ @ occ.conj().T
 
 
@@ -768,7 +772,7 @@ def chern_mu_scan(
     for mu in mu_list:
         try:
             model = model_family(mu)
-            gap = float(np.abs(bloch_band_grid(model, grid_n=64)).min())
+            gap = float(np.abs(bloch_band_grid(model, _GAP_GRID)).min())
             if gap <= 1e-6:
                 raise ValueError(
                     f"gap-closed: min |E| = {gap:.3e} on the Bloch grid"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +34,7 @@ from .lattice import (
     _as_box,
     _hermitian_bloch_points,
     _hop,
+    _periodic_grid,
     assemble_finite_volume,
 )
 
@@ -72,7 +74,6 @@ class ResolventSolver:
         self.z = complex(z)
         A = (self.z * sp.identity(H.dim, dtype=complex, format="csr") - H.matrix).tocsc()
         self._A = A
-        self._AH = None  # adjoint, built lazily for solve_adjoint
         try:
             self._lu = splu(A)
         except RuntimeError as err:
@@ -80,7 +81,17 @@ class ResolventSolver:
                 f"z = {z} makes z - H singular (z lies on the spectrum): {err}"
             ) from err
 
-    def _refined(self, b: np.ndarray, A, trans: str) -> np.ndarray:
+    @cached_property
+    def _AH(self):
+        """The adjoint ``conj(z) - H``, built on the first adjoint solve."""
+        return self._A.getH().tocsc()
+
+    def _refined(self, rhs, A, trans: str) -> np.ndarray:
+        """Refined, checked ``A^{-1} rhs``: A = z - H for trans "N", its adjoint for "H"."""
+        b = np.asarray(rhs, dtype=complex)
+        squeeze = b.ndim == 1
+        if squeeze:
+            b = b[:, None]
         x = self._lu.solve(b, trans=trans)
         x = x + self._lu.solve(b - A @ x, trans=trans)
         scale = float(np.linalg.norm(b))
@@ -91,27 +102,15 @@ class ResolventSolver:
                     f"resolvent solve at z = {self.z} rejected: relative residual "
                     f"{res:.3e} exceeds {RESIDUAL_TOL:g} (z too close to the spectrum)"
                 )
-        return x
+        return x[:, 0] if squeeze else x
 
     def solve(self, rhs) -> np.ndarray:
         """``(z - H)^{-1} rhs`` for a vector or a stack of columns."""
-        b = np.asarray(rhs, dtype=complex)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        x = self._refined(b, self._A, "N")
-        return x[:, 0] if squeeze else x
+        return self._refined(rhs, self._A, "N")
 
     def solve_adjoint(self, rhs) -> np.ndarray:
         """``(conj(z) - H)^{-1} rhs`` re-using the same factorization."""
-        b = np.asarray(rhs, dtype=complex)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        if self._AH is None:
-            self._AH = self._A.getH().tocsc()
-        x = self._refined(b, self._AH, "H")
-        return x[:, 0] if squeeze else x
+        return self._refined(rhs, self._AH, "H")
 
     def columns(self, m) -> np.ndarray:
         """All of ``G`` restricted to the fiber columns over site ``m``."""
@@ -193,19 +192,21 @@ def bloch_band_grid(model: TightBindingOperator, grid_n: int = 128) -> np.ndarra
     Returns an array of shape ``(grid_n * grid_n, fiberdim)``, rows ordered
     by momentum, columns ascending.
     """
-    ks = 2.0 * np.pi * np.arange(grid_n) / grid_n - np.pi
+    ks = _periodic_grid(grid_n)
     m = _hermitian_bloch_points(model, ks[:, None], ks[None, :], "bloch_band_grid")
     return np.linalg.eigvalsh(m).reshape(-1, model.fiber.dim)
 
 
-def spectral_distance(model: TightBindingOperator, z: complex, grid_n: int = 256) -> float:
-    """``D(z)``: distance from ``z`` to the Bloch spectrum on a fine grid."""
-    bands = bloch_band_grid(model, grid_n)
-    return float(np.abs(complex(z) - bands).min())
-
-
-#: grid-sampled spectral distances below this are indistinguishable from zero
+#: Side of the momentum grid on which D(z) is sampled, and the sampled
+#: distance below which D(z) is indistinguishable from zero.
+_DISTANCE_GRID = 256
 _DISTANCE_FLOOR = 1e-3
+
+
+def spectral_distance(model: TightBindingOperator, z: complex) -> float:
+    """``D(z)``: distance from ``z`` to the Bloch spectrum on a 256 x 256 grid."""
+    bands = bloch_band_grid(model, _DISTANCE_GRID)
+    return float(np.abs(complex(z) - bands).min())
 
 
 @dataclass(frozen=True)
@@ -223,18 +224,18 @@ def combes_thomas_probe(
     model: TightBindingOperator,
     z_list,
     L=24,
-    grid_n: int = 256,
 ) -> list[CombesThomasPoint]:
     """Measure clean resolvent decay against the distance to the spectrum.
 
-    For every ``z`` the probe computes ``D(z)`` from the Bloch bands, then
+    For every ``z`` the probe computes ``D(z)`` as :func:`spectral_distance`
+    does, from the Bloch bands on the same 256 x 256 grid, then
     fits ``log ||G^z(n0, n0 + d e1)||_F`` over ``d = 1 .. L/2 - R`` on the
     periodic ``L x L`` volume.  A ``z`` on the spectrum (grid-resolved
     distance below 1e-3) is refused since ``D(z) = 0`` carries no bound.
     """
     box = _as_box(L)
     H = assemble_finite_volume(model, box)
-    bands = bloch_band_grid(model, grid_n)
+    bands = bloch_band_grid(model, _DISTANCE_GRID)
     n0 = _center(box)
     max_d = box[0] // 2 - model.range
     if max_d < 2:
@@ -292,6 +293,23 @@ class DecayEstimate:
         return self.rate - 2.0 * self.rate_err > 0.0
 
 
+def _max_distance(model, spec, lam, box, max_dist: int | None) -> int:
+    """``max_dist``, by default and at most L/2 - R, R the larger of the model
+    and disorder ranges (the model range alone on a clean input)."""
+    reach = model.range if _is_clean(spec, lam) else max(model.range, spec.range)
+    limit = min(box) // 2 - reach
+    if max_dist is None:
+        max_dist = limit
+    if max_dist > limit:
+        raise ValueError(
+            f"max_dist = {max_dist} exceeds L/2 - R = {limit}; distances that "
+            "far wrap around the torus"
+        )
+    if max_dist < 1:
+        raise ValueError(f"max_dist = {max_dist} leaves nothing to fit")
+    return max_dist
+
+
 def _clean_axis_profile(model, z, box, dists) -> np.ndarray:
     H = assemble_finite_volume(model, box)
     return _axis_profile(H, z, _center(box), dists)
@@ -334,26 +352,16 @@ def fractional_moment_scan(
     ``n0`` is the torus center.  With ``lam = 0`` (or no disorder terms)
     the profile is deterministic and a single solve suffices; otherwise at
     least eight realizations are required.  ``max_dist`` defaults to
-    ``L/2 - R`` and may not exceed it (beyond that the two arcs around the
-    torus have comparable length and the decay law is polluted).
+    ``L/2 - R``, R the larger of the model and disorder ranges, and may not
+    exceed it (beyond that the two arcs around the torus have comparable
+    length and the decay law is polluted).
     """
     box = _as_box(L)
     z = complex(z)
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional power s must lie in (0, 1), got {s}")
-    clean = _is_clean(spec, lam)
-    reach = model.range if clean else max(model.range, spec.range)
-    limit = min(box[0], box[1]) // 2 - reach
-    if max_dist is None:
-        max_dist = limit
-    if max_dist > limit:
-        raise ValueError(
-            f"max_dist = {max_dist} exceeds L/2 - R = {limit}; distances that "
-            "far wrap around the torus"
-        )
-    if max_dist < 1:
-        raise ValueError(f"max_dist = {max_dist} leaves nothing to fit")
-    if not clean and n_realizations < 8:
+    max_dist = _max_distance(model, spec, lam, box, max_dist)
+    if not _is_clean(spec, lam) and n_realizations < 8:
         raise ValueError(
             f"n_realizations = {n_realizations} is below the minimum of 8 "
             "for a disorder average"
@@ -540,14 +548,11 @@ def fermi_projection_decay(
     at or below the Fermi level.  If the requested level lies within 1e-8
     of any realization eigenvalue it is moved to the midpoint of the wider
     adjacent spacing (pooled over realizations) and the shift is reported
-    via ``shifted`` / ``energy``.
+    via ``shifted`` / ``energy``.  ``max_dist`` follows the rule of
+    :func:`fractional_moment_scan`: by default and at most ``L/2 - R``.
     """
     box = _as_box(L)
-    limit = min(box) // 2 - model.range
-    if max_dist is None:
-        max_dist = limit
-    if max_dist > limit or max_dist < 1:
-        raise ValueError(f"max_dist must lie in [1, {limit}] on box {box}")
+    max_dist = _max_distance(model, spec, lam, box, max_dist)
     n0 = _center(box)
     systems = _realization_map(
         lambda H: (H, *np.linalg.eigh(H.dense())),
@@ -714,7 +719,6 @@ def localization_phase_diagram(
     eps: float = EPS_DEFAULT,
     L=16,
     n_realizations: int = 16,
-    max_dist: int | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> PhaseDiagram:
@@ -725,7 +729,8 @@ def localization_phase_diagram(
     standard deviations of the edge statistics.  Otherwise a scan at
     ``z = E + i*eps`` runs, and the cell is ``localized`` when the fitted
     rate is positive at two standard errors with ``r^2 > 0.8``; anything
-    weaker stays ``spectrum-with-no-verdict``.
+    weaker stays ``spectrum-with-no-verdict``.  Each scan probes every
+    distance up to its default ``L/2 - R``.
     """
     box = _as_box(L)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -761,7 +766,6 @@ def localization_phase_diagram(
                     s=s,
                     L=box,
                     n_realizations=n_realizations,
-                    max_dist=max_dist,
                     seed=seed,
                     threads=threads,
                 )

@@ -248,6 +248,11 @@ def _bloch_points(model: TightBindingOperator, k1, k2) -> np.ndarray:
     return m
 
 
+def _periodic_grid(n: int) -> np.ndarray:
+    """The n momenta -pi + 2 pi m / n, m = 0 .. n-1, of a periodic grid on [-pi, pi)."""
+    return -np.pi + 2 * np.pi * np.arange(n) / n
+
+
 def _hermitian_bloch_points(model: TightBindingOperator, k1, k2, what: str) -> np.ndarray:
     """:func:`_bloch_points` with the checks of :func:`assemble_bloch`.
 
@@ -339,8 +344,9 @@ def _assemble(L: tuple[int, int], bc: str, d: int, entries) -> sp.csr_matrix:
     A periodic box needs L1, L2 > 2R, R the largest ||j||_inf of the entries,
     so that no hop wraps onto itself and the hops by j and -j never share a
     matrix entry; H0 and a disorder term V follow this one rule.  Coinciding
-    hops are summed and exact zeros dropped; the result must be Hermitian
-    within :data:`HERMITICITY_RTOL` of its largest entry (so finite).
+    hops are summed and exact zeros dropped; a result that is not Hermitian
+    within :data:`HERMITICITY_RTOL` of its largest entry (or not finite)
+    raises ``ValueError``.
     """
     entries = list(entries)
     R = max((max(abs(j[0]), abs(j[1])) for j, _, _ in entries), default=0)
@@ -364,7 +370,7 @@ def _assemble(L: tuple[int, int], bc: str, d: int, entries) -> sp.csr_matrix:
     total.eliminate_zeros()
     defect = float(np.abs(total - total.getH()).max())
     if not defect <= HERMITICITY_RTOL * max(float(np.abs(total.data).max(initial=0.0)), 1.0):
-        raise AssertionError(
+        raise ValueError(
             f"assembled finite-volume matrix lost hermiticity (defect {defect:.3e})"
         )
     return total

@@ -35,6 +35,7 @@ from .lattice import (
     TightBindingOperator,
     _bloch_points,
     _hermitian_bloch_points,
+    _periodic_grid,
     _require_closure,
     check_bdg_equation,
     tight_binding,
@@ -153,18 +154,15 @@ def pairing_kind(name: str) -> PairingKind:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Pairing amplitude, chemical potential and disorder coupling."""
+    """Pairing amplitude and chemical potential of a closed-form band model."""
 
     delta: float
     mu: float
-    lam: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("delta", "mu", "lam"):
+        for name in ("delta", "mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.lam < 0:
-            raise ValueError("disorder coupling lam must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -237,23 +235,15 @@ def build_pairing(
     return tight_binding(FiberShape(kind.r, ph=False), terms)
 
 
-def build_one_electron(
-    r: int = 1, lam: float = 0.0, potential: np.ndarray | None = None
-) -> TightBindingOperator:
+def build_one_electron(r: int = 1) -> TightBindingOperator:
     """Nearest-neighbour one-electron Hamiltonian h = S1 + S1* + S2 + S2*.
 
-    Tensored with the identity on the internal fiber C^r.  An optional
-    constant on-site block ``lam * potential`` may be added; site-dependent
-    random potentials are the job of the disorder layer, which perturbs the
+    Tensored with the identity on the internal fiber C^r.  Random on-site
+    potentials are the job of the disorder layer, which perturbs the
     finite-volume realization directly.
     """
     one = np.eye(r, dtype=complex)
     terms = {j: c * one for j, c in _poly((1.0, _SYM1), (1.0, _SYM2)).items()}
-    if potential is not None and lam != 0.0:
-        v = np.asarray(potential, dtype=complex)
-        if v.shape != (r, r):
-            raise ValueError(f"potential block must be {r}x{r}, got {v.shape}")
-        terms[(0, 0)] = lam * v
     return tight_binding(FiberShape(r, ph=False), terms)
 
 
@@ -307,10 +297,11 @@ def build_model(name: str, delta: float, mu: float) -> TightBindingOperator:
 _SU2_BLOCK_A = (0, 3)   # particle-up / hole-down
 _SU2_BLOCK_B = (1, 2)   # particle-down / hole-up
 
+#: Largest spin-mixing or sector-mismatch entry that ``reduce_su2`` accepts.
+_SU2_TOL = 1e-12
 
-def reduce_su2(
-    H: TightBindingOperator, tol: float = 1e-12
-) -> tuple[TightBindingOperator, TightBindingOperator]:
+
+def reduce_su2(H: TightBindingOperator) -> tuple[TightBindingOperator, TightBindingOperator]:
     """Split an SU(2)-invariant spin-1/2 BdG operator into its two 2x2 sectors.
 
     The operator must be block-diagonal in the (p-up, h-down) / (p-down, h-up)
@@ -319,7 +310,8 @@ def reduce_su2(
     the representative of the second sector with the opposite chirality;
     the original operator is recovered as H+ (+) sigma3 conj(H-) sigma3
     under the fixed fiber permutation (p-up, h-down, p-down, h-up).  Both
-    outputs satisfy the odd particle-hole symmetry.
+    outputs satisfy the odd particle-hole symmetry.  Entries that break
+    either condition by more than 1e-12 raise ``ValueError``.
     """
     if not (H.fiber.ph and H.fiber.r == 2):
         raise ValueError("reduce_su2 expects a spin-1/2 particle-hole operator")
@@ -330,14 +322,14 @@ def reduce_su2(
             float(np.abs(b[np.ix_(_SU2_BLOCK_A, _SU2_BLOCK_B)]).max()),
             float(np.abs(b[np.ix_(_SU2_BLOCK_B, _SU2_BLOCK_A)]).max()),
         )
-        if cross > tol:
+        if cross > _SU2_TOL:
             raise ValueError(
                 f"not SU(2)-decomposable: spin-mixing entries of size {cross:.3e} "
                 f"at displacement {j}"
             )
         pj = b[np.ix_(_SU2_BLOCK_A, _SU2_BLOCK_A)]
         qj = b[np.ix_(_SU2_BLOCK_B, _SU2_BLOCK_B)]
-        if float(np.abs(qj - s3 @ pj @ s3).max()) > tol:
+        if float(np.abs(qj - s3 @ pj @ s3).max()) > _SU2_TOL:
             raise ValueError(
                 f"not SU(2)-invariant: sectors at displacement {j} are not "
                 "sigma3-conjugates"
@@ -350,6 +342,9 @@ def reduce_su2(
 
 
 _CLOSED_FORM_TAGS = ("p_ip", "d_id")
+
+#: Side of the coarse momentum grid that seeds the central-gap refinement.
+_GAP_GRID = 64
 
 
 def _square(x):
@@ -442,13 +437,13 @@ def _gap_objective(model, params: ModelParams, ks: np.ndarray):
     return values, esq, label
 
 
-def central_gap(model, params: ModelParams, grid_n: int = 64) -> float:
+def central_gap(model, params: ModelParams) -> float:
     """Spectral gap around zero: g = 2 min_k E_+(k).
 
     ``model`` is a catalog name or :class:`PairingKind` (closed-form bands
     at ``params``) or a :class:`TightBindingOperator` (minimized through its
-    Bloch matrices; ``params`` is then unused).  A coarse ``grid_n`` x
-    ``grid_n`` scan of the Brillouin zone, evaluated in one vectorized pass
+    Bloch matrices; ``params`` is then unused).  A coarse 64 x 64
+    periodic scan of the Brillouin zone, evaluated in one vectorized pass
     (one batched ``eigvalsh`` over the Bloch stack for operators), seeds a
     Nelder-Mead refinement of E_+^2 from its three lowest cells.  Each
     refinement stops once its simplex spans less than 1e-10 in k; near a
@@ -457,9 +452,7 @@ def central_gap(model, params: ModelParams, grid_n: int = 64) -> float:
     without converging (iteration cap) raises :class:`ArithmeticError`
     naming the model and the start cell.
     """
-    if grid_n < 64:
-        raise ValueError("grid_n must be >= 64")
-    ks = -np.pi + 2 * np.pi * np.arange(grid_n) / grid_n
+    ks = _periodic_grid(_GAP_GRID)
     values, esq, label = _gap_objective(model, params, ks)
     order = np.argsort(values, axis=None)
     best = np.inf

@@ -42,7 +42,6 @@ class IdsCurve:
     energies: tuple
     values: tuple
     stderr: tuple
-    normalization: str = "N0"
 
     def to_csv(self) -> str:
         lines = ["E,N,stderr"]
@@ -80,22 +79,29 @@ def _signed_count(eigs: np.ndarray, E: float) -> int:
     return hi - lo
 
 
-def _realization_spectra(model, disorder, L, n_realizations, seed, threads):
-    """Sorted eigenvalue arrays, one per realization (a single one if clean)."""
+def _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared):
+    """Sorted spectra of H, or of H^2 with ``squared`` (its squared spectrum,
+    so no second diagonalization), one per realization, and the site count.
+    ``energies`` (IDS energies or a DOS range) must be finite."""
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"energies must be finite, got {tuple(energies)}")
     lam = 0.0 if disorder is None else disorder.lam
     spectra = _realization_map(
         lambda H: H.eigenvalues(), model, disorder, lam, L, n_realizations, seed, threads
     )
-    return spectra, _as_box(L)
+    if squared:
+        spectra = [np.sort(e * e) for e in spectra]
+    box = _as_box(L)
+    return spectra, box[0] * box[1]
 
 
-def _curve_from_counts(energies, per_realization_counts, nsites) -> IdsCurve:
-    mean, err = _mean_stderr(np.asarray(per_realization_counts, dtype=float) / nsites)
-    return IdsCurve(
-        tuple(float(e) for e in energies),
-        tuple(mean.tolist()),
-        tuple(err.tolist()),
-    )
+def _ids(model, disorder, L, n_realizations, energies, seed, threads, squared) -> IdsCurve:
+    """Per-site signed counts of H's (or H^2's) spectrum at ``energies``, averaged."""
+    energies = [float(e) for e in energies]
+    spectra, nsites = _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared)
+    counts = np.array([[_signed_count(eigs, e) for e in energies] for eigs in spectra], dtype=float)
+    mean, err = _mean_stderr(counts / nsites)
+    return IdsCurve(tuple(energies), tuple(mean.tolist()), tuple(err.tolist()))
 
 
 def ids_estimate(
@@ -114,12 +120,7 @@ def ids_estimate(
     trace-per-site definition on average.  Realization i uses seed + i, so
     curves at different energies share the same disorder.
     """
-    energies = [float(e) for e in energies]
-    if not all(np.isfinite(energies)):
-        raise ValueError("energies must be finite")
-    spectra, Lt = _realization_spectra(model, disorder, L, n_realizations, seed, threads)
-    counts = [[_signed_count(eigs, e) for e in energies] for eigs in spectra]
-    return _curve_from_counts(energies, counts, Lt[0] * Lt[1])
+    return _ids(model, disorder, L, n_realizations, energies, seed, threads, squared=False)
 
 
 def ids_squared_estimate(
@@ -138,14 +139,7 @@ def ids_squared_estimate(
     the same lower-interval tie-break (zero modes within EDGE_TOL of 0 do
     not count).
     """
-    energies = [float(e) for e in energies]
-    if not all(np.isfinite(energies)):
-        raise ValueError("energies must be finite")
-    spectra, Lt = _realization_spectra(model, disorder, L, n_realizations, seed, threads)
-    counts = [
-        [_signed_count(np.sort(eigs * eigs), e) for e in energies] for eigs in spectra
-    ]
-    return _curve_from_counts(energies, counts, Lt[0] * Lt[1])
+    return _ids(model, disorder, L, n_realizations, energies, seed, threads, squared=True)
 
 
 def _bin_counts(eigs: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -175,15 +169,14 @@ def dos_histogram(
     squared edges are the squares of the direct ones.  An ``energy_range``
     that is not finite, empty or reversed raises ``ValueError``.
     """
-    if energy_range is not None and not (
-        np.all(np.isfinite(energy_range)) and energy_range[0] < energy_range[1]
-    ):
+    if energy_range is not None and not energy_range[0] < energy_range[1]:
         raise ValueError(
             f"energy_range must be finite and increasing (lo, hi), got {tuple(energy_range)}"
         )
-    spectra, Lt = _realization_spectra(model, disorder, L, n_realizations, seed, threads)
-    if squared:
-        spectra = [np.sort(e * e) for e in spectra]
+    spectra, nsites = _spectra(
+        model, disorder, L, n_realizations, seed, threads,
+        () if energy_range is None else energy_range, squared,
+    )
     if np.isscalar(bins):
         if bins < 16:
             raise ValueError("need at least 16 bins")
@@ -198,7 +191,6 @@ def dos_histogram(
         if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("explicit bins must be an increasing edge array")
     widths = np.diff(edges)
-    nsites = Lt[0] * Lt[1]
     per = np.array([_bin_counts(e, edges) for e in spectra]) / (nsites * widths)
     density, err = _mean_stderr(per)
     return DosHistogram(

@@ -558,6 +558,30 @@ def test_spec_file_with_an_infinite_lambda_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, params", [("ids", "energies=0.5"), ("phase-diagram", "lambdas=1,energies=0.5")]
+)
+def test_spec_accepted_but_not_hermitian_once_assembled_exits_2(command, params, tmp_path, capsys):
+    # the closure defect, 9e-13, passes DisorderSpec's absolute 1e-12 test;
+    # couplings up to 50 scale it in V to about 4e-11, which _assemble refuses
+    def diag(a, b):
+        return [[{"re": a, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+                [{"re": 0.0, "im": 0.0}, {"re": b, "im": 0.0}]]
+
+    nu = {"kind": "uniform", "params": {"r_support": 50}}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"lambda": 1, "terms": [
+        {"j": [1, 0], "W": diag(0.01, 0.01), "nu": nu},
+        {"j": [-1, 0], "W": diag(0.0100000000009, 0.01), "nu": nu},
+        {"j": [0, 0], "W": diag(0.01, -0.01), "nu": nu},
+    ]}))
+    argv = [command, "--model", "pip+", "--params", f"delta=0.3,mu=-0.5,{params}",
+            "--disorder", str(spec), "--L", "6", "--realizations", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lost hermiticity" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
     "argv, key",
     [
         (["bands", "--model", "pip+", "--params", "delta=0.3,mu=-0.5,n=2.7"], "n="),

@@ -117,7 +117,7 @@ def test_non_finite_field_fails_the_hermiticity_check():
     field = {((0, 0), l): 0.5 for l in np.ndindex(4, 4)}
     field[((0, 0), (1, 2))] = np.inf
     rz = DisorderRealization((4, 4), field, seed=0)
-    with pytest.raises(AssertionError, match="hermiticity"), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match="hermiticity"), np.errstate(invalid="ignore"):
         build_random_hamiltonian(build_model("pip+", delta=0.3, mu=-0.5), spec, 0.5, rz)
 
 

@@ -232,6 +232,14 @@ def test_scan_rejects_bad_parameters():
         fractional_moment_scan(PIP, SPEC, 0.1, 1e-4j, L=16, s=1.2)
 
 
+@pytest.mark.parametrize("probe", [fractional_moment_scan, fermi_projection_decay])
+def test_decay_probes_bound_max_dist_by_the_disorder_range(probe):
+    # a range-2 disorder term reaches farther than the pip+ hops: L/2 - R = 8 - 2
+    spec = DisorderSpec((DisorderTerm((2, 0), standard_W("W10", 1)),))
+    with pytest.raises(ValueError, match="L/2 - R = 6"):
+        probe(PIP, spec, 0.2, 0.0, L=16, max_dist=7)
+
+
 # ---------------------------------------------------------------------------
 # T-matrix update
 

@@ -3,6 +3,8 @@ particle-hole symmetry checks and JSON round trips."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -458,3 +460,25 @@ def test_json_document_structure():
     entry = doc["terms"][0]
     assert entry["j"] == [0, 0]
     assert entry["block"][0][1] == {"re": 0.5, "im": 0.0}
+
+
+# The periodic momentum grid -pi + 2 pi m / n in the arithmetic each momentum
+# route wrote out for itself; the shared grid must equal every one bit for bit.
+def _chern_grid(n):
+    return -math.pi + 2.0 * math.pi * np.arange(n) / n
+
+
+_CALLER_GRIDS = {
+    "models.central_gap": lambda n: -np.pi + 2 * np.pi * np.arange(n) / n,
+    "greens.bloch_band_grid": lambda n: 2.0 * np.pi * np.arange(n) / n - np.pi,
+    "chern.chern_transfer": _chern_grid,
+    "chern.berry_flux_chern": _chern_grid,
+    "chern._pauli_plane_zeros": _chern_grid,
+}
+
+
+@pytest.mark.parametrize("n", [6, 8, 17, 24, 32, 48, 64, 120, 128, 181, 256])
+def test_periodic_grid_is_bitwise_each_callers_grid(n):
+    bits = lattice._periodic_grid(n).view(np.uint64)
+    for caller, grid in _CALLER_GRIDS.items():
+        assert np.array_equal(bits, grid(n).view(np.uint64)), caller

@@ -343,11 +343,6 @@ def test_gap_via_generic_bloch_route():
     assert central_gap(H, ModelParams(0.3, -0.5)) == pytest.approx(direct, abs=1e-8)
 
 
-def test_gap_grid_resolution_floor():
-    with pytest.raises(ValueError, match="64"):
-        central_gap(pairing_kind("pip+"), ModelParams(0.3, 0.1), grid_n=32)
-
-
 def test_gap_bounded_by_mu():
     for delta in (0.1, 0.3, 0.8):
         for mu in (-1.5, -0.2, 0.05, 0.7, 2.5):
