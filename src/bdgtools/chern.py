@@ -75,6 +75,9 @@ __all__ = [
 #: Condition-number ceiling for the inversions entering the transfer route.
 COND_MAX = 1e8
 
+#: A Bloch |E| at or below this on a momentum grid means the gap is closed.
+_GAP_FLOOR = 1e-6
+
 #: An eigenvalue of T this close to the unit circle means the gap is closed.
 UNIT_CIRCLE_TOL = 1e-8
 
@@ -240,17 +243,29 @@ def _transfer_blocks(model: TightBindingOperator, k1) -> tuple[np.ndarray, np.nd
     return tuple(_bloch_points(TightBindingOperator(model.fiber, t), k1, 0.0) for t in rows)
 
 
+class _SingularBlock(ValueError):
+    """a(k1) is too ill-conditioned to invert; the transfer route retries past it."""
+
+
+def _condition(m: np.ndarray, message: str, error=ValueError) -> float:
+    """The 2-norm condition number of ``m``, refused at or above COND_MAX with
+    ``error(message)``, where ``{}`` in ``message`` receives the number."""
+    svals = np.linalg.svd(m, compute_uv=False)
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    if not math.isfinite(cond) or cond >= COND_MAX:
+        raise error(message.format(f"{cond:.3e}"))
+    return cond
+
+
 def _transfer_data(k1: float, a: np.ndarray, b: np.ndarray) -> TransferData:
     """The checked transfer data of the blocks a(k1), b(k1)."""
     d = a.shape[0]
-    svals = np.linalg.svd(a, compute_uv=False)
-    cond_a = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if not math.isfinite(cond_a) or cond_a >= COND_MAX:
-        raise ValueError(
-            f"a(k1) is numerically singular at k1 = {k1:.9g} (condition "
-            f"number {cond_a:.3e}); shift k1 by ~1e-6 and retry — generic "
-            f"momenta are fine"
-        )
+    cond_a = _condition(
+        a,
+        f"a(k1) is numerically singular at k1 = {k1:.9g} (condition number {{}}); "
+        "shift k1 by ~1e-6 and retry — generic momenta are fine",
+        _SingularBlock,
+    )
     a_inv = np.linalg.inv(a)
     T = np.block(
         [[-b @ a_inv, -a.conj().T], [a_inv, np.zeros((d, d), dtype=complex)]]
@@ -326,13 +341,11 @@ def u_matrix(phi: np.ndarray, k1: float = 0.0) -> UMatrix:
         raise ValueError(f"plane basis must be (2d x d), got {phi.shape}")
     up, low = phi[:n], phi[n:]
     den = up + 1j * low
-    svals = np.linalg.svd(den, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if not math.isfinite(cond) or cond >= COND_MAX:
-        raise ValueError(
-            f"denominator (1, -i 1)* Phi is numerically singular (condition "
-            f"number {cond:.3e}); perturb k1 and rebuild the plane"
-        )
+    _condition(
+        den,
+        "denominator (1, -i 1)* Phi is numerically singular (condition number {}); "
+        "perturb k1 and rebuild the plane",
+    )
     u = (up - 1j * low) @ np.linalg.inv(den)
     return UMatrix(k1=float(k1), U=u)
 
@@ -389,9 +402,7 @@ def _u_of(model: TightBindingOperator, k1: float, blocks=None) -> UMatrix:
     """U(k1) from given or assembled blocks, shifted once by 1e-6 past a singular a(k1)."""
     try:
         data = transfer_matrix(model, k1) if blocks is None else _transfer_data(float(k1), *blocks)
-    except ValueError as err:
-        if "singular" not in str(err):
-            raise
+    except _SingularBlock:
         data = transfer_matrix(model, k1 + 1e-6)
     return u_matrix(contracting_subspace(data), data.k1)
 
@@ -495,7 +506,7 @@ def berry_flux_chern(model: TightBindingOperator, grid_n: int = 48) -> ChernResu
     )
     gaps = np.abs(w).min(axis=-1)
     i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-    if gaps[i, j] <= 1e-6:
+    if gaps[i, j] <= _GAP_FLOOR:
         raise ValueError(
             f"spectral gap closes on the grid: |E|min = {gaps[i, j]:.3e} at "
             f"k = ({ks[i]:.6g}, {ks[j]:.6g})"
@@ -773,7 +784,7 @@ def chern_mu_scan(
         try:
             model = model_family(mu)
             gap = float(np.abs(bloch_band_grid(model, _GAP_GRID)).min())
-            if gap <= 1e-6:
+            if gap <= _GAP_FLOOR:
                 raise ValueError(
                     f"gap-closed: min |E| = {gap:.3e} on the Bloch grid"
                 )

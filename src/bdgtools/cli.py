@@ -80,7 +80,6 @@ from .lattice import (
     check_bdg_equation,
     check_phs,
     model_from_json,
-    phs_conjugation,
     spectrum_symmetry_check,
 )
 from .models import (
@@ -536,21 +535,11 @@ def _check_tmatrix_oracle() -> None:
 
 
 def _check_transfer_plane_defects() -> None:
+    # TransferData, contracting_subspace and UMatrix refuse the form defect
+    # (1e-10 ||T||^2), the Lagrangian defect and the unitarity defect (1e-8)
     model = build_model("pip+", delta=0.3, mu=-0.5)
-    form = phs_conjugation("odd", 2)
     for k1 in (-2.1, -0.4, 0.9, 2.8):
-        data = transfer_matrix(model, k1)
-        T = np.asarray(data.T)
-        conserve = float(np.linalg.norm(T.conj().T @ form @ T - form, 2))
-        assert conserve <= 1e-10 * np.linalg.norm(T, 2) ** 2, (
-            f"form defect {conserve:.3e} at k1 = {k1}"
-        )
-        phi = contracting_subspace(data)
-        lagr = float(np.linalg.norm(phi.conj().T @ form @ phi, 2))
-        assert lagr <= 1e-8, f"Lagrangian defect {lagr:.3e} at k1 = {k1}"
-        u = np.asarray(u_matrix(phi, k1).U)
-        unit = float(np.linalg.norm(u.conj().T @ u - np.eye(2), 2))
-        assert unit <= 1e-8, f"unitarity defect {unit:.3e} at k1 = {k1}"
+        u_matrix(contracting_subspace(transfer_matrix(model, k1)), k1)
 
 
 def _check_winding_grid_stability() -> None:

@@ -310,6 +310,24 @@ def _max_distance(model, spec, lam, box, max_dist: int | None) -> int:
     return max_dist
 
 
+def _scan_settings(model, spec, lam, box, s, n_realizations, max_dist) -> int:
+    """Everything :func:`fractional_moment_scan` refuses before it solves:
+    ``s`` outside (0, 1), a ``max_dist`` or box that leaves fewer than the
+    two distances a fit needs, and fewer than eight realizations on a
+    disordered input.  Returns the checked ``max_dist``."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"fractional power s must lie in (0, 1), got {s}")
+    max_dist = _max_distance(model, spec, lam, box, max_dist)
+    if max_dist < 2:
+        raise ValueError(f"max_dist = {max_dist} leaves fewer than the two distances a fit needs")
+    if not _is_clean(spec, lam) and n_realizations < 8:
+        raise ValueError(
+            f"n_realizations = {n_realizations} is below the minimum of 8 "
+            "for a disorder average"
+        )
+    return max_dist
+
+
 def _clean_axis_profile(model, z, box, dists) -> np.ndarray:
     H = assemble_finite_volume(model, box)
     return _axis_profile(H, z, _center(box), dists)
@@ -358,14 +376,7 @@ def fractional_moment_scan(
     """
     box = _as_box(L)
     z = complex(z)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional power s must lie in (0, 1), got {s}")
-    max_dist = _max_distance(model, spec, lam, box, max_dist)
-    if not _is_clean(spec, lam) and n_realizations < 8:
-        raise ValueError(
-            f"n_realizations = {n_realizations} is below the minimum of 8 "
-            "for a disorder average"
-        )
+    max_dist = _scan_settings(model, spec, lam, box, s, n_realizations, max_dist)
     dists = np.arange(0, max_dist + 1)
     n0 = _center(box)
 
@@ -730,7 +741,10 @@ def localization_phase_diagram(
     ``z = E + i*eps`` runs, and the cell is ``localized`` when the fitted
     rate is positive at two standard errors with ``r^2 > 0.8``; anything
     weaker stays ``spectrum-with-no-verdict``.  Each scan probes every
-    distance up to its default ``L/2 - R``.
+    distance up to its default ``L/2 - R``.  A setting the scans refuse
+    (``s`` outside (0, 1), fewer than eight realizations on a disordered
+    row, a box too small for a fit) raises ``ValueError`` in the first row
+    with a cell inside the spectrum, before any scan of that row runs.
     """
     box = _as_box(L)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -745,30 +759,23 @@ def localization_phase_diagram(
     for i, lam in enumerate(lambda_grid):
         edge = _edge_stats(model, spec, lam, box, n_realizations, seed, threads)
         edges.append(edge)
+        outside = [
+            E < edge.lo - 3.0 * edge.lo_std
+            or E > edge.hi + 3.0 * edge.hi_std
+            or edge.gap_lo + 3.0 * edge.gap_lo_std < E < edge.gap_hi - 3.0 * edge.gap_hi_std
+            for E in energy_grid
+        ]
+        if not all(outside):  # a setting the scans refuse is an error, not a verdict
+            _scan_settings(model, spec, lam, box, s, n_realizations, None)
         row: list[str] = []
         for k, E in enumerate(energy_grid):
-            below = E < edge.lo - 3.0 * edge.lo_std
-            above = E > edge.hi + 3.0 * edge.hi_std
-            in_gap = (
-                edge.gap_lo + 3.0 * edge.gap_lo_std
-                < E
-                < edge.gap_hi - 3.0 * edge.gap_hi_std
-            )
-            if below or above or in_gap:
+            if outside[k]:
                 row.append(OUTSIDE)
                 continue
             try:
-                est = fractional_moment_scan(
-                    model,
-                    spec,
-                    float(lam),
-                    complex(E, eps),
-                    s=s,
-                    L=box,
-                    n_realizations=n_realizations,
-                    seed=seed,
-                    threads=threads,
-                )
+                est = fractional_moment_scan(model, spec, float(lam), complex(E, eps), s=s, L=box,
+                                             n_realizations=n_realizations, seed=seed,
+                                             threads=threads)
             except (ValueError, ArithmeticError):
                 row.append(NO_VERDICT)
                 continue

@@ -68,15 +68,11 @@ class DosHistogram:
         return "\n".join(lines) + "\n"
 
 
-def _signed_count(eigs: np.ndarray, E: float) -> int:
-    """#eigenvalues in (0, E] (negative count in (E, 0] for E < 0).
-
-    The shared shift by EDGE_TOL implements the lower-interval tie-break at
-    both edges and makes the count odd under E -> -E up to zero modes.
-    """
-    hi = int(np.searchsorted(eigs, E + EDGE_TOL, side="right"))
-    lo = int(np.searchsorted(eigs, EDGE_TOL, side="right"))
-    return hi - lo
+def _counts(eigs: np.ndarray, x) -> np.ndarray:
+    """#eigenvalues at or below x + EDGE_TOL for each x.  The one counting rule:
+    the IDS is the count at E minus the count at 0, a DOS bin the difference
+    over its edges, so both count (a + EDGE_TOL, b + EDGE_TOL]."""
+    return np.searchsorted(eigs, np.asarray(x, dtype=float) + EDGE_TOL, side="right")
 
 
 def _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared):
@@ -99,7 +95,9 @@ def _ids(model, disorder, L, n_realizations, energies, seed, threads, squared) -
     """Per-site signed counts of H's (or H^2's) spectrum at ``energies``, averaged."""
     energies = [float(e) for e in energies]
     spectra, nsites = _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared)
-    counts = np.array([[_signed_count(eigs, e) for e in energies] for eigs in spectra], dtype=float)
+    at = np.append(energies, 0.0)  # the count at 0 is the origin N(0) = 0
+    counts = np.array([_counts(eigs, at) for eigs in spectra], dtype=float)
+    counts = counts[:, :-1] - counts[:, -1:]
     mean, err = _mean_stderr(counts / nsites)
     return IdsCurve(tuple(energies), tuple(mean.tolist()), tuple(err.tolist()))
 
@@ -142,13 +140,6 @@ def ids_squared_estimate(
     return _ids(model, disorder, L, n_realizations, energies, seed, threads, squared=True)
 
 
-def _bin_counts(eigs: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin occupation with the lower-interval tie-break at every edge."""
-    idx = np.searchsorted(edges, eigs - EDGE_TOL, side="left") - 1
-    idx = idx[(idx >= 0) & (idx < len(edges) - 1)]
-    return np.bincount(idx, minlength=len(edges) - 1).astype(float)
-
-
 def dos_histogram(
     model: TightBindingOperator,
     disorder: DisorderSpec | None = None,
@@ -173,25 +164,26 @@ def dos_histogram(
         raise ValueError(
             f"energy_range must be finite and increasing (lo, hi), got {tuple(energy_range)}"
         )
+    by_count = np.isscalar(bins)
+    if by_count and bins < 16:
+        raise ValueError("need at least 16 bins")
+    if not by_count:
+        edges = np.asarray(bins, dtype=float)
+        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
+            raise ValueError("explicit bins must be an increasing edge array")
     spectra, nsites = _spectra(
         model, disorder, L, n_realizations, seed, threads,
         () if energy_range is None else energy_range, squared,
     )
-    if np.isscalar(bins):
-        if bins < 16:
-            raise ValueError("need at least 16 bins")
+    if by_count:
         if energy_range is None:
             lo = min(float(e[0]) for e in spectra)
             hi = max(float(e[-1]) for e in spectra)
             pad = 1e-9 * max(hi - lo, 1.0)
             energy_range = (lo - pad, hi + pad)
         edges = np.linspace(energy_range[0], energy_range[1], int(bins) + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("explicit bins must be an increasing edge array")
     widths = np.diff(edges)
-    per = np.array([_bin_counts(e, edges) for e in spectra]) / (nsites * widths)
+    per = np.array([np.diff(_counts(e, edges)) for e in spectra]) / (nsites * widths)
     density, err = _mean_stderr(per)
     return DosHistogram(
         tuple(edges.tolist()),

@@ -363,6 +363,20 @@ def test_transfer_route_shifts_past_a_singular_hopping_block():
     assert [u.k1 for u in samples] == [_u_reference(chain, float(k)).k1 for k in ks]
 
 
+def test_transfer_route_retries_only_the_singular_block_refusal(monkeypatch):
+    # the retry goes by the refusal's type, not by the word "singular" in a message
+    calls = []
+
+    def refuse(k1, a, b):
+        calls.append(k1)
+        raise ValueError("some other refusal that mentions a singular matrix")
+
+    monkeypatch.setattr(chern, "_transfer_data", refuse)
+    with pytest.raises(ValueError, match="some other refusal"):
+        chern._u_of(PIP, 0.7)
+    assert calls == [0.7]
+
+
 # ---------------------------------------------------------------------------
 # Pauli decomposition
 

@@ -29,7 +29,14 @@ from bdgtools.cli import (
 )
 from bdgtools.disorder import default_spec, spec_to_json
 from bdgtools.lattice import assemble_bloch, model_to_json, tight_binding
-from bdgtools.models import ModelParams, build_pairing, central_gap, example_bands
+from bdgtools.models import (
+    ModelParams,
+    build_model,
+    build_pairing,
+    central_gap,
+    example_bands,
+    reduce_su2,
+)
 
 
 def _rows(text: str) -> list[list[str]]:
@@ -355,6 +362,38 @@ def test_phase_diagram_negative_realizations_exits_2(capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, flags, named",
+    [
+        (",s=1.2", [], "fractional power"),
+        ("", ["--realizations", "4"], "n_realizations = 4"),
+        ("", ["--L", "3"], "max_dist = 0"),
+        ("", ["--L", "4"], "max_dist = 1"),
+    ],
+    ids=["s", "realizations", "L3", "L4"],
+)
+def test_phase_diagram_setting_its_scans_refuse_exits_2(extra, flags, named, tmp_path, capsys):
+    out = tmp_path / "pd.csv"
+    argv = ["phase-diagram", "--model", "pip+", "--params",
+            "delta=0.3,mu=0.5,lambdas=0.2,energies=0:1" + extra, *flags, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, extra", [("s-star", ""), ("s", ",sector=1")])
+def test_gap_scan_without_closed_form_bands_uses_the_built_operator(name, extra, capsys):
+    argv = ["gap-scan", "--model", name, "--params", "delta=0.4,mu_min=-1,mu_max=1,n=3" + extra]
+    assert main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    for mu, gap in rows[1:]:
+        model = build_model(name, delta=0.4, mu=float(mu))
+        if extra:
+            model = reduce_su2(model)[0]
+        assert gap == "%.17g" % central_gap(model, ModelParams(0.0, 0.0))
 
 
 def test_non_converged_gap_refinement_exits_2(monkeypatch, capsys):

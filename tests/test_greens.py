@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bdgtools.greens as greens
 from bdgtools.disorder import (
     DisorderRealization,
     DisorderSpec,
@@ -460,3 +461,35 @@ def test_phase_diagram_refuses_non_positive_realizations():
     for n in (0, -2):
         with pytest.raises(ValueError, match="n_realizations"):
             localization_phase_diagram(PIP, SPEC, [0.2], [0.0], L=8, n_realizations=n)
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(s=1.2), "fractional power"),
+        (dict(n_realizations=4), "n_realizations = 4"),
+        (dict(L=3), "max_dist = 0"),
+        (dict(L=4), "max_dist = 1 leaves fewer than the two distances"),
+    ],
+    ids=["s", "realizations", "L3", "L4"],
+)
+def test_phase_diagram_refuses_what_its_scans_refuse(kw, match, monkeypatch):
+    scans = []
+    monkeypatch.setattr(greens, "fractional_moment_scan", lambda *a, **k: scans.append(a))
+    model = build_model("pip+", delta=0.3, mu=0.5)
+    with pytest.raises(ValueError, match=match):
+        localization_phase_diagram(model, SPEC, [0.2], [0.0, 1.0], **kw)
+    assert scans == []
+
+
+def test_wrap_check_skipped_when_the_clean_resolvent_is_refused(monkeypatch):
+    def refused(*args):
+        raise ArithmeticError("resolvent solve rejected")
+
+    monkeypatch.setattr(greens, "_clean_axis_profile", refused)
+    dists = np.arange(0, 7)
+    assert not greens._wrap_exclusions(PIP, 1e-4j, (16, 16), dists).any()
+    est = fractional_moment_scan(PIP, SPEC, 0.3, 1e-4j, L=16, n_realizations=8, seed=3)
+    d, tau, err = est.distances, est.tau, est.tau_stderr
+    noise = (d >= 1) & (tau > 10.0 * err) & (tau > 1e-12**est.s * tau[0])
+    assert est.fit_window == tuple(int(x) for x in d[noise])

@@ -6,8 +6,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bdgtools.disorder import DisorderSpec, default_spec
-from bdgtools.lattice import FiberShape, assemble_bloch, tight_binding
+import bdgtools.spectral as spectral
+from bdgtools.disorder import (
+    DisorderSpec,
+    DisorderTerm,
+    Distribution,
+    _mean_stderr,
+    _realization_map,
+    default_spec,
+    standard_W,
+)
+from bdgtools.lattice import FiberShape, FiniteVolumeOperator, assemble_bloch, tight_binding
 from bdgtools.models import ModelParams, build_model, central_gap, pairing_kind
 from bdgtools.spectral import (
     EDGE_TOL,
@@ -240,6 +249,16 @@ def test_dos_bin_validation():
         dos_histogram(PIP, None, L=8, bins=np.array([0.0, 1.0, 0.5]))
 
 
+@pytest.mark.parametrize("bins, match", [(8, "16"), ([0.0], "increasing")])
+def test_dos_refuses_bad_bins_before_diagonalizing(bins, match, monkeypatch):
+    def never(self):
+        raise AssertionError("diagonalized before the bins were checked")
+
+    monkeypatch.setattr(FiniteVolumeOperator, "eigenvalues", never)
+    with pytest.raises(ValueError, match=match):
+        dos_histogram(PIP, None, L=24, bins=bins)
+
+
 @pytest.mark.parametrize("energy_range", [(2.0, -2.0), (1.0, 1.0)], ids=["reversed", "empty"])
 def test_dos_refuses_an_empty_or_reversed_energy_range(energy_range):
     with pytest.raises(ValueError, match="energy_range"):
@@ -275,3 +294,90 @@ def test_dos_csv_layout():
     lo, hi, rho = map(float, lines[1].split(","))
     assert (lo, hi) == (h.bin_edges[0], h.bin_edges[1])
     assert rho == h.density[0]
+
+
+# ---------------------------------------------------------------------------
+# one counting rule for the IDS and the DOS
+
+
+def _signed_count_reference(eigs, E):
+    """The IDS count before the one counting rule: (0, E], or minus (E, 0]."""
+    hi = int(np.searchsorted(eigs, E + EDGE_TOL, side="right"))
+    lo = int(np.searchsorted(eigs, EDGE_TOL, side="right"))
+    return hi - lo
+
+
+def _bin_counts_reference(eigs, edges):
+    """The DOS bin occupation before the one counting rule."""
+    idx = np.searchsorted(edges, eigs - EDGE_TOL, side="left") - 1
+    idx = idx[(idx >= 0) & (idx < len(edges) - 1)]
+    return np.bincount(idx, minlength=len(edges) - 1).astype(float)
+
+
+_W00_W10 = DisorderSpec(
+    (
+        DisorderTerm((0, 0), standard_W("W00", 1), Distribution(), "W00"),
+        DisorderTerm((1, 0), standard_W("W10", 1), Distribution()),
+    ),
+    lam=0.3,
+)
+# the four distinct ensembles of the benchmark's ensemble workload, 8 realizations each
+_ENSEMBLES = {
+    "pip+ W00 L=20": (PIP, default_spec(r=1, lam=0.3), 20),
+    "did+ W00 L=12": (build_model("did+", 1.0, 2.0), default_spec(r=2, lam=0.3), 12),
+    "pip+ W00+W10 L=16": (PIP, _W00_W10, 16),
+    "pip+ clean L=24": (PIP, None, 24),
+}
+_WORKLOAD_ENERGIES = (0.25, 0.5, 1.0, 1.5)
+
+
+@pytest.fixture(scope="module")
+def ensemble_spectra():
+    out = {}
+    for name, (model, spec, L) in _ENSEMBLES.items():
+        lam = 0.0 if spec is None else spec.lam
+        out[name] = _realization_map(lambda H: H.eigenvalues(), model, spec, lam, L, 8, 1, 1)
+    return out
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["H", "H^2"])
+@pytest.mark.parametrize("name", sorted(_ENSEMBLES))
+def test_one_counting_rule_keeps_the_old_counts(name, squared, ensemble_spectra, monkeypatch):
+    model, spec, L = _ENSEMBLES[name]
+    spectra = ensemble_spectra[name]
+    monkeypatch.setattr(spectral, "_realization_map", lambda *args: spectra)
+    eigs_list = [np.sort(e * e) for e in spectra] if squared else spectra
+    top = max(float(e[-1]) for e in eigs_list)
+    if squared:
+        energies = [e * e for e in _WORKLOAD_ENERGIES] + list(np.linspace(0.0, top, 41))
+        explicit = np.linspace(0.0, top, 33)
+    else:
+        energies = [*_WORKLOAD_ENERGIES, *(-e for e in _WORKLOAD_ENERGIES),
+                    *np.linspace(-top, top, 41)]
+        explicit = np.linspace(-top, top, 33)
+    kw = dict(L=L, n_realizations=8, seed=1)
+    estimator = ids_squared_estimate if squared else ids_estimate
+    curve = estimator(model, spec, energies=energies, **kw)
+    ref = np.array([[_signed_count_reference(e, E) for E in energies] for e in eigs_list], float)
+    mean, err = _mean_stderr(ref / (L * L))
+    assert curve.values == tuple(mean.tolist()) and curve.stderr == tuple(err.tolist())
+    for bins in (64, explicit):
+        hist = dos_histogram(model, spec, bins=bins, squared=squared, **kw)
+        edges = np.array(hist.bin_edges)
+        ref = np.array([_bin_counts_reference(e, edges) for e in eigs_list])
+        new = np.array([np.diff(spectral._counts(e, edges)) for e in eigs_list])
+        differ = np.argwhere(new != ref)
+        assert not differ.size, f"{name}: bin counts differ at (realization, bin) {differ.tolist()}"
+        density, err = _mean_stderr(ref / (L * L * np.diff(edges)))
+        assert hist.density == tuple(density.tolist()) and hist.stderr == tuple(err.tolist())
+
+
+def test_dos_summed_to_an_edge_is_the_ids_there():
+    m = _two_level_model(0.5)  # eigenvalues +-0.5 on 16 sites; edges on and beside them
+    edges = np.array([-1.0, -0.5, -0.5 + 1e-13, 0.0, 0.5 - 1e-13, 0.5, 1.0])
+    hist = dos_histogram(m, None, L=(4, 4), bins=edges)
+    curve = ids_estimate(m, None, L=(4, 4), energies=edges)
+    per_bin = np.rint(np.array(hist.density) * np.diff(edges) * 16)
+    ids = np.rint(np.array(curve.values) * 16)
+    assert per_bin.sum() == 32
+    assert np.array_equal(np.cumsum(per_bin), ids[1:] - ids[0])
