@@ -41,12 +41,13 @@ from .lattice import (
     TightBindingOperator,
     _as_box,
     _bloch_points,
+    _box_fibers,
     _freeze,
     _hermitian_bloch_points,
     _hermiticity_violations,
     _periodic_grid,
     _require_closure,
-    assemble_finite_volume,
+    _site_columns,
     phs_conjugation,
 )
 from .models import _GAP_GRID, SIGMA
@@ -229,8 +230,9 @@ def _round_result(
 def _transfer_blocks(model: TightBindingOperator, k1) -> tuple[np.ndarray, np.ndarray]:
     """a(k1) and b(k1): the Bloch sums at k2 = 0 of the j2 = -1 and j2 = 0 terms.
 
-    One kernel call each; ``k1`` is a number or an array, and the blocks are
-    the matching ``(..., d, d)`` stacks.  Terms with |j2| > 1 are refused.
+    One kernel call each, on the two term slices cached on the operator;
+    ``k1`` is a number or an array, and the blocks are the matching
+    ``(..., d, d)`` stacks.  Terms with |j2| > 1 are refused.
     """
     _require_closure(model, "transfer_matrix")
     for j in model.terms:
@@ -239,8 +241,7 @@ def _transfer_blocks(model: TightBindingOperator, k1) -> tuple[np.ndarray, np.nd
                 f"transfer_matrix needs hopping range <= 1 in direction 2; "
                 f"found a term at displacement {j}"
             )
-    rows = ({j: blk for j, blk in model.terms.items() if j[1] == row} for row in (-1, 0))
-    return tuple(_bloch_points(TightBindingOperator(model.fiber, t), k1, 0.0) for t in rows)
+    return tuple(_bloch_points(row, k1, 0.0) for row in model._transfer_slices)
 
 
 class _SingularBlock(ValueError):
@@ -668,6 +669,26 @@ def fermi_projector(H: FiniteVolumeOperator) -> np.ndarray:
     return occ @ occ.conj().T
 
 
+def _bloch_fermi_projector(model: TightBindingOperator, L) -> np.ndarray:
+    """:func:`fermi_projector` of the clean periodic box, from its Bloch fibers.
+
+    ``P(n, m) = p(n - m)`` with ``p`` the ``ifft2`` of the fiber projectors
+    onto E < 0; P is laid out as the dense block-circulant matrix, one site
+    column block at a time, so nothing larger than P and the stack is held.
+    """
+    box = _as_box(L)
+    w, v = np.linalg.eigh(_box_fibers(model, box))
+    occ = v * (w < 0.0)[..., None, :]
+    p = np.fft.ifft2(occ @ np.swapaxes(v.conj(), -1, -2), axes=(0, 1))
+    d = model.fiber.dim
+    P = np.empty((box[0] * box[1] * d,) * 2, dtype=complex)
+    for m2 in range(box[1]):
+        for m1 in range(box[0]):
+            base = d * (m1 + box[0] * m2)
+            P[:, base:base + d] = _site_columns(p, (m1, m2))
+    return P
+
+
 def _sawtooth(delta: np.ndarray, span: int) -> np.ndarray:
     """Shortest signed displacement on a ring of circumference ``span``."""
     return ((delta + span // 2) % span - span // 2).astype(float)
@@ -762,6 +783,8 @@ def chern_mu_scan(
     without a 2x2 fiber for the contour) raises ``ValueError`` up front.  Gap
     closures and other per-point failures are recorded as error entries, so
     a scan across a transition shows both plateaus and the closure between.
+    The real-space marker takes the projector of the clean periodic L x L
+    box from its Bloch fibers, the same matrix :func:`fermi_projector` gives.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
@@ -795,8 +818,7 @@ def chern_mu_scan(
             elif method == "contour":
                 res = transition_winding(model, mu)
             else:  # realspace
-                vol = assemble_finite_volume(model, L)
-                res = real_space_chern(fermi_projector(vol), L)
+                res = real_space_chern(_bloch_fermi_projector(model, L), L)
             entries.append(MuScanEntry(mu, method, res, None))
         except (ValueError, ArithmeticError) as err:
             entries.append(MuScanEntry(mu, method, None, str(err)))

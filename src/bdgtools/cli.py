@@ -43,6 +43,7 @@ import numpy as np
 from . import __version__
 from .chern import (
     _METHODS,
+    _bloch_fermi_projector,
     berry_flux_chern,
     chern_mu_scan,
     chern_transfer,
@@ -68,6 +69,8 @@ from .disorder import (
 from .greens import (
     EPS_DEFAULT,
     S_DEFAULT,
+    ResolventSolver,
+    _bloch_columns,
     fractional_moment_scan,
     green_matrix,
     localization_phase_diagram,
@@ -94,7 +97,7 @@ from .models import (
     pairing_kind,
     reduce_su2,
 )
-from .spectral import dos_histogram, ids_estimate, ids_squared_estimate
+from .spectral import _realization_spectra, dos_histogram, ids_estimate, ids_squared_estimate
 
 __all__ = ["ExperimentManifest", "main", "run_manifest"]
 
@@ -567,6 +570,24 @@ def _check_method_cross_agreement() -> None:
         assert got == expect, f"chiral d sector {idx}: {got}, expected {expect}"
 
 
+def _check_clean_bloch_routes() -> None:
+    # the clean periodic box through its Bloch fibers against the dense and LU
+    # routes; the non-square box would catch an L1/L2 transposition
+    z = 0.3 + 1e-4j
+    for name, params, box in (("pip+", (0.3, -0.5), (8, 10)), ("did+", (1.0, 2.0), (6, 6))):
+        model = build_model(name, *params)
+        H = assemble_finite_volume(model, box)
+        (eigs,) = _realization_spectra(model, None, 0.0, box, 1, 0, 1)
+        err = float(np.abs(eigs - H.eigenvalues()).max())
+        assert err <= 1e-12, f"{name} {box}: Bloch spectrum off the dense one by {err:.3e}"
+        n0 = (box[0] // 2, box[1] // 2)
+        ref = ResolventSolver(H, z).columns(n0)
+        err = float(np.abs(_bloch_columns(model, H, z, n0) - ref).max() / np.abs(ref).max())
+        assert err <= 1e-12, f"{name} {box}: Bloch columns off the LU ones by {err:.3e} (relative)"
+        err = float(np.abs(_bloch_fermi_projector(model, box) - fermi_projector(H)).max())
+        assert err <= 1e-12, f"{name} {box}: Bloch projector off the dense one by {err:.3e}"
+
+
 def _check_disorder_reproducibility() -> None:
     spec = DisorderSpec(
         (
@@ -599,6 +620,7 @@ VERIFY_CHECKS = (
     ("transfer-plane-defects", _check_transfer_plane_defects),
     ("winding-grid-stability", _check_winding_grid_stability),
     ("method-cross-agreement", _check_method_cross_agreement),
+    ("clean-bloch-routes", _check_clean_bloch_routes),
     ("disorder-reproducibility", _check_disorder_reproducibility),
 )
 

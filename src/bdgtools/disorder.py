@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from ._parallel import parallel_map
 from .lattice import (
@@ -92,6 +91,8 @@ class Distribution:
         u = np.asarray(u, dtype=float)
         if self.kind == "uniform":
             return self.r_support * (2.0 * u - 1.0)
+        from scipy.stats import truncnorm  # here, not at the top: it dominates import time
+
         a = -self.cutoff / self.sigma
         return truncnorm.ppf(u, a, -a, loc=0.0, scale=self.sigma)
 
@@ -412,6 +413,15 @@ def build_random_hamiltonian(
     )
 
 
+def _check_ensemble(model, n_realizations: int) -> None:
+    """What every ensemble refuses, clean or not: a model that is not a
+    :class:`TightBindingOperator`, and fewer than one realization."""
+    if not isinstance(model, TightBindingOperator):
+        raise TypeError("model must be a TightBindingOperator")
+    if n_realizations < 1:
+        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+
+
 def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads) -> list:
     """``fn`` of every realization's finite-volume Hamiltonian, in order.
 
@@ -420,10 +430,7 @@ def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads) -> 
     A clean ensemble (no spec, ``lam = 0`` or no terms) is the single
     operator ``H0``; the realization count must be at least 1 either way.
     """
-    if not isinstance(model, TightBindingOperator):
-        raise TypeError("model must be a TightBindingOperator")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    _check_ensemble(model, n_realizations)
     base = assemble_finite_volume(model, L)
     if _is_clean(spec, lam):
         return [fn(base)]

@@ -2,8 +2,10 @@
 
 Everything here works with finite-volume operators.  The central object is
 :class:`ResolventSolver`, a sparse-LU factorization of ``z - H`` that serves
-site-block queries ``G^z(n, m)`` with a certified relative residual.  On top
-of it sit
+site-block queries ``G^z(n, m)`` with a certified relative residual.  A clean
+periodic box needs no factorization: its columns come from the Bloch fibers
+(:func:`_bloch_columns`), certified by the same residual rule.  On top of
+them sit
 
 * :func:`combes_thomas_probe` -- clean-operator decay rates versus the
   distance ``D(z)`` from ``z`` to the Bloch spectrum,
@@ -27,16 +29,19 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .disorder import DisorderSpec, _is_clean, _mean_stderr, _realization_map
+from .disorder import DisorderSpec, _check_ensemble, _is_clean, _mean_stderr, _realization_map
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
+    _box_fibers,
     _hermitian_bloch_points,
     _hop,
     _periodic_grid,
+    _site_columns,
     assemble_finite_volume,
 )
+from .spectral import _realization_spectra
 
 #: every resolvent solve must beat this relative residual or it is rejected
 RESIDUAL_TOL = 1e-10
@@ -55,6 +60,19 @@ OUTSIDE = "outside-spectrum"
 
 # ---------------------------------------------------------------------------
 # resolvent solver
+
+
+def _certify(z: complex, residual: np.ndarray, b: np.ndarray) -> None:
+    """The acceptance rule of every resolvent solve: the relative residual
+    ``||(z - H) x - b|| / ||b||`` may not exceed :data:`RESIDUAL_TOL`."""
+    scale = float(np.linalg.norm(b))
+    if scale > 0.0:
+        res = float(np.linalg.norm(residual)) / scale
+        if res > RESIDUAL_TOL:
+            raise ArithmeticError(
+                f"resolvent solve at z = {z} rejected: relative residual "
+                f"{res:.3e} exceeds {RESIDUAL_TOL:g} (z too close to the spectrum)"
+            )
 
 
 class ResolventSolver:
@@ -94,14 +112,7 @@ class ResolventSolver:
             b = b[:, None]
         x = self._lu.solve(b, trans=trans)
         x = x + self._lu.solve(b - A @ x, trans=trans)
-        scale = float(np.linalg.norm(b))
-        if scale > 0.0:
-            res = float(np.linalg.norm(A @ x - b)) / scale
-            if res > RESIDUAL_TOL:
-                raise ArithmeticError(
-                    f"resolvent solve at z = {self.z} rejected: relative residual "
-                    f"{res:.3e} exceeds {RESIDUAL_TOL:g} (z too close to the spectrum)"
-                )
+        _certify(self.z, A @ x - b, b)
         return x[:, 0] if squeeze else x
 
     def solve(self, rhs) -> np.ndarray:
@@ -169,6 +180,30 @@ def _norm_profile(H: FiniteVolumeOperator, cols: np.ndarray, n0, dists) -> np.nd
         m = (n0[0] + int(d), n0[1])
         out[i] = float(np.linalg.norm(cols[H.site_slice(m), :]))
     return out
+
+
+def _bloch_columns(
+    model: TightBindingOperator, H: FiniteVolumeOperator, z: complex, n0
+) -> np.ndarray:
+    """:meth:`ResolventSolver.columns` at site ``n0`` of the clean periodic box
+    ``H``, the realization of ``model``, from its Bloch fibers.
+
+    ``G(n, n0) = g(n - n0)`` with ``g`` the ``ifft2`` of the fiber resolvents
+    ``(z - H(k))^{-1}``; no factorization of the box.  The columns are
+    certified against ``z - H`` by the rule of the LU route, and a singular
+    fiber (z on the box spectrum) raises ``ValueError`` as a singular LU does.
+    """
+    z = complex(z)
+    fibers = _box_fibers(model, H.L)
+    try:
+        g = np.linalg.inv(z * np.eye(H.fiber.dim) - fibers)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"z = {z} makes z - H singular (z lies on the spectrum): {err}") from err
+    cols = _site_columns(np.fft.ifft2(g, axes=(0, 1)), n0)
+    b = np.zeros_like(cols)
+    b[H.site_slice(n0), :] = np.eye(H.fiber.dim)
+    _certify(z, z * cols - H.matrix @ cols - b, b)
+    return cols
 
 
 def _axis_profile(H: FiniteVolumeOperator, z: complex, n0, dists) -> np.ndarray:
@@ -250,9 +285,9 @@ def combes_thomas_probe(
                 f"z = {z} lies on the Bloch spectrum within grid resolution "
                 f"(D(z) = {dist:.3e}); the decay bound is void there"
             )
-        cols = ResolventSolver(H, np.conj(z)).columns(n0)
+        cols = _bloch_columns(model, H, np.conj(z), n0)
         prof = _norm_profile(H, cols, n0, dists)
-        # fit from d = 1, discarding values at the LU noise floor
+        # fit from d = 1, discarding values at the noise floor
         keep = (dists >= 1) & (prof > 1e-12 * prof[0])
         _, slope, _, r2 = _line_fit(dists[keep], np.log(prof[keep]))
         # G^z(n0,n0) is the dagger of this block; the operator norm agrees
@@ -329,8 +364,10 @@ def _scan_settings(model, spec, lam, box, s, n_realizations, max_dist) -> int:
 
 
 def _clean_axis_profile(model, z, box, dists) -> np.ndarray:
+    """:func:`_axis_profile` of the clean periodic box, from its Bloch fibers."""
     H = assemble_finite_volume(model, box)
-    return _axis_profile(H, z, _center(box), dists)
+    n0 = _center(box)
+    return _norm_profile(H, _bloch_columns(model, H, np.conj(z), n0), n0, dists)
 
 
 def _wrap_exclusions(model, z, box, dists) -> np.ndarray:
@@ -380,12 +417,16 @@ def fractional_moment_scan(
     dists = np.arange(0, max_dist + 1)
     n0 = _center(box)
 
-    profiles = np.array(
-        _realization_map(
-            lambda H: _axis_profile(H, z, n0, dists) ** s,
-            model, spec, lam, box, n_realizations, seed, threads,
+    if _is_clean(spec, lam):
+        _check_ensemble(model, n_realizations)
+        profiles = np.array([_clean_axis_profile(model, z, box, dists) ** s])
+    else:
+        profiles = np.array(
+            _realization_map(
+                lambda H: _axis_profile(H, z, n0, dists) ** s,
+                model, spec, lam, box, n_realizations, seed, threads,
+            )
         )
-    )
     tau, stderr = _mean_stderr(profiles)
     wrapped = _wrap_exclusions(model, z, box, dists)
     keep = (
@@ -689,9 +730,7 @@ class PhaseDiagram:
 
 
 def _edge_stats(model, spec, lam, box, n_realizations, seed, threads) -> SpectralEdges:
-    spectra = _realization_map(
-        lambda H: H.eigenvalues(), model, spec, lam, box, n_realizations, seed, threads
-    )
+    spectra = _realization_spectra(model, spec, lam, box, n_realizations, seed, threads)
     lo = np.array([e[0] for e in spectra])
     hi = np.array([e[-1] for e in spectra])
 

@@ -144,6 +144,15 @@ class TightBindingOperator:
         )
         return (*closure_defect(self), scale)
 
+    @cached_property
+    def _transfer_slices(self) -> tuple[TightBindingOperator, TightBindingOperator]:
+        """The terms with j2 = -1 and those with j2 = 0, as two operators: the
+        slices whose Bloch sums at k2 = 0 are the transfer route's a(k1), b(k1)."""
+        return tuple(
+            TightBindingOperator(self.fiber, {j: b for j, b in self.terms.items() if j[1] == row})
+            for row in (-1, 0)
+        )
+
 
 def tight_binding(
     fiber: FiberShape, terms: Mapping[Displacement, np.ndarray]
@@ -336,25 +345,31 @@ def _hop(L: tuple[int, int], bc: str, j: Displacement, l1, l2):
     return t1, t2, (t1 >= 0) & (t1 < L[0]) & (t2 >= 0) & (t2 < L[1])
 
 
+def _require_periodic_box(L: tuple[int, int], R: int) -> None:
+    """The periodic box rule: L1, L2 > 2R, so that no hop of range R wraps onto
+    itself and the hops by j and -j never share a matrix entry."""
+    if L[0] <= 2 * R or L[1] <= 2 * R:
+        raise ValueError(
+            f"periodic box {L} too small for hopping range R={R}: "
+            f"need L1, L2 > 2R={2 * R} so no single hop wraps onto itself"
+        )
+
+
 def _assemble(L: tuple[int, int], bc: str, d: int, entries) -> sp.csr_matrix:
     """One CSR matrix from ``(j, weights, block)`` entries in one COO pass.
 
     Each hop l -> l + j of :func:`_hop` puts ``weights[l] * block`` (weights an
     (L1, L2) array, or None for 1) in the fiber rows of l + j and columns of l.
-    A periodic box needs L1, L2 > 2R, R the largest ||j||_inf of the entries,
-    so that no hop wraps onto itself and the hops by j and -j never share a
-    matrix entry; H0 and a disorder term V follow this one rule.  Coinciding
-    hops are summed and exact zeros dropped; a result that is not Hermitian
-    within :data:`HERMITICITY_RTOL` of its largest entry (or not finite)
-    raises ``ValueError``.
+    A periodic box must pass :func:`_require_periodic_box` for R the largest
+    ||j||_inf of the entries; H0 and a disorder term V follow this one rule.
+    Coinciding hops are summed and exact zeros dropped; a result that is not
+    Hermitian within :data:`HERMITICITY_RTOL` of its largest entry (or not
+    finite) raises ``ValueError``.
     """
     entries = list(entries)
-    R = max((max(abs(j[0]), abs(j[1])) for j, _, _ in entries), default=0)
-    if bc == "periodic" and (L[0] <= 2 * R or L[1] <= 2 * R):
-        raise ValueError(
-            f"periodic box {L} too small for hopping range R={R}: "
-            f"need L1, L2 > 2R={2 * R} so no single hop wraps onto itself"
-        )
+    if bc == "periodic":
+        R = max((max(abs(j[0]), abs(j[1])) for j, _, _ in entries), default=0)
+        _require_periodic_box(L, R)
     l1, l2 = np.indices(L)
     rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for j, weights, block in entries:
@@ -396,6 +411,33 @@ def assemble_finite_volume(
         raise ValueError(f"unknown boundary condition {bc!r}")
     entries = ((j, None, b) for j, b in model.terms.items())
     return FiniteVolumeOperator(L, model.fiber, _assemble(L, bc, model.fiber.dim, entries), bc)
+
+
+def _box_fibers(model: TightBindingOperator, L) -> np.ndarray:
+    """The Bloch fibers of the periodic L1 x L2 box, with the checks of
+    :func:`assemble_finite_volume`.
+
+    A clean periodic box is block-diagonal in momentum.  On the grid
+    k_i = 2 pi m_i / L_i the plane wave e^{i k.l} u is mapped to
+    e^{i k.l} H(-k) u in the convention of :func:`_assemble` (row l + j,
+    column l), so the fiber at (m1, m2) is ``_bloch_points(model, -k1, -k2)``.
+    Returns the ``(L1, L2, d, d)`` stack indexed by (m1, m2); ``ifft2`` over
+    its first two axes gives the site blocks h(r) of the box, H(n, m) = h(n - m).
+    """
+    _require_closure(model, "assemble_finite_volume")
+    L = _as_box(L)
+    _require_periodic_box(L, model.range)
+    k1, k2 = (2 * np.pi * np.arange(n) / n for n in L)
+    return _bloch_points(model, -k1[:, None], -k2[None, :])
+
+
+def _site_columns(blocks: np.ndarray, m) -> np.ndarray:
+    """The fiber columns over site ``m`` of the block-circulant box matrix whose
+    (n, m) site block is ``blocks[n - m]``, for an ``(L1, L2, d, d)`` stack of
+    site blocks indexed by the difference; rows in the finite-volume order."""
+    d = blocks.shape[-1]
+    rolled = np.roll(blocks, (int(m[0]), int(m[1])), axis=(0, 1))
+    return rolled.transpose(1, 0, 2, 3).reshape(-1, d)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSpec, _mean_stderr, _realization_map
-from .lattice import TightBindingOperator, _as_box
+from .disorder import DisorderSpec, _check_ensemble, _is_clean, _mean_stderr, _realization_map
+from .lattice import TightBindingOperator, _as_box, _box_fibers
 
 __all__ = [
     "EDGE_TOL",
@@ -75,6 +75,19 @@ def _counts(eigs: np.ndarray, x) -> np.ndarray:
     return np.searchsorted(eigs, np.asarray(x, dtype=float) + EDGE_TOL, side="right")
 
 
+def _realization_spectra(model, spec, lam, L, n_realizations, seed, threads) -> list:
+    """The sorted spectrum of every realization.  A clean input is the one
+    periodic box, diagonalized fiber by fiber from its Bloch stack (exact:
+    the box is block-diagonal in momentum); a disordered one is diagonalized
+    densely, realization by realization."""
+    if not _is_clean(spec, lam):
+        return _realization_map(
+            lambda H: H.eigenvalues(), model, spec, lam, L, n_realizations, seed, threads
+        )
+    _check_ensemble(model, n_realizations)
+    return [np.sort(np.linalg.eigvalsh(_box_fibers(model, L)), axis=None)]
+
+
 def _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared):
     """Sorted spectra of H, or of H^2 with ``squared`` (its squared spectrum,
     so no second diagonalization), one per realization, and the site count.
@@ -82,9 +95,7 @@ def _spectra(model, disorder, L, n_realizations, seed, threads, energies, square
     if not np.all(np.isfinite(energies)):
         raise ValueError(f"energies must be finite, got {tuple(energies)}")
     lam = 0.0 if disorder is None else disorder.lam
-    spectra = _realization_map(
-        lambda H: H.eigenvalues(), model, disorder, lam, L, n_realizations, seed, threads
-    )
+    spectra = _realization_spectra(model, disorder, lam, L, n_realizations, seed, threads)
     if squared:
         spectra = [np.sort(e * e) for e in spectra]
     box = _as_box(L)
@@ -113,10 +124,11 @@ def ids_estimate(
 ) -> IdsCurve:
     """Monte-Carlo IDS with the N(0) = 0 normalization.
 
-    The estimator diagonalizes the full torus operator per realization and
-    counts eigenvalues per site; for covariant models this equals the
-    trace-per-site definition on average.  Realization i uses seed + i, so
-    curves at different energies share the same disorder.
+    The estimator diagonalizes the full torus operator per realization (a
+    clean torus through its Bloch fibers) and counts eigenvalues per site;
+    for covariant models this equals the trace-per-site definition on
+    average.  Realization i uses seed + i, so curves at different energies
+    share the same disorder.
     """
     return _ids(model, disorder, L, n_realizations, energies, seed, threads, squared=False)
 

@@ -614,6 +614,29 @@ def _contour_reference(model, eps, n_samples=720):
     return float(inc.sum() / (2.0 * math.pi))
 
 
+@pytest.mark.parametrize("model", _KERNEL_MODELS)
+def test_transfer_slices_are_cached_and_bit_exact_to_the_uncached_build(model):
+    ks = np.linspace(-math.pi, math.pi, 17)
+    first = chern._transfer_blocks(model, ks)
+    slices = model._transfer_slices
+    again = chern._transfer_blocks(model, ks)
+    assert model._transfer_slices is slices  # built once per operator
+    for i, row in enumerate((-1, 0)):
+        row_terms = {j: b for j, b in model.terms.items() if j[1] == row}
+        uncached = tight_binding(model.fiber, row_terms)
+        want = _bits(chern._bloch_points(uncached, ks, 0.0))
+        assert np.array_equal(_bits(first[i]), want) and np.array_equal(_bits(again[i]), want)
+
+
+def test_cached_transfer_slices_keep_the_range_refusal():
+    model = tight_binding(
+        FiberShape(1), {(0, 2): np.ones((1, 1)), (0, -2): np.ones((1, 1)), (0, 0): np.eye(1)}
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match="hopping range <= 1 in direction 2"):
+            transfer_matrix(model, 0.3)
+
+
 @pytest.mark.parametrize("grid_n", [24, 32, 48])
 def test_berry_flux_is_bit_exact_to_the_per_point_loop(grid_n):
     models = [build_model(name, delta=0.6, mu=0.9) for name in sorted(MODEL_NAMES)]

@@ -9,8 +9,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +20,8 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from bdgtools import models
+import bdgtools
+from bdgtools import lattice, models
 from bdgtools.cli import (
     _COMMANDS,
     ExperimentManifest,
@@ -318,6 +321,29 @@ def test_verify_flags_sign_defect_in_pairing(monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL bdg-equation-catalog" in out and "verify: FAIL" in out
+
+
+def test_verify_flags_a_bloch_route_off_the_dense_one(monkeypatch, capsys):
+    def transposed(model, L):  # the fibers of the L2 x L1 box: an index mix-up
+        return lattice._box_fibers(model, (L[1], L[0])).transpose(1, 0, 2, 3)
+
+    for module in ("spectral", "greens", "chern"):
+        monkeypatch.setattr(f"bdgtools.{module}._box_fibers", transposed)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    # pip+ is symmetric under k1 <-> k2, so its spectrum cannot tell; the
+    # certification of the columns against the assembled box does
+    assert "FAIL clean-bloch-routes: resolvent solve at z = (0.3+0.0001j) rejected" in out
+    assert out.splitlines()[-1] == "verify: FAIL"
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, bdgtools.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bdgtools.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_errors_exit_2(capsys):
