@@ -37,17 +37,18 @@ from scipy.optimize import minimize
 
 from .greens import bloch_band_grid
 from .lattice import (
+    HERMITICITY_RTOL,
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
     _bloch_points,
+    _box_action,
     _box_fibers,
     _freeze,
     _hermitian_bloch_points,
     _hermiticity_violations,
     _periodic_grid,
     _require_closure,
-    _site_columns,
     phs_conjugation,
 )
 from .models import _GAP_GRID, SIGMA
@@ -669,29 +670,46 @@ def fermi_projector(H: FiniteVolumeOperator) -> np.ndarray:
     return occ @ occ.conj().T
 
 
-def _bloch_fermi_projector(model: TightBindingOperator, L) -> np.ndarray:
-    """:func:`fermi_projector` of the clean periodic box, from its Bloch fibers.
-
-    ``P(n, m) = p(n - m)`` with ``p`` the ``ifft2`` of the fiber projectors
-    onto E < 0; P is laid out as the dense block-circulant matrix, one site
-    column block at a time, so nothing larger than P and the stack is held.
-    """
-    box = _as_box(L)
-    w, v = np.linalg.eigh(_box_fibers(model, box))
+def _bloch_fermi_action(model: TightBindingOperator, L):
+    """V -> PV for the :func:`fermi_projector` P of the clean periodic box: the
+    :func:`~bdgtools.lattice._box_action` of its fiber projectors onto E < 0."""
+    w, v = np.linalg.eigh(_box_fibers(model, L))
     occ = v * (w < 0.0)[..., None, :]
-    p = np.fft.ifft2(occ @ np.swapaxes(v.conj(), -1, -2), axes=(0, 1))
-    d = model.fiber.dim
-    P = np.empty((box[0] * box[1] * d,) * 2, dtype=complex)
-    for m2 in range(box[1]):
-        for m1 in range(box[0]):
-            base = d * (m1 + box[0] * m2)
-            P[:, base:base + d] = _site_columns(p, (m1, m2))
-    return P
+    return _box_action(occ @ np.swapaxes(v.conj(), -1, -2))
 
 
-def _sawtooth(delta: np.ndarray, span: int) -> np.ndarray:
-    """Shortest signed displacement on a ring of circumference ``span``."""
-    return ((delta + span // 2) % span - span // 2).astype(float)
+def _bloch_fermi_projector(model: TightBindingOperator, L) -> np.ndarray:
+    """:func:`_bloch_fermi_action` on the identity: the dense reference of ``verify`` and the tests."""
+    return _bloch_fermi_action(model, L)(np.eye(math.prod(_as_box(L)) * model.fiber.dim))
+
+
+#: Window sites whose columns the marker holds at once; this bounds its memory.
+_MARKER_CHUNK = 16
+
+
+def _chern_marker(apply, L, f: int) -> ChernResult:
+    """The marker of :func:`real_space_chern` from the action V -> PV of a Hermitian
+    P on the L1 x L2 torus with fiber dimension ``f``, a chunk of window sites n at
+    a time: [X_j, P]|n> = X_j P|n> since X_j |n> = 0, and <n|P M|n> = (P|n>, M|n>)."""
+    L1, L2 = _as_box(L)
+    l2, l1 = np.divmod(np.arange(L1 * L2 * f) // f, L1)  # the site of every row
+    n1, n2 = np.meshgrid(np.arange(L1 // 4, L1 // 4 + L1 // 2), np.arange(L2 // 4, L2 // 4 + L2 // 2))
+    window = (n1 + L1 * n2).ravel()
+    trace = sobolev = 0.0
+    for start in range(0, window.size, _MARKER_CHUNK):
+        cols = (f * window[start:start + _MARKER_CHUNK, None] + np.arange(f)).ravel()
+        pc = apply((np.arange(l1.size)[:, None] == cols).astype(complex))  # P on unit columns
+        x1 = (l1[:, None] - l1[cols] + L1 // 2) % L1 - L1 // 2  # shortest signed displacements
+        x2 = (l2[:, None] - l2[cols] + L2 // 2) % L2 - L2 // 2
+        bc = x1 * pc                                  # [X1, P] columns at n
+        ac = x2 * pc                                  # [X2, P] columns at n
+        ab = x2 * apply(bc) - apply(x2 * bc)          # [X2,P] [X1,P] columns
+        ba = x1 * apply(ac) - apply(x1 * ac)          # [X1,P] [X2,P] columns
+        trace += np.vdot(pc, ab - ba)
+        sobolev += float(np.linalg.norm(ac) ** 2 + np.linalg.norm(bc) ** 2)
+    marker = 2j * math.pi * trace / window.size
+    return _round_result("realspace", float(marker.real), f"L={L1}x{L2}, {window.size} central sites",
+                         reject=MARKER_REJECT, sobolev=sobolev / window.size)
 
 
 def real_space_chern(P: np.ndarray, L) -> ChernResult:
@@ -705,47 +723,22 @@ def real_space_chern(P: np.ndarray, L) -> ChernResult:
     when it lies within 0.3 of an integer; otherwise ``value`` is None — a
     finite-size no-verdict, never a silent rounding.  The site-averaged
     Sobolev sum  sum_j <n| |[X_j, P]|^2 |n>  is reported alongside; it must
-    stay bounded for the marker to mean anything.
+    stay bounded for the marker to mean anything.  A P that is empty, not finite
+    or not Hermitian within HERMITICITY_RTOL of its scale raises ``ValueError``.
     """
     P = np.asarray(P, dtype=complex)
-    L = _as_box(L)
-    L1, L2 = L
+    L1, L2 = _as_box(L)
     d = P.shape[0]
-    if P.shape != (d, d) or min(L) < _MIN_SIDE or d % (L1 * L2) != 0:
+    if P.shape != (d, d) or min(L1, L2) < _MIN_SIDE or d == 0 or d % (L1 * L2) != 0:
         raise ValueError(
-            f"projector of shape {P.shape} does not fit a fibered {L1}x{L2} "
-            f"torus with at least {_MIN_SIDE} sites per side"
+            f"projector of shape {P.shape} does not fit a nonempty fiber on a "
+            f"{L1}x{L2} torus with at least {_MIN_SIDE} sites per side"
         )
-    f = d // (L1 * L2)
-    sites = np.arange(d) // f
-    l1 = sites % L1
-    l2 = sites // L1
-    vals = []
-    sob = []
-    for n2 in range(L2 // 4, L2 // 4 + L2 // 2):
-        for n1 in range(L1 // 4, L1 // 4 + L1 // 2):
-            x1 = _sawtooth(l1 - n1, L1)[:, None]
-            x2 = _sawtooth(l2 - n2, L2)[:, None]
-            base = f * (n1 + L1 * n2)
-            sl = slice(base, base + f)
-            pc = P[:, sl]
-            bc = x1 * pc                       # [X1, P] columns at n
-            ac = x2 * pc                       # [X2, P] columns at n
-            ab = x2 * (P @ bc) - P @ (x2 * bc)  # [X2,P] [X1,P] columns
-            ba = x1 * (P @ ac) - P @ (x1 * ac)  # [X1,P] [X2,P] columns
-            vals.append(np.trace(P[sl, :] @ (ab - ba)))
-            sob.append(
-                float(np.linalg.norm(ac) ** 2 + np.linalg.norm(bc) ** 2)
-            )
-    marker = 2j * math.pi * np.mean(vals)
-    grid = f"L={L1}x{L2}, {len(vals)} central sites"
-    return _round_result(
-        "realspace",
-        float(marker.real),
-        grid,
-        reject=MARKER_REJECT,
-        sobolev=float(np.mean(sob)),
-    )
+    if not np.isfinite(P).all():
+        raise ValueError("projector has non-finite entries")
+    if _hermiticity_violations(P):
+        raise ValueError(f"projector is not Hermitian within {HERMITICITY_RTOL:g} of its scale")
+    return _chern_marker(lambda V: P @ V, (L1, L2), d // (L1 * L2))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +777,7 @@ def chern_mu_scan(
     closures and other per-point failures are recorded as error entries, so
     a scan across a transition shows both plateaus and the closure between.
     The real-space marker takes the projector of the clean periodic L x L
-    box from its Bloch fibers, the same matrix :func:`fermi_projector` gives.
+    box as its Bloch action (the P of :func:`fermi_projector`, never built).
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
@@ -818,7 +811,7 @@ def chern_mu_scan(
             elif method == "contour":
                 res = transition_winding(model, mu)
             else:  # realspace
-                res = real_space_chern(_bloch_fermi_projector(model, L), L)
+                res = _chern_marker(_bloch_fermi_action(model, L), L, model.fiber.dim)
             entries.append(MuScanEntry(mu, method, res, None))
         except (ValueError, ArithmeticError) as err:
             entries.append(MuScanEntry(mu, method, None, str(err)))

@@ -43,7 +43,9 @@ import numpy as np
 from . import __version__
 from .chern import (
     _METHODS,
+    _bloch_fermi_action,
     _bloch_fermi_projector,
+    _chern_marker,
     berry_flux_chern,
     chern_mu_scan,
     chern_transfer,
@@ -584,8 +586,12 @@ def _check_clean_bloch_routes() -> None:
         ref = ResolventSolver(H, z).columns(n0)
         err = float(np.abs(_bloch_columns(model, H, z, n0) - ref).max() / np.abs(ref).max())
         assert err <= 1e-12, f"{name} {box}: Bloch columns off the LU ones by {err:.3e} (relative)"
-        err = float(np.abs(_bloch_fermi_projector(model, box) - fermi_projector(H)).max())
+        P = fermi_projector(H)
+        err = float(np.abs(_bloch_fermi_projector(model, box) - P).max())
         assert err <= 1e-12, f"{name} {box}: Bloch projector off the dense one by {err:.3e}"
+        raw = _chern_marker(_bloch_fermi_action(model, box), box, model.fiber.dim).raw
+        err = abs(raw - real_space_chern(P, box).raw)
+        assert err <= 1e-12, f"{name} {box}: Bloch-action marker off the dense one by {err:.3e}"
 
 
 def _check_disorder_reproducibility() -> None:

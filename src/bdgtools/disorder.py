@@ -413,27 +413,22 @@ def build_random_hamiltonian(
     )
 
 
-def _check_ensemble(model, n_realizations: int) -> None:
-    """What every ensemble refuses, clean or not: a model that is not a
-    :class:`TightBindingOperator`, and fewer than one realization."""
+def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads, clean=None) -> list:
+    """``fn`` of every realization's finite-volume Hamiltonian, in order.
+
+    This is the one disorder-ensemble path and the one clean/disordered
+    branch: H0 is assembled once, and realization i is drawn from
+    ``seed + i`` and added as ``H0 + lam * V``.  A clean ensemble (no spec,
+    ``lam = 0`` or no terms) is ``[fn(H0)]``, or ``[clean(model, box)]``
+    when a clean body is given; the realization count must be at least 1.
+    """
     if not isinstance(model, TightBindingOperator):
         raise TypeError("model must be a TightBindingOperator")
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-
-
-def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads) -> list:
-    """``fn`` of every realization's finite-volume Hamiltonian, in order.
-
-    This is the one disorder-ensemble path: H0 is assembled once, and
-    realization i is drawn from ``seed + i`` and added as ``H0 + lam * V``.
-    A clean ensemble (no spec, ``lam = 0`` or no terms) is the single
-    operator ``H0``; the realization count must be at least 1 either way.
-    """
-    _check_ensemble(model, n_realizations)
-    base = assemble_finite_volume(model, L)
     if _is_clean(spec, lam):
-        return [fn(base)]
+        return [fn(assemble_finite_volume(model, L)) if clean is None else clean(model, _as_box(L))]
+    base = assemble_finite_volume(model, L)
     return parallel_map(
         lambda i: fn(
             build_random_hamiltonian(

@@ -29,16 +29,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .disorder import DisorderSpec, _check_ensemble, _is_clean, _mean_stderr, _realization_map
+from .disorder import DisorderSpec, _is_clean, _mean_stderr, _realization_map
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
+    _box_action,
     _box_fibers,
     _hermitian_bloch_points,
     _hop,
     _periodic_grid,
-    _site_columns,
     assemble_finite_volume,
 )
 from .spectral import _realization_spectra
@@ -188,10 +188,11 @@ def _bloch_columns(
     """:meth:`ResolventSolver.columns` at site ``n0`` of the clean periodic box
     ``H``, the realization of ``model``, from its Bloch fibers.
 
-    ``G(n, n0) = g(n - n0)`` with ``g`` the ``ifft2`` of the fiber resolvents
-    ``(z - H(k))^{-1}``; no factorization of the box.  The columns are
-    certified against ``z - H`` by the rule of the LU route, and a singular
-    fiber (z on the box spectrum) raises ``ValueError`` as a singular LU does.
+    The :func:`~bdgtools.lattice._box_action` of the fiber resolvents
+    ``(z - H(k))^{-1}`` on the site-``n0`` unit columns; no factorization of
+    the box.  The columns are certified against ``z - H`` by the rule of the
+    LU route, and a singular fiber (z on the box spectrum) raises
+    ``ValueError`` as a singular LU does.
     """
     z = complex(z)
     fibers = _box_fibers(model, H.L)
@@ -199,9 +200,9 @@ def _bloch_columns(
         g = np.linalg.inv(z * np.eye(H.fiber.dim) - fibers)
     except np.linalg.LinAlgError as err:
         raise ValueError(f"z = {z} makes z - H singular (z lies on the spectrum): {err}") from err
-    cols = _site_columns(np.fft.ifft2(g, axes=(0, 1)), n0)
-    b = np.zeros_like(cols)
+    b = np.zeros((H.dim, H.fiber.dim), dtype=complex)
     b[H.site_slice(n0), :] = np.eye(H.fiber.dim)
+    cols = _box_action(g)(b)
     _certify(z, z * cols - H.matrix @ cols - b, b)
     return cols
 
@@ -263,19 +264,17 @@ def combes_thomas_probe(
     """Measure clean resolvent decay against the distance to the spectrum.
 
     For every ``z`` the probe computes ``D(z)`` as :func:`spectral_distance`
-    does, from the Bloch bands on the same 256 x 256 grid, then
-    fits ``log ||G^z(n0, n0 + d e1)||_F`` over ``d = 1 .. L/2 - R`` on the
-    periodic ``L x L`` volume.  A ``z`` on the spectrum (grid-resolved
-    distance below 1e-3) is refused since ``D(z) = 0`` carries no bound.
+    does, from the Bloch bands on the same 256 x 256 grid, then fits
+    ``log ||G^z(n0, n0 + d e1)||_F`` over ``d = 1 .. min(L)/2 - R`` on the
+    periodic box, the distance rule of :func:`fractional_moment_scan`.  A
+    ``z`` on the spectrum (grid-resolved distance below 1e-3) is refused
+    since ``D(z) = 0`` carries no bound.
     """
     box = _as_box(L)
     H = assemble_finite_volume(model, box)
     bands = bloch_band_grid(model, _DISTANCE_GRID)
     n0 = _center(box)
-    max_d = box[0] // 2 - model.range
-    if max_d < 2:
-        raise ValueError(f"box {box} leaves fewer than two usable distances")
-    dists = np.arange(0, max_d + 1)
+    dists = np.arange(0, _fit_distance(model, None, 0.0, box, None) + 1)
     out = []
     for z in z_list:
         z = complex(z)
@@ -345,6 +344,14 @@ def _max_distance(model, spec, lam, box, max_dist: int | None) -> int:
     return max_dist
 
 
+def _fit_distance(model, spec, lam, box, max_dist: int | None) -> int:
+    """:func:`_max_distance`, refused below the two distances a decay fit needs."""
+    max_dist = _max_distance(model, spec, lam, box, max_dist)
+    if max_dist < 2:
+        raise ValueError(f"max_dist = {max_dist} leaves fewer than the two distances a fit needs")
+    return max_dist
+
+
 def _scan_settings(model, spec, lam, box, s, n_realizations, max_dist) -> int:
     """Everything :func:`fractional_moment_scan` refuses before it solves:
     ``s`` outside (0, 1), a ``max_dist`` or box that leaves fewer than the
@@ -352,9 +359,7 @@ def _scan_settings(model, spec, lam, box, s, n_realizations, max_dist) -> int:
     disordered input.  Returns the checked ``max_dist``."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional power s must lie in (0, 1), got {s}")
-    max_dist = _max_distance(model, spec, lam, box, max_dist)
-    if max_dist < 2:
-        raise ValueError(f"max_dist = {max_dist} leaves fewer than the two distances a fit needs")
+    max_dist = _fit_distance(model, spec, lam, box, max_dist)
     if not _is_clean(spec, lam) and n_realizations < 8:
         raise ValueError(
             f"n_realizations = {n_realizations} is below the minimum of 8 "
@@ -417,16 +422,13 @@ def fractional_moment_scan(
     dists = np.arange(0, max_dist + 1)
     n0 = _center(box)
 
-    if _is_clean(spec, lam):
-        _check_ensemble(model, n_realizations)
-        profiles = np.array([_clean_axis_profile(model, z, box, dists) ** s])
-    else:
-        profiles = np.array(
-            _realization_map(
-                lambda H: _axis_profile(H, z, n0, dists) ** s,
-                model, spec, lam, box, n_realizations, seed, threads,
-            )
+    profiles = np.array(
+        _realization_map(
+            lambda H: _axis_profile(H, z, n0, dists) ** s,
+            model, spec, lam, box, n_realizations, seed, threads,
+            lambda model, box: _clean_axis_profile(model, z, box, dists) ** s,
         )
+    )
     tau, stderr = _mean_stderr(profiles)
     wrapped = _wrap_exclusions(model, z, box, dists)
     keep = (

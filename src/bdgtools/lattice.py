@@ -421,8 +421,7 @@ def _box_fibers(model: TightBindingOperator, L) -> np.ndarray:
     k_i = 2 pi m_i / L_i the plane wave e^{i k.l} u is mapped to
     e^{i k.l} H(-k) u in the convention of :func:`_assemble` (row l + j,
     column l), so the fiber at (m1, m2) is ``_bloch_points(model, -k1, -k2)``.
-    Returns the ``(L1, L2, d, d)`` stack indexed by (m1, m2); ``ifft2`` over
-    its first two axes gives the site blocks h(r) of the box, H(n, m) = h(n - m).
+    Returns the ``(L1, L2, d, d)`` stack indexed by (m1, m2).
     """
     _require_closure(model, "assemble_finite_volume")
     L = _as_box(L)
@@ -431,13 +430,18 @@ def _box_fibers(model: TightBindingOperator, L) -> np.ndarray:
     return _bloch_points(model, -k1[:, None], -k2[None, :])
 
 
-def _site_columns(blocks: np.ndarray, m) -> np.ndarray:
-    """The fiber columns over site ``m`` of the block-circulant box matrix whose
-    (n, m) site block is ``blocks[n - m]``, for an ``(L1, L2, d, d)`` stack of
-    site blocks indexed by the difference; rows in the finite-volume order."""
-    d = blocks.shape[-1]
-    rolled = np.roll(blocks, (int(m[0]), int(m[1])), axis=(0, 1))
-    return rolled.transpose(1, 0, 2, 3).reshape(-1, d)
+def _box_action(stack: np.ndarray):
+    """V -> AV for the block-circulant box matrix A with Bloch fibers ``stack``
+    (the layout of :func:`_box_fibers`): A(n, m) = a(n - m), ``a`` the ``ifft2``
+    of the stack, so AV is one ``fft2`` of the site blocks of V (rows in the
+    finite-volume order), the fiber product and one ``ifft2``; A is never built."""
+    fibers = stack.transpose(1, 0, 2, 3)  # indexed (m2, m1), as V's site blocks (l2, l1)
+
+    def apply(V: np.ndarray) -> np.ndarray:
+        blocks = np.fft.fft2(V.reshape(fibers.shape[:3] + (-1,)), axes=(0, 1))
+        return np.fft.ifft2(fibers @ blocks, axes=(0, 1)).reshape(V.shape)
+
+    return apply
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSpec, _check_ensemble, _is_clean, _mean_stderr, _realization_map
+from .disorder import DisorderSpec, _mean_stderr, _realization_map
 from .lattice import TightBindingOperator, _as_box, _box_fibers
 
 __all__ = [
@@ -80,12 +80,10 @@ def _realization_spectra(model, spec, lam, L, n_realizations, seed, threads) -> 
     periodic box, diagonalized fiber by fiber from its Bloch stack (exact:
     the box is block-diagonal in momentum); a disordered one is diagonalized
     densely, realization by realization."""
-    if not _is_clean(spec, lam):
-        return _realization_map(
-            lambda H: H.eigenvalues(), model, spec, lam, L, n_realizations, seed, threads
-        )
-    _check_ensemble(model, n_realizations)
-    return [np.sort(np.linalg.eigvalsh(_box_fibers(model, L)), axis=None)]
+    return _realization_map(
+        lambda H: H.eigenvalues(), model, spec, lam, L, n_realizations, seed, threads,
+        lambda model, box: np.sort(np.linalg.eigvalsh(_box_fibers(model, box)), axis=None),
+    )
 
 
 def _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared):

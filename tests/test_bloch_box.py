@@ -4,23 +4,44 @@ A clean periodic L1 x L2 operator is block-diagonal in momentum.  Three
 consumers take their clean data from the fibers of ``lattice._box_fibers``:
 the spectra of the IDS, the DOS and the phase diagram's edges, the resolvent
 columns of the wrap check, the Combes--Thomas probe and the clean scan, and
-the Fermi projector of the real-space Chern marker.  Each is pinned here to
+the Fermi projector of the real-space Chern marker, which is applied to
+columns by ``lattice._box_action`` and never built.  Each is pinned here to
 the public dense or LU route it replaces, on every catalog model and both
 chiral d-wave sectors, on square and non-square boxes (a non-square box
-catches an L1/L2 transposition).
+catches an L1/L2 transposition).  The marker itself, which reads P only
+through its action V -> PV, is pinned to the per-site loop it replaced.
 """
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import bdgtools.chern as chern
 import bdgtools.greens as greens
-from bdgtools.chern import _bloch_fermi_projector, fermi_projector, real_space_chern
-from bdgtools.disorder import _realization_map, default_spec
+from bdgtools.chern import (
+    MARKER_REJECT,
+    _bloch_fermi_action,
+    _bloch_fermi_projector,
+    _chern_marker,
+    _round_result,
+    chern_mu_scan,
+    fermi_projector,
+    real_space_chern,
+)
+from bdgtools.disorder import (
+    _realization_map,
+    build_random_hamiltonian,
+    default_spec,
+    sample_realization,
+)
 from bdgtools.greens import ResolventSolver, fractional_moment_scan
 from bdgtools.lattice import (
     FiberShape,
+    _box_action,
     _box_fibers,
     assemble_finite_volume,
     tight_binding,
@@ -223,3 +244,108 @@ def test_bloch_projector_matches_the_dense_one(name, box, dense):
     a, b = real_space_chern(got, box), real_space_chern(ref, box)
     assert a.value == b.value
     assert abs(a.raw - b.raw) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the box action and the marker over V -> PV
+
+
+def _reference_marker(P: np.ndarray, L):
+    """The per-site loop of the marker before it took P as an action: four
+    n x n by n x f products and one trace of P's window rows per site."""
+    L1, L2 = L
+    f = P.shape[0] // (L1 * L2)
+    sites = np.arange(P.shape[0]) // f
+    l1, l2 = sites % L1, sites // L1
+    vals, sob = [], []
+
+    def sawtooth(delta, span):
+        return ((delta + span // 2) % span - span // 2).astype(float)
+
+    for n2 in range(L2 // 4, L2 // 4 + L2 // 2):
+        for n1 in range(L1 // 4, L1 // 4 + L1 // 2):
+            x1 = sawtooth(l1 - n1, L1)[:, None]
+            x2 = sawtooth(l2 - n2, L2)[:, None]
+            sl = slice(f * (n1 + L1 * n2), f * (n1 + L1 * n2) + f)
+            pc = P[:, sl]
+            bc, ac = x1 * pc, x2 * pc
+            ab = x2 * (P @ bc) - P @ (x2 * bc)
+            ba = x1 * (P @ ac) - P @ (x1 * ac)
+            vals.append(np.trace(P[sl, :] @ (ab - ba)))
+            sob.append(float(np.linalg.norm(ac) ** 2 + np.linalg.norm(bc) ** 2))
+    marker = 2j * math.pi * np.mean(vals)
+    return _round_result(
+        "realspace", float(marker.real), f"L={L1}x{L2}, {len(vals)} central sites",
+        reject=MARKER_REJECT, sobolev=float(np.mean(sob)),
+    )
+
+
+def _assert_same_marker(got, ref) -> None:
+    assert abs(got.raw - ref.raw) <= 1e-13
+    assert abs(got.sobolev - ref.sobolev) <= 1e-13
+    assert (got.value, got.grid) == (ref.value, ref.grid)
+
+
+@pytest.mark.parametrize("name, box", CASES, ids=IDS)
+def test_marker_matches_the_per_site_loop(name, box):
+    # the dense P from the fibers, pinned to fermi_projector above, saves an eigh per case
+    model = MODELS[name]
+    P = _bloch_fermi_projector(model, box)
+    ref = _reference_marker(P, box)
+    _assert_same_marker(real_space_chern(P, box), ref)
+    _assert_same_marker(_chern_marker(_bloch_fermi_action(model, box), box, model.fiber.dim), ref)
+
+
+@pytest.mark.parametrize("L", [12, 20])
+@pytest.mark.parametrize("lam", [0.05, 0.3])
+def test_marker_matches_the_per_site_loop_on_a_disordered_projector(lam, L):
+    model, spec = build_model("pip+", delta=0.3, mu=-0.5), default_spec(r=1)
+    H = build_random_hamiltonian(model, spec, lam, sample_realization(spec, (L, L), seed=L))
+    P = fermi_projector(H)
+    _assert_same_marker(real_space_chern(P, (L, L)), _reference_marker(P, (L, L)))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("box", [(8, 10), (10, 8)])
+def test_box_action_matches_the_dense_projector_and_the_lu_resolvent(name, box, dense):
+    H, _ = dense[name, box]
+    model = MODELS[name]
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((H.dim, 5)) + 1j * rng.standard_normal((H.dim, 5))
+    ref = fermi_projector(H) @ V
+    got = _bloch_fermi_action(model, box)(V)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    z = 0.3 + 1e-4j
+    ref = ResolventSolver(H, z).solve(V)
+    got = _box_action(np.linalg.inv(z * np.eye(H.fiber.dim) - _box_fibers(model, box)))(V)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_marker_does_not_depend_on_the_chunk_size(monkeypatch):
+    model, box = MODELS["pip+"], (16, 16)
+    P = fermi_projector(assemble_finite_volume(model, box))
+    results = []
+    for chunk in (1, (box[0] // 2) * (box[1] // 2)):
+        monkeypatch.setattr(chern, "_MARKER_CHUNK", chunk)
+        results.append(real_space_chern(P, box))
+        results.append(_chern_marker(_bloch_fermi_action(model, box), box, model.fiber.dim))
+    for got, ref in ((results[2], results[0]), (results[3], results[1])):
+        assert abs(got.raw - ref.raw) <= 1e-14
+        assert abs(got.sobolev - ref.sobolev) <= 1e-14
+
+
+def test_realspace_scan_builds_no_dense_projector(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the clean realspace route built a dense projector")
+
+    monkeypatch.setattr(chern, "fermi_projector", refused)
+    monkeypatch.setattr(chern, "_bloch_fermi_projector", refused)
+    family = lambda mu: build_model("pip+", delta=0.3, mu=mu)
+    tracemalloc.start()
+    try:
+        (entry,) = chern_mu_scan(family, [-0.5], method="realspace", L=24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entry.result.value == -1
+    assert peak < (24 * 24 * 2) ** 2 * 16 / 2  # half of one dense complex P

@@ -770,6 +770,25 @@ def test_marker_rejects_inconsistent_shapes():
         real_space_chern(np.eye(7), (4, 4))
 
 
+def test_marker_refuses_an_empty_fiber():
+    with pytest.raises(ValueError, match="nonempty fiber"):
+        real_space_chern(np.zeros((0, 0)), (4, 4))
+
+
+def test_marker_refuses_non_finite_entries():
+    P = fermi_projector(assemble_finite_volume(PIP, (8, 8)))
+    P[3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        real_space_chern(P, (8, 8))
+
+
+def test_marker_refuses_a_projector_that_is_not_hermitian():
+    P = fermi_projector(assemble_finite_volume(PIP, (8, 8)))
+    P[3, 5] += 1e-6  # the windowed formula reads P's rows as its columns' adjoint
+    with pytest.raises(ValueError, match="not Hermitian"):
+        real_space_chern(P, (8, 8))
+
+
 def test_marker_survives_weak_disorder():
     spec = default_spec(r=1)
     values = []

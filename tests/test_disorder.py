@@ -638,3 +638,18 @@ def test_realization_csv_format():
     j1, j2, l1, l2, v = lines[1].split(",")
     assert (int(j1), int(j2)) == (0, 0)
     assert float(v) == rz.values[((0, 0), (int(l1), int(l2)))]
+
+
+def test_a_clean_ensemble_is_the_clean_body_when_one_is_given():
+    H = build_model("pip+", delta=0.6, mu=-0.5)
+
+    def refused(fv):
+        raise AssertionError("the clean body replaces fn on a clean ensemble")
+
+    for spec, lam in ((None, 0.7), (default_spec(r=1), 0.0)):
+        got = _realization_map(refused, H, spec, lam, 6, 3, 0, 1, lambda m, box: (m, box))
+        assert got == [(H, (6, 6))]
+    with pytest.raises(ValueError, match="n_realizations must be >= 1"):
+        _realization_map(refused, H, None, 0.0, 6, 0, 0, 1, lambda m, box: box)
+    with pytest.raises(TypeError, match="TightBindingOperator"):
+        _realization_map(refused, "pip+", None, 0.0, 6, 1, 0, 1, lambda m, box: box)

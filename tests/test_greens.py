@@ -137,6 +137,24 @@ def test_combes_thomas_onsite_norm_bounded_by_inverse_distance():
         assert p.onsite_norm <= 1.0 / p.distance
 
 
+def test_combes_thomas_distances_stop_at_half_the_shorter_side(monkeypatch):
+    probed = []
+    profile = greens._norm_profile
+
+    def recorded(H, cols, n0, dists):
+        probed.append(dists)
+        return profile(H, cols, n0, dists)
+
+    monkeypatch.setattr(greens, "_norm_profile", recorded)
+    combes_thomas_probe(PIP, [0.05], L=(24, 12))
+    assert probed and probed[0].max() == 12 // 2 - PIP.range
+
+
+def test_combes_thomas_refuses_a_box_with_one_distance():
+    with pytest.raises(ValueError, match="fewer than the two distances a fit needs"):
+        combes_thomas_probe(PIP, [0.05], L=4)
+
+
 def test_combes_thomas_rejects_in_spectrum_energy():
     with pytest.raises(ValueError, match="spectrum"):
         combes_thomas_probe(PIP, [1.0], L=20)
