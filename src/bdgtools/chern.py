@@ -47,6 +47,7 @@ from .lattice import (
     _freeze,
     _hermitian_bloch_points,
     _hermiticity_violations,
+    _local_minima,
     _periodic_grid,
     _require_closure,
     phs_conjugation,
@@ -566,14 +567,8 @@ def _pauli_plane_zeros(model: TightBindingOperator, grid_n: int) -> list[tuple[f
         return p.p1 * p.p1 + p.p2 * p.p2
 
     scale = max(float(values.max()), 1e-300)
-    is_min = np.ones_like(values, dtype=bool)
-    for s1 in (-1, 0, 1):
-        for s2 in (-1, 0, 1):
-            if s1 == 0 and s2 == 0:
-                continue
-            is_min &= values <= np.roll(values, (s1, s2), axis=(0, 1))
     zeros: list[tuple[float, float]] = []
-    for i, j in np.argwhere(is_min):
+    for i, j in np.argwhere(_local_minima(values)):
         res = minimize(
             rho,
             x0=(ks[i], ks[j]),
@@ -706,7 +701,8 @@ def _chern_marker(apply, L, f: int) -> ChernResult:
         ab = x2 * apply(bc) - apply(x2 * bc)          # [X2,P] [X1,P] columns
         ba = x1 * apply(ac) - apply(x1 * ac)          # [X1,P] [X2,P] columns
         trace += np.vdot(pc, ab - ba)
-        sobolev += float(np.linalg.norm(ac) ** 2 + np.linalg.norm(bc) ** 2)
+        # summed pairwise: norm(x) ** 2 is one sequential dot on a single BLAS thread
+        sobolev += float(np.sum(ac.real ** 2 + ac.imag ** 2 + bc.real ** 2 + bc.imag ** 2))
     marker = 2j * math.pi * trace / window.size
     return _round_result("realspace", float(marker.real), f"L={L1}x{L2}, {window.size} central sites",
                          reject=MARKER_REJECT, sobolev=sobolev / window.size)

@@ -560,9 +560,8 @@ def _check_method_cross_agreement() -> None:
     model = build_model("pip+", delta=0.3, mu=-0.5)
     transfer = chern_transfer(model).value
     berry = berry_flux_chern(model, grid_n=24).value
-    marker = real_space_chern(
-        fermi_projector(assemble_finite_volume(model, (12, 12))), (12, 12)
-    ).value
+    # the route of `chern --method realspace`, which clean-bloch-routes pins to the dense one
+    marker = _chern_marker(_bloch_fermi_action(model, (12, 12)), (12, 12), model.fiber.dim).value
     assert transfer == berry == marker == -1, (
         f"methods disagree: transfer {transfer}, berry {berry}, marker {marker}"
     )

@@ -41,6 +41,7 @@ from .lattice import (
     _periodic_grid,
     assemble_finite_volume,
 )
+from .models import _distance_sq
 from .spectral import _realization_spectra
 
 #: every resolvent solve must beat this relative residual or it is rejected
@@ -233,16 +234,15 @@ def bloch_band_grid(model: TightBindingOperator, grid_n: int = 128) -> np.ndarra
     return np.linalg.eigvalsh(m).reshape(-1, model.fiber.dim)
 
 
-#: Side of the momentum grid on which D(z) is sampled, and the sampled
-#: distance below which D(z) is indistinguishable from zero.
-_DISTANCE_GRID = 256
+#: A distance D(z) at or below which z counts as on the Bloch spectrum.
 _DISTANCE_FLOOR = 1e-3
 
 
 def spectral_distance(model: TightBindingOperator, z: complex) -> float:
-    """``D(z)``: distance from ``z`` to the Bloch spectrum on a 256 x 256 grid."""
-    bands = bloch_band_grid(model, _DISTANCE_GRID)
-    return float(np.abs(complex(z) - bands).min())
+    """``D(z)``: distance from ``z`` to the Bloch spectrum, hypot(Im z, d) with d
+    the refined distance from Re z to the bands (the search of ``central_gap``)."""
+    z = complex(z)
+    return math.hypot(z.imag, math.sqrt(_distance_sq(model, None, z.real, "spectral_distance")))
 
 
 @dataclass(frozen=True)
@@ -263,26 +263,24 @@ def combes_thomas_probe(
 ) -> list[CombesThomasPoint]:
     """Measure clean resolvent decay against the distance to the spectrum.
 
-    For every ``z`` the probe computes ``D(z)`` as :func:`spectral_distance`
-    does, from the Bloch bands on the same 256 x 256 grid, then fits
-    ``log ||G^z(n0, n0 + d e1)||_F`` over ``d = 1 .. min(L)/2 - R`` on the
-    periodic box, the distance rule of :func:`fractional_moment_scan`.  A
-    ``z`` on the spectrum (grid-resolved distance below 1e-3) is refused
-    since ``D(z) = 0`` carries no bound.
+    For every ``z`` the probe takes ``D(z)`` from :func:`spectral_distance`,
+    then fits ``log ||G^z(n0, n0 + d e1)||_F`` over ``d = 1 .. min(L)/2 - R``
+    on the periodic box, the distance rule of :func:`fractional_moment_scan`.
+    A ``z`` on the spectrum (``D(z)`` at or below 1e-3) is refused since
+    ``D(z) = 0`` carries no bound.
     """
     box = _as_box(L)
     H = assemble_finite_volume(model, box)
-    bands = bloch_band_grid(model, _DISTANCE_GRID)
     n0 = _center(box)
     dists = np.arange(0, _fit_distance(model, None, 0.0, box, None) + 1)
     out = []
     for z in z_list:
         z = complex(z)
-        dist = float(np.abs(z - bands).min())
+        dist = spectral_distance(model, z)
         if dist <= _DISTANCE_FLOOR:
             raise ValueError(
-                f"z = {z} lies on the Bloch spectrum within grid resolution "
-                f"(D(z) = {dist:.3e}); the decay bound is void there"
+                f"z = {z} lies on the Bloch spectrum (D(z) = {dist:.3e}); "
+                "the decay bound is void there"
             )
         cols = _bloch_columns(model, H, np.conj(z), n0)
         prof = _norm_profile(H, cols, n0, dists)
@@ -598,9 +596,11 @@ def fermi_projection_decay(
 ) -> ProjectionDecay:
     """Block norms ``E ||<n0| P |n0 + d e1>||_F`` of the Fermi projection.
 
-    Each realization is diagonalized densely and projected onto eigenstates
-    at or below the Fermi level.  If the requested level lies within 1e-8
-    of any realization eigenvalue it is moved to the midpoint of the wider
+    Each realization is diagonalized densely; P = V V*, V the eigenvectors at
+    or below the Fermi level, is never built: its blocks are V(n0) V(m)*, and
+    ||P^2 - P||_2 is max |g^2 - g| over the eigenvalues g of the Gram matrix
+    V* V, which shares P's nonzero spectrum.  If the requested level lies within
+    1e-8 of any realization eigenvalue it is moved to the midpoint of the wider
     adjacent spacing (pooled over realizations) and the shift is reported
     via ``shifted`` / ``energy``.  ``max_dist`` follows the rule of
     :func:`fractional_moment_scan`: by default and at most ``L/2 - R``.
@@ -609,12 +609,11 @@ def fermi_projection_decay(
     max_dist = _max_distance(model, spec, lam, box, max_dist)
     n0 = _center(box)
     systems = _realization_map(
-        lambda H: (H, *np.linalg.eigh(H.dense())),
-        model, spec, lam, box, n_realizations, seed, threads,
+        lambda H: np.linalg.eigh(H.dense()), model, spec, lam, box, n_realizations, seed, threads,
     )
     n_used = len(systems)
 
-    pooled = np.sort(np.concatenate([w for _, w, _ in systems]))
+    pooled = np.sort(np.concatenate([w for w, _ in systems]))
     E_used, shifted = float(E), False
     if np.abs(pooled - E).min() < 1e-8:
         below = pooled[pooled < E - 1e-8]
@@ -624,16 +623,16 @@ def fermi_projection_decay(
         E_used, shifted = 0.5 * (lo + hi), True
 
     dists = np.arange(0, max_dist + 1)
+    dim = model.fiber.dim  # the fiber rows of the sites n0 + d e1, in the finite-volume order
+    rows = dim * ((n0[0] + dists) % box[0] + box[0] * n0[1])[:, None] + np.arange(dim)
     profiles = np.empty((n_used, len(dists)))
     defect = 0.0
-    for i, (H, w, vecs) in enumerate(systems):
+    for i, (w, vecs) in enumerate(systems):
         filled = vecs[:, w <= E_used]
-        P = filled @ filled.conj().T
-        defect = max(defect, float(np.linalg.norm(P @ P - P, 2)))
-        sl_n = H.site_slice(n0)
-        for a, dd in enumerate(dists):
-            sl_m = H.site_slice((n0[0] + int(dd), n0[1]))
-            profiles[i, a] = float(np.linalg.norm(P[sl_n, sl_m]))
+        g = np.linalg.eigvalsh(filled.conj().T @ filled)
+        defect = max(defect, float(np.abs(g * g - g).max(initial=0.0)))
+        blocks = filled[rows[0]] @ np.swapaxes(filled[rows].conj(), 1, 2)  # P(n0, n0 + d e1)
+        profiles[i] = np.linalg.norm(blocks, axis=(1, 2))
     norms, stderr = _mean_stderr(profiles)
     keep = (dists >= 1) & (norms > 0.0)
     if keep.sum() >= 2:

@@ -262,6 +262,13 @@ def _periodic_grid(n: int) -> np.ndarray:
     return -np.pi + 2 * np.pi * np.arange(n) / n
 
 
+def _local_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the cells of a periodic grid that are no larger than any of their
+    eight neighbours: the coarse basins that seed every refined momentum search."""
+    shifts = [(s1, s2) for s1 in (-1, 0, 1) for s2 in (-1, 0, 1) if s1 or s2]
+    return np.logical_and.reduce([values <= np.roll(values, s, axis=(0, 1)) for s in shifts])
+
+
 def _hermitian_bloch_points(model: TightBindingOperator, k1, k2, what: str) -> np.ndarray:
     """:func:`_bloch_points` with the checks of :func:`assemble_bloch`.
 

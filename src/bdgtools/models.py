@@ -35,6 +35,7 @@ from .lattice import (
     TightBindingOperator,
     _bloch_points,
     _hermitian_bloch_points,
+    _local_minima,
     _periodic_grid,
     _require_closure,
     check_bdg_equation,
@@ -343,7 +344,7 @@ def reduce_su2(H: TightBindingOperator) -> tuple[TightBindingOperator, TightBind
 
 _CLOSED_FORM_TAGS = ("p_ip", "d_id")
 
-#: Side of the coarse momentum grid that seeds the central-gap refinement.
+#: Side of the coarse momentum grid that seeds every band-distance refinement.
 _GAP_GRID = 64
 
 
@@ -404,23 +405,24 @@ def example_bands(model, params: ModelParams, k) -> BandPoint:
     return BandPoint((float(k[0]), float(k[1])), e, -e)
 
 
-def _gap_objective(model, params: ModelParams, ks: np.ndarray):
-    """E_+^2 of ``model`` on the ``ks x ks`` grid and at single points.
+def _gap_objective(model, params, ks: np.ndarray, E: float = 0.0, what: str = "central_gap"):
+    """Squared distance from the energy ``E`` to the bands of ``model``.
 
-    Returns ``(values, esq, label)``: ``values[a, b]`` is E_+^2 at
-    ``(ks[a], ks[b])`` from one vectorized pass, ``esq(k)`` the same
+    Returns ``(values, esq, label)``: ``values[a, b]`` is min_i (E_i(k) - E)^2
+    at ``k = (ks[a], ks[b])`` from one vectorized pass, ``esq(k)`` the same
     quantity at one point (bitwise equal on the grid), and ``label`` names
-    the model in error messages.
+    the model in error messages (``what``, the caller, in the Bloch checks).
+    On closed-form bands +-E_+ it is (E_+ - |E|)^2, E_+^2 at E = 0.
     """
     if isinstance(model, TightBindingOperator):
-        def min_esq(m):  # smallest E^2 of one Bloch matrix or of a stack
-            return _square(np.min(np.abs(np.linalg.eigvalsh(m)), axis=-1))
+        def min_esq(m):  # smallest (E_i - E)^2 of one Bloch matrix or of a stack
+            return _square(np.min(np.abs(np.linalg.eigvalsh(m) - E), axis=-1))
 
         def esq(k):
             return float(min_esq(_bloch_points(model, k[0], k[1])))
 
         values = min_esq(
-            _hermitian_bloch_points(model, ks[:, None], ks[None, :], "central_gap")
+            _hermitian_bloch_points(model, ks[:, None], ks[None, :], what)
         )
         label = (
             f"operator (fiber dimension {model.fiber.dim}, "
@@ -430,46 +432,53 @@ def _gap_objective(model, params: ModelParams, ks: np.ndarray):
         eplus = _closed_form_eplus(_resolve_band_tag(model), params)
 
         def esq(k):
-            return float(_square(eplus(k[0], k[1])))
+            return float(_square(eplus(k[0], k[1]) - abs(E)))
 
-        values = _square(eplus(*np.meshgrid(ks, ks, indexing="ij")))
+        values = _square(eplus(*np.meshgrid(ks, ks, indexing="ij")) - abs(E))
         label = f"{model!r} at delta={params.delta!r}, mu={params.mu!r}"
     return values, esq, label
 
 
-def central_gap(model, params: ModelParams) -> float:
-    """Spectral gap around zero: g = 2 min_k E_+(k).
+def _distance_sq(model, params, E: float, what: str) -> float:
+    """The refined min_k of :func:`_gap_objective`: the one search behind
+    :func:`central_gap` and :func:`~bdgtools.greens.spectral_distance`.
 
-    ``model`` is a catalog name or :class:`PairingKind` (closed-form bands
-    at ``params``) or a :class:`TightBindingOperator` (minimized through its
-    Bloch matrices; ``params`` is then unused).  A coarse 64 x 64
-    periodic scan of the Brillouin zone, evaluated in one vectorized pass
-    (one batched ``eigvalsh`` over the Bloch stack for operators), seeds a
-    Nelder-Mead refinement of E_+^2 from its three lowest cells.  Each
-    refinement stops once its simplex spans less than 1e-10 in k; near a
-    minimum E_+^2 is then flat to rounding, so a gapped g is converged to a
-    few ulp and a closed gap comes out below 1e-8.  A refinement that ends
-    without converging (iteration cap) raises :class:`ArithmeticError`
-    naming the model and the start cell.
+    Nelder-Mead refines the three lowest basins of the coarse 64 x 64 scan
+    (:func:`~bdgtools.lattice._local_minima`; fewer when it has fewer), so
+    three cells of one shallow basin cannot hide a deeper one.  A refinement
+    stops once its simplex spans less than 1e-10 in k, where the objective
+    is flat to rounding; one that hits the iteration cap raises
+    :class:`ArithmeticError` naming ``what``, the model and the start cell.
     """
     ks = _periodic_grid(_GAP_GRID)
-    values, esq, label = _gap_objective(model, params, ks)
-    order = np.argsort(values, axis=None)
+    values, esq, label = _gap_objective(model, params, ks, E, what)
+    seeds = np.argwhere(_local_minima(values))
     best = np.inf
-    for flat in order[:3]:  # refine from the few best coarse cells
-        i, j = np.unravel_index(flat, values.shape)
+    for i, j in seeds[np.argsort(values[tuple(seeds.T)], kind="stable")[:3]]:
         res = minimize(
             esq,
             x0=(ks[i], ks[j]),
             method="Nelder-Mead",
-            # stop on k alone: any fatol below one ulp of E_+^2 is unreachable
+            # stop on k alone: any fatol below one ulp of the objective is unreachable
             options={"xatol": 1e-10, "fatol": np.inf, "maxiter": 4000},
         )
         if not res.success:
             raise ArithmeticError(
-                f"central_gap: refinement for {label} from coarse cell "
+                f"{what}: refinement for {label} from coarse cell "
                 f"({i}, {j}), k = ({ks[i]:.6f}, {ks[j]:.6f}), did not "
                 f"converge: {res.message}"
             )
         best = min(best, float(res.fun), values[i, j])
-    return 2.0 * math.sqrt(max(best, 0.0))
+    return max(best, 0.0)
+
+
+def central_gap(model, params: ModelParams) -> float:
+    """Spectral gap around zero: g = 2 min_k E_+(k), twice the root of
+    :func:`_distance_sq` at E = 0.
+
+    ``model`` is a catalog name or :class:`PairingKind` (closed-form bands
+    at ``params``) or a :class:`TightBindingOperator` (minimized through its
+    Bloch matrices; ``params`` is then unused).  A gapped g is converged to
+    a few ulp, and a closed gap comes out below 1e-8.
+    """
+    return 2.0 * math.sqrt(_distance_sq(model, params, 0.0, "central_gap"))

@@ -296,6 +296,35 @@ def test_marker_matches_the_per_site_loop(name, box):
     _assert_same_marker(_chern_marker(_bloch_fermi_action(model, box), box, model.fiber.dim), ref)
 
 
+def _exact_sobolev(P: np.ndarray, L) -> float:
+    """The marker's Sobolev sum from P's window columns, every square summed
+    exactly by ``math.fsum``."""
+    L1, L2 = L
+    f = P.shape[0] // (L1 * L2)
+    sites = np.arange(P.shape[0]) // f
+    l1, l2 = sites % L1, sites // L1
+    squares, count = [], 0
+    for n2 in range(L2 // 4, L2 // 4 + L2 // 2):
+        for n1 in range(L1 // 4, L1 // 4 + L1 // 2):
+            pc = P[:, f * (n1 + L1 * n2):f * (n1 + L1 * n2) + f]
+            for x in ((l1 - n1 + L1 // 2) % L1 - L1 // 2, (l2 - n2 + L2 // 2) % L2 - L2 // 2):
+                c = x[:, None] * pc
+                squares += [*(c.real ** 2).ravel(), *(c.imag ** 2).ravel()]
+            count += 1
+    return math.fsum(squares) / count
+
+
+@pytest.mark.parametrize("name", ["dx2y2", "s"])
+def test_marker_sobolev_sum_is_exact_to_rounding(name):
+    # a sum of squared norms from one BLAS dot each was off by 1e-13 at one thread
+    model, box = MODELS[name], (16, 16)
+    P = _bloch_fermi_projector(model, box)
+    exact = _exact_sobolev(P, box)
+    action = _chern_marker(_bloch_fermi_action(model, box), box, model.fiber.dim)
+    for got in (real_space_chern(P, box), action):
+        assert abs(got.sobolev - exact) <= 1e-14 * exact
+
+
 @pytest.mark.parametrize("L", [12, 20])
 @pytest.mark.parametrize("lam", [0.05, 0.3])
 def test_marker_matches_the_per_site_loop_on_a_disordered_projector(lam, L):

@@ -121,6 +121,13 @@ def test_spectral_distance_matches_half_gap():
     assert abs(spectral_distance(PIP, 0.0) - GAP / 2) < 2e-3
 
 
+@pytest.mark.parametrize("z", [0.0, 0.05, 0.1, 0.15, -0.1, 0.12 + 0.04j, -0.03 - 0.2j])
+def test_spectral_distance_is_the_refined_distance_to_the_bands(z):
+    # below the gap edge the nearest band point is the gap minimum, at g/2 - |Re z|
+    expect = float(np.hypot(np.imag(z), GAP / 2 - abs(np.real(z))))
+    assert abs(spectral_distance(PIP, z) - expect) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Combes-Thomas probe
 
@@ -399,6 +406,32 @@ def test_disordered_projection_beats_quartic_power_law():
     tail = slice(4, 10)
     slope = np.polyfit(np.log(d[tail]), np.log(w[tail]), 1)[0]
     assert slope < -4.0
+
+
+def _dense_projection_decay(model, spec, lam, E, L, n_realizations, seed, dists):
+    """The defect and the norms of fermi_projection_decay from the dense n x n P of
+    each realization, its SVD and its site blocks: the route the Gram check replaced."""
+    n0, H0 = (L // 2, L // 2), assemble_finite_volume(model, (L, L))
+    defect, profiles = 0.0, []
+    for i in range(n_realizations if spec is not None else 1):
+        H = H0 if spec is None else build_random_hamiltonian(
+            H0, spec, lam, sample_realization(spec, (L, L), seed + i))
+        w, v = np.linalg.eigh(H.dense())
+        P = v[:, w <= E] @ v[:, w <= E].conj().T
+        defect = max(defect, float(np.linalg.norm(P @ P - P, 2)))
+        sl = H.site_slice(n0)
+        profiles.append([np.linalg.norm(P[sl, H.site_slice((n0[0] + d, n0[1]))]) for d in dists])
+    return defect, np.mean(profiles, axis=0)
+
+
+@pytest.mark.parametrize("L", [12, 16])
+@pytest.mark.parametrize("spec, lam", [(None, 0.0), (SPEC, 0.3)])
+def test_projection_decay_matches_the_dense_projector(spec, lam, L):
+    dec = fermi_projection_decay(PIP, spec, lam, 0.0, L=L, n_realizations=8, seed=4)
+    assert not dec.shifted and len(dec.distances) >= 4
+    defect, norms = _dense_projection_decay(PIP, spec, lam, 0.0, L, 8, 4, dec.distances)
+    assert abs(dec.idempotency_defect - defect) <= 1e-14
+    assert np.all(np.abs(dec.norms - norms) <= 1e-12 * norms)
 
 
 def test_projection_shifts_off_eigenvalues_and_reports():

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, minimize
 
-from bdgtools import models
+from bdgtools import lattice, models
 from bdgtools.lattice import (
     FiberShape,
     assemble_bloch,
@@ -411,7 +411,7 @@ def test_gap_scan_refinements_converge(refinements):
         g = central_gap("pip+", ModelParams(0.3, float(mu)))
         if abs(mu) <= 0.1 + 1e-9:
             assert g == pytest.approx(abs(mu), abs=1e-8)
-    assert len(refinements) == 3 * 21
+    assert len(refinements) == 60
     _assert_converged(refinements)
 
 
@@ -454,3 +454,97 @@ def test_gap_refinement_failure_raises(monkeypatch):
         central_gap("did+", ModelParams(1.0, 2.0))
     with pytest.raises(ArithmeticError, match="operator .* from coarse cell"):
         central_gap(build_model("s", 0.3, -0.5), ModelParams(0.0, 0.0))
+
+
+def _random_bdg(seed):
+    """A random BdG operator: a random closed h of range <= 2 on C^r, r in {1, 2},
+    a random Delta satisfying the BdG equation, and a random mu."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 3))
+
+    def rand():
+        return rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+
+    a = rand()
+    h = {(0, 0): a + a.conj().T + rng.uniform(-3, 3) * np.eye(r)}
+    delta = {}
+    for j in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0)):
+        if rng.uniform() < 0.6:
+            b = rand() * rng.uniform(0.2, 1.0)
+            h[j], h[(-j[0], -j[1])] = b, b.conj().T
+        if rng.uniform() < 0.6:
+            b = rand() * rng.uniform(0.1, 1.0)
+            delta[j], delta[(-j[0], -j[1])] = b, -b.T
+    return build_bdg(
+        tight_binding(FiberShape(r), h), tight_binding(FiberShape(r), delta), rng.uniform(-2, 2)
+    )
+
+
+@pytest.mark.parametrize("seed", [34, 90])
+def test_gap_of_a_random_operator_finds_its_deepest_basin(seed):
+    # on seed 34 the three lowest coarse cells lie in one basin and miss the
+    # deeper one; on seed 90 one refined basin alone is not enough
+    H = _random_bdg(seed)
+    ks = lattice._periodic_grid(720)
+    fine = min(  # min |E| on a 720 x 720 grid, 60 rows of momenta at a time
+        float(np.abs(np.linalg.eigvalsh(lattice._bloch_points(H, k1, ks[None, :]))).min())
+        for k1 in np.split(ks[:, None], 12)
+    )
+    assert central_gap(H, ModelParams(0.0, 0.0)) <= 2.0 * fine + 1e-12
+
+
+#: The Nelder-Mead settings of the central-gap refinement.
+_REFINE = {"method": "Nelder-Mead", "options": {"xatol": 1e-10, "fatol": np.inf, "maxiter": 4000}}
+
+
+def _three_cell_gap(values, esq, runs):
+    """The former seed rule of central_gap, kept as the reference: Nelder-Mead
+    on ``esq`` from the three lowest cells of the coarse grid ``values``.
+    ``runs`` holds the refinements already made on ``esq``, by start point; a
+    start cell shared with the basin rule is not refined twice."""
+    ks = lattice._periodic_grid(models._GAP_GRID)
+    best = np.inf
+    for flat in np.argsort(values, axis=None)[:3]:
+        i, j = np.unravel_index(flat, values.shape)
+        x0 = (ks[i], ks[j])
+        if x0 not in runs:
+            runs[x0] = minimize(esq, x0=x0, **_REFINE)
+        assert runs[x0].success, runs[x0].message
+        best = min(best, float(runs[x0].fun), values[i, j])
+    return 2.0 * math.sqrt(max(best, 0.0))
+
+
+_CATALOG_DELTAS = (0.1, 0.3, 0.6, 1.0, 1.7)
+_CATALOG_MUS = (-3.5, -2.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.3, 2.0, 3.0, 3.9)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_basin_seeds_agree_with_the_three_cell_seeds_on_the_catalog(name, monkeypatch):
+    # the coarse grid, objective and refinements of the case at hand, shared
+    # with the reference so that it repeats none of them
+    objective, runs = [], {}
+    gap_objective = models._gap_objective
+
+    def recorded_objective(*args):
+        objective[:] = out = gap_objective(*args)
+        return out
+
+    def recorded_minimize(fun, x0, **kwargs):
+        assert kwargs == _REFINE
+        runs[tuple(x0)] = res = minimize(fun, x0=x0, **kwargs)
+        return res
+
+    monkeypatch.setattr(models, "_gap_objective", recorded_objective)
+    monkeypatch.setattr(models, "minimize", recorded_minimize)
+    cases = [(build_model(name, d, mu), ModelParams(0.0, 0.0)) for d in _CATALOG_DELTAS
+             for mu in _CATALOG_MUS]
+    if MODEL_NAMES[name].tag in models._CLOSED_FORM_TAGS:
+        cases += [(name, ModelParams(d, mu)) for d in _CATALOG_DELTAS for mu in _CATALOG_MUS]
+    for model, params in cases:
+        runs.clear()
+        got = central_gap(model, params)
+        ref = _three_cell_gap(*objective[:2], runs)
+        if ref <= 1e-8:
+            assert got <= 1e-8
+        else:
+            assert abs(got - ref) <= 1e-14 * ref, (model, params, got, ref)
