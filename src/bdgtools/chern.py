@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.optimize import minimize
 
 from .greens import bloch_band_grid
 from .lattice import (
@@ -52,7 +51,7 @@ from .lattice import (
     _require_closure,
     phs_conjugation,
 )
-from .models import _GAP_GRID, SIGMA
+from .models import _GAP_GRID, SIGMA, minimize
 
 __all__ = [
     "TransferData",

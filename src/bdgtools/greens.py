@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigs, splu
 
 from .disorder import DisorderSpec, _is_clean, _mean_stderr, _realization_map
 from .lattice import (
@@ -40,6 +40,7 @@ from .lattice import (
     _hop,
     _periodic_grid,
     assemble_finite_volume,
+    check_phs,
 )
 from .models import _distance_sq
 from .spectral import _realization_spectra
@@ -669,19 +670,35 @@ class SpectralEdges:
     gap_hi: float
     gap_hi_std: float
 
+    def outside(self, E: float) -> bool:
+        """``E`` clears the spectral range, or sits inside the central gap,
+        by three standard deviations of the edge statistics."""
+        return bool(
+            E < self.lo - 3.0 * self.lo_std
+            or E > self.hi + 3.0 * self.hi_std
+            or self.gap_lo + 3.0 * self.gap_lo_std < E < self.gap_hi - 3.0 * self.gap_hi_std
+        )
+
 
 @dataclass(frozen=True)
 class PhaseDiagram:
-    """Verdict grid over (lambda, E) with the per-cell fit diagnostics."""
+    """Verdict grid over (lambda, E) with the per-cell fit diagnostics.
+
+    ``reasons`` says why each ``spectrum-with-no-verdict`` cell got none
+    ("" elsewhere), and ``edge_fallbacks`` counts, per row, the realizations
+    whose edges fell back from the sparse to the dense solve.  Neither is
+    written to the CSV or the manifest."""
 
     lambda_grid: np.ndarray
     energy_grid: np.ndarray
     verdicts: tuple[tuple[str, ...], ...]  # [i_lambda][i_energy]
+    reasons: tuple[tuple[str, ...], ...]  # [i_lambda][i_energy]
     rates: np.ndarray
     rate_errs: np.ndarray
     r_squared: np.ndarray
     n_realizations: np.ndarray
     edges: tuple[SpectralEdges, ...]
+    edge_fallbacks: tuple[int, ...]
     s: float
     eps: float
     L: tuple[int, int]
@@ -730,34 +747,93 @@ class PhaseDiagram:
         }
 
 
-def _edge_stats(model, spec, lam, box, n_realizations, seed, threads) -> SpectralEdges:
-    spectra = _realization_spectra(model, spec, lam, box, n_realizations, seed, threads)
-    lo = np.array([e[0] for e in spectra])
-    hi = np.array([e[-1] for e in spectra])
+def _ph_paired(model: TightBindingOperator, spec: DisorderSpec) -> bool:
+    """True when ``model`` and every term of ``spec`` obey
+    ``C* conj(B) C = -B`` with one parity (:func:`~bdgtools.lattice.check_phs`
+    at its ``PHS_TOL``).  Realizations have real couplings, so then every
+    ``H0 + lam * V`` is particle-hole symmetric and its spectrum pairs as
+    (E, -E)."""
+    if not model.fiber.ph or spec.fiber_dim != model.fiber.dim:
+        return False
+    V = TightBindingOperator(model.fiber, {t.j: t.W for t in spec.terms})
+    return any(check_phs(model, p).holds and check_phs(V, p).holds for p in ("even", "odd"))
 
-    def gap_edges(e: np.ndarray) -> tuple[float, float]:
-        neg = e[e < 0.0]
-        pos = e[e >= 0.0]
-        return (
-            float(neg.max()) if neg.size else 0.0,
-            float(pos.min()) if pos.size else 0.0,
-        )
 
-    gaps = np.array([gap_edges(e) for e in spectra])
+#: seed of the fixed ARPACK start vector and restart draws of the sparse edges
+_EDGE_SEED = 0
+
+
+def _spectrum_edges(e: np.ndarray) -> tuple[float, float, float, float]:
+    """(lo, hi, gap_lo, gap_hi) of a sorted spectrum: its ends and the
+    eigenvalues next to 0 (the largest negative, the smallest non-negative)."""
+    neg = e[e < 0.0]
+    pos = e[e >= 0.0]
+    return (
+        float(e[0]),
+        float(e[-1]),
+        float(neg.max()) if neg.size else 0.0,
+        float(pos.min()) if pos.size else 0.0,
+    )
+
+
+def _paired_edges(H: FiniteVolumeOperator) -> tuple[tuple[float, float, float, float], bool]:
+    """:func:`_spectrum_edges` of a particle-hole symmetric ``H`` from two
+    sparse solves, and whether it fell back to the dense spectrum.
+
+    The pairing gives lo = -hi and gap_lo = -gap_hi, so ARPACK finds the
+    top eigenvalue, and the one nearest 0 by shift-invert.  Both start from
+    one seeded vector and draw any restart from a seeded generator, so a
+    realization's edges do not depend on the call (``eigsh`` forwards a
+    complex ``A`` to ``eigs`` without the generator, so ``eigs`` is called
+    directly).  A singular shift-invert factorization (0 is an eigenvalue
+    to rounding) or a solve that does not converge takes the dense route.
+    """
+    u = np.random.default_rng(_EDGE_SEED).uniform(-1.0, 1.0, (2, H.dim))
+    v0 = u[0] + 1j * u[1]
+    kw = dict(k=1, v0=v0, rng=_EDGE_SEED, return_eigenvectors=False)
+    try:
+        hi = float(eigs(H.matrix, which="LR", **kw)[0].real)
+        g = abs(float(eigs(H.matrix, sigma=0.0, **kw)[0].real))
+    except RuntimeError:  # "exactly singular" from SuperLU, or an ArpackError
+        return _spectrum_edges(H.eigenvalues()), True
+    return (-hi, hi, -g, g), False
+
+
+def _edge_stats(
+    model, spec, lam, box, n_realizations, seed, threads, paired: bool
+) -> tuple[SpectralEdges, int]:
+    """Realization statistics of the spectral ends and the gap edges next
+    to 0, and the number of realizations that fell back to a dense solve.
+
+    A clean row is the periodic box's Bloch spectrum.  A disordered row
+    takes :func:`_paired_edges` when ``paired`` (the caller's
+    :func:`_ph_paired` verdict), and a dense spectrum per realization
+    otherwise."""
+    if paired and not _is_clean(spec, lam):
+        out = _realization_map(_paired_edges, model, spec, lam, box, n_realizations, seed, threads)
+        rows = [edges for edges, _ in out]
+        fallbacks = sum(dense for _, dense in out)
+    else:
+        spectra = _realization_spectra(model, spec, lam, box, n_realizations, seed, threads)
+        rows = [_spectrum_edges(e) for e in spectra]
+        fallbacks = 0
+    lo, hi, gap_lo, gap_hi = (np.array(c) for c in zip(*rows))
 
     def std(a: np.ndarray) -> float:
         return float(a.std(ddof=1)) if len(a) > 1 else 0.0
-    return SpectralEdges(
+
+    edges = SpectralEdges(
         lam=float(lam),
         lo=float(lo.mean()),
         lo_std=std(lo),
         hi=float(hi.mean()),
         hi_std=std(hi),
-        gap_lo=float(gaps[:, 0].mean()),
-        gap_lo_std=std(gaps[:, 0]),
-        gap_hi=float(gaps[:, 1].mean()),
-        gap_hi_std=std(gaps[:, 1]),
+        gap_lo=float(gap_lo.mean()),
+        gap_lo_std=std(gap_lo),
+        gap_hi=float(gap_hi.mean()),
+        gap_hi_std=std(gap_hi),
     )
+    return edges, fallbacks
 
 
 def localization_phase_diagram(
@@ -780,63 +856,76 @@ def localization_phase_diagram(
     standard deviations of the edge statistics.  Otherwise a scan at
     ``z = E + i*eps`` runs, and the cell is ``localized`` when the fitted
     rate is positive at two standard errors with ``r^2 > 0.8``; anything
-    weaker stays ``spectrum-with-no-verdict``.  Each scan probes every
-    distance up to its default ``L/2 - R``.  A setting the scans refuse
-    (``s`` outside (0, 1), fewer than eight realizations on a disordered
-    row, a box too small for a fit) raises ``ValueError`` in the first row
-    with a cell inside the spectrum, before any scan of that row runs.
+    weaker stays ``spectrum-with-no-verdict``, and its reason is kept: the
+    scan's error text, ``"insignificant rate"`` or ``"r² ≤ 0.8"``.  Each scan
+    probes every distance up to its default ``L/2 - R``.
+
+    Every row's edges come first (:func:`_edge_stats`; sparse when
+    :func:`_ph_paired` holds, and each dense fallback is counted).  Then a
+    setting the scans refuse (``s`` outside (0, 1), fewer than eight
+    realizations on a disordered row, a box too small for a fit) raises the
+    ``ValueError`` of the first row with a cell inside the spectrum, before
+    any scan runs.
     """
     box = _as_box(L)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     energy_grid = np.asarray(energy_grid, dtype=float)
+    paired = spec is not None and _ph_paired(model, spec)
+    edges: list[SpectralEdges] = []
+    fallbacks: list[int] = []
+    outside: list[list[bool]] = []
+    for lam in lambda_grid:
+        edge, dense = _edge_stats(model, spec, lam, box, n_realizations, seed, threads, paired)
+        edges.append(edge)
+        fallbacks.append(dense)
+        outside.append([edge.outside(E) for E in energy_grid])
+    for lam, out in zip(lambda_grid, outside):
+        if not all(out):  # a setting the scans refuse is an error, not a verdict
+            _scan_settings(model, spec, lam, box, s, n_realizations, None)
+
     shape = (len(lambda_grid), len(energy_grid))
     rates = np.full(shape, np.nan)
     rate_errs = np.full(shape, np.nan)
     r2s = np.full(shape, np.nan)
     n_reals = np.zeros(shape, dtype=int)
     verdicts: list[tuple[str, ...]] = []
-    edges: list[SpectralEdges] = []
+    reasons: list[tuple[str, ...]] = []
     for i, lam in enumerate(lambda_grid):
-        edge = _edge_stats(model, spec, lam, box, n_realizations, seed, threads)
-        edges.append(edge)
-        outside = [
-            E < edge.lo - 3.0 * edge.lo_std
-            or E > edge.hi + 3.0 * edge.hi_std
-            or edge.gap_lo + 3.0 * edge.gap_lo_std < E < edge.gap_hi - 3.0 * edge.gap_hi_std
-            for E in energy_grid
-        ]
-        if not all(outside):  # a setting the scans refuse is an error, not a verdict
-            _scan_settings(model, spec, lam, box, s, n_realizations, None)
-        row: list[str] = []
+        row: list[tuple[str, str]] = []
         for k, E in enumerate(energy_grid):
-            if outside[k]:
-                row.append(OUTSIDE)
+            if outside[i][k]:
+                row.append((OUTSIDE, ""))
                 continue
             try:
                 est = fractional_moment_scan(model, spec, float(lam), complex(E, eps), s=s, L=box,
                                              n_realizations=n_realizations, seed=seed,
                                              threads=threads)
-            except (ValueError, ArithmeticError):
-                row.append(NO_VERDICT)
+            except (ValueError, ArithmeticError) as err:
+                row.append((NO_VERDICT, str(err)))
                 continue
             rates[i, k] = est.rate
             rate_errs[i, k] = est.rate_err
             r2s[i, k] = est.r_squared
             n_reals[i, k] = est.n_realizations
-            if est.significant() and est.r_squared > 0.8:
-                row.append(LOCALIZED)
+            if not est.significant():
+                row.append((NO_VERDICT, "insignificant rate"))
+            elif not est.r_squared > 0.8:
+                row.append((NO_VERDICT, "r² ≤ 0.8"))
             else:
-                row.append(NO_VERDICT)
-        verdicts.append(tuple(row))
+                row.append((LOCALIZED, ""))
+        verdicts.append(tuple(v for v, _ in row))
+        reasons.append(tuple(why for _, why in row))
     return PhaseDiagram(
         lambda_grid=lambda_grid,
         energy_grid=energy_grid,
         verdicts=tuple(verdicts),
+        reasons=tuple(reasons),
         rates=rates,
         rate_errs=rate_errs,
         r_squared=r2s,
         n_realizations=n_reals,
         edges=tuple(edges),
+        edge_fallbacks=tuple(fallbacks),
         s=float(s),
         eps=float(eps),
         L=box,

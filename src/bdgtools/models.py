@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .lattice import (
     FiberShape,
@@ -56,6 +55,16 @@ __all__ = [
     "example_bands",
     "central_gap",
 ]
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on its first call: the import
+    costs about a quarter of ``import bdgtools.cli``, and only a Nelder--Mead
+    refinement needs it."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
 
 SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),

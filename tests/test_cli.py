@@ -337,13 +337,22 @@ def test_verify_flags_a_bloch_route_off_the_dense_one(monkeypatch, capsys):
     assert out.splitlines()[-1] == "verify: FAIL"
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    code = "import sys, bdgtools.cli; print('scipy.stats' in sys.modules)"
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``import bdgtools.cli``."""
+    code = f"import sys, bdgtools.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(bdgtools.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    assert not _loaded_by_cli_import("scipy.optimize")
 
 
 def test_usage_errors_exit_2(capsys):

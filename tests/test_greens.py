@@ -533,6 +533,152 @@ def test_phase_diagram_refuses_what_its_scans_refuse(kw, match, monkeypatch):
     assert scans == []
 
 
+def test_phase_diagram_refuses_a_late_row_before_any_scan(monkeypatch):
+    # three clean rows with cells inside the spectrum come before the
+    # disordered row whose four realizations the scans refuse
+    scans = []
+    monkeypatch.setattr(greens, "fractional_moment_scan", lambda *a, **k: scans.append(a))
+    with pytest.raises(ValueError, match="n_realizations = 4"):
+        localization_phase_diagram(PIP, SPEC, [0.0, 0.0, 0.0, 0.2], [1.0], L=16, n_realizations=4)
+    assert scans == []
+
+
+def _estimate(rate, rate_err, r2) -> greens.DecayEstimate:
+    d = np.arange(4)
+    return greens.DecayEstimate(d, np.ones(4), np.zeros(4), rate, rate_err, 1.0, r2,
+                                (1, 2, 3), 8, 0.3, 0j)
+
+
+def test_phase_diagram_keeps_the_reason_of_every_no_verdict_cell(monkeypatch):
+    outcomes = {
+        0.4: ValueError("fit window is empty"),
+        0.7: ArithmeticError("resolvent solve rejected"),
+        1.0: _estimate(0.1, 0.1, 0.99),  # rate - 2 se < 0
+        1.3: _estimate(0.5, 0.01, 0.5),
+        1.6: _estimate(0.5, 0.01, float("nan")),
+        1.9: _estimate(0.5, 0.01, 0.99),
+    }
+
+    def scan(model, spec, lam, z, **kw):
+        out = outcomes[z.real]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    monkeypatch.setattr(greens, "fractional_moment_scan", scan)
+    energies = [-9.0, *outcomes]
+    pd = localization_phase_diagram(PIP, SPEC, [0.0], energies, L=16, n_realizations=8)
+    assert pd.verdicts == ((OUTSIDE,) + (NO_VERDICT,) * 5 + (LOCALIZED,),)
+    assert pd.reasons == (("", "fit window is empty", "resolvent solve rejected",
+                           "insignificant rate", "r² ≤ 0.8", "r² ≤ 0.8", ""),)
+    assert pd.edge_fallbacks == (0,)
+    assert "reasons" not in pd.manifest() and "edge_fallbacks" not in pd.manifest()
+    assert pd.to_csv().splitlines()[0] == "lambda,E,verdict,rate,rate_err,r2,n_realizations"
+
+
+# ---------------------------------------------------------------------------
+# phase-diagram edges: the sparse particle-hole route against the dense one
+
+def _summary(lam, rows) -> greens.SpectralEdges:
+    """Mean and sample deviation of each of the (lo, hi, gap_lo, gap_hi) rows."""
+    cols = [np.array(c) for c in zip(*rows)]
+    values = [v for c in cols for v in (float(c.mean()), float(c.std(ddof=1)))]
+    return greens.SpectralEdges(float(lam), *values)
+
+
+def _dense_edges(model, spec, lam, box, n, seed) -> greens.SpectralEdges:
+    """The edge statistics from every realization's full dense spectrum."""
+    spectra = greens._realization_spectra(model, spec, lam, box, n, seed, 1)
+    return _summary(lam, [greens._spectrum_edges(e) for e in spectra])
+
+
+def _spec(r: int, names) -> DisorderSpec:
+    at = {"W00": (0, 0), "W10": (1, 0), "W01": (0, 1)}
+    return DisorderSpec(tuple(DisorderTerm(at[n], standard_W(n, r)) for n in names))
+
+
+EDGE_MODELS = {"pip+": (0.3, 0.5, 12), "did+": (1.0, 2.0, 8), "s": (0.7, 1.3, 8),
+               "p-triplet+": (0.3, 0.5, 8)}
+EDGE_SPECS = {"W00": ("W00",), "W00+W10": ("W00", "W10"), "W01": ("W01",)}
+EDGE_FIELDS = ("lo", "lo_std", "hi", "hi_std", "gap_lo", "gap_lo_std", "gap_hi", "gap_hi_std")
+
+
+@pytest.mark.parametrize("spec_name", EDGE_SPECS)
+@pytest.mark.parametrize("name", EDGE_MODELS)
+def test_sparse_edges_match_the_dense_spectrum(name, spec_name):
+    delta, mu, L = EDGE_MODELS[name]
+    model = build_model(name, delta=delta, mu=mu)
+    spec = _spec(model.fiber.r, EDGE_SPECS[spec_name])
+    assert greens._ph_paired(model, spec)
+    box, n, seed = (L, L), 3, 5
+    energies = np.linspace(-8.0, 8.0, 321)
+    for lam in (0.2, 0.6, 1.2):
+        dense, sparse = [], []
+        for i in range(n):
+            H = build_random_hamiltonian(model, spec, lam, sample_realization(spec, box, seed + i))
+            dense.append(greens._spectrum_edges(H.eigenvalues()))
+            edges, fell_back = greens._paired_edges(H)
+            assert not fell_back
+            sparse.append(edges)
+        tol = 1e-12 * np.abs(dense).max()  # 1e-12 ||H||, fixed before any run
+        assert np.abs(np.subtract(sparse, dense)).max() <= tol
+        got, want = _summary(lam, sparse), _summary(lam, dense)
+        for f in EDGE_FIELDS:
+            assert abs(getattr(got, f) - getattr(want, f)) <= tol, f
+        assert [got.outside(E) for E in energies] == [want.outside(E) for E in energies]
+    # the row statistics are those of the realizations' sparse edges
+    assert greens._edge_stats(model, spec, lam, box, n, seed, 1, paired=True) == (got, 0)
+
+
+def test_a_spec_without_particle_hole_symmetry_takes_the_dense_route():
+    spec = DisorderSpec((DisorderTerm((0, 0), np.eye(2)),))  # on-site W = 1
+    assert not greens._ph_paired(PIP, spec)
+    pd = localization_phase_diagram(PIP, spec, [0.0, 0.5], [-9.0], L=12, n_realizations=4, seed=3)
+    assert pd.edges[1] == _dense_edges(PIP, spec, 0.5, (12, 12), 4, 3)
+    assert pd.edge_fallbacks == (0, 0)
+
+
+def _failing_eigs(monkeypatch, fails):
+    """Replace the ARPACK entry point by one that raises ``fails(kw)`` where
+    that returns an exception; the other solves run unchanged."""
+    eigs = greens.eigs
+
+    def patched(A, **kw):
+        err = fails(kw)
+        if err is not None:
+            raise err
+        return eigs(A, **kw)
+
+    monkeypatch.setattr(greens, "eigs", patched)
+
+
+@pytest.mark.parametrize("failure", ["singular", "no-convergence"])
+def test_sparse_edges_fall_back_to_the_dense_spectrum(failure, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    if failure == "singular":  # what SuperLU raises when 0 is an eigenvalue to rounding
+        _failing_eigs(monkeypatch, lambda kw: RuntimeError("Factor is exactly singular")
+                      if "sigma" in kw else None)
+    else:
+        _failing_eigs(monkeypatch, lambda kw: ArpackNoConvergence("No convergence", [], [])
+                      if kw.get("which") == "LR" else None)
+    pd = localization_phase_diagram(PIP, SPEC, [0.0, 0.3, 0.6], [-9.0], L=12, n_realizations=4,
+                                    seed=3)
+    assert pd.edge_fallbacks == (0, 4, 4)
+    for i, lam in enumerate((0.3, 0.6), start=1):
+        assert pd.edges[i] == _dense_edges(PIP, SPEC, lam, (12, 12), 4, 3)
+
+
+def test_sparse_edges_repeat_across_calls_and_thread_counts():
+    kw = dict(L=16, n_realizations=8, seed=2)
+    runs = [localization_phase_diagram(PIP, SPEC, [0.3, 0.9], [-5.0], threads=t, **kw)
+            for t in (1, 1, 2)]
+    assert all(pd.edge_fallbacks == (0, 0) for pd in runs)
+    for pd in runs[1:]:
+        assert pd.edges == runs[0].edges
+        assert pd.to_csv() == runs[0].to_csv()
+
+
 def test_wrap_check_skipped_when_the_clean_resolvent_is_refused(monkeypatch):
     def refused(*args):
         raise ArithmeticError("resolvent solve rejected")
