@@ -2,7 +2,8 @@
 
 Everything here works with finite-volume operators.  The central object is
 :class:`ResolventSolver`, a sparse-LU factorization of ``z - H`` that serves
-site-block queries ``G^z(n, m)`` with a certified relative residual.  A clean
+site-block queries ``G^z(n, m)`` with a certified relative residual.  Every
+sparse factorization of ``z - H`` takes one rule, :func:`_factor`.  A clean
 periodic box needs no factorization: its columns come from the Bloch fibers
 (:func:`_bloch_columns`), certified by the same residual rule.  On top of
 them sit
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigs, splu
+from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 from .disorder import DisorderSpec, _is_clean, _mean_stderr, _realization_map
 from .lattice import (
@@ -36,13 +37,14 @@ from .lattice import (
     _as_box,
     _box_action,
     _box_fibers,
+    _dissection_order,
     _hermitian_bloch_points,
     _hop,
     _periodic_grid,
     assemble_finite_volume,
     check_phs,
 )
-from .models import _distance_sq
+from .models import _GAP_GRID, _distance_sq, _grid_bands
 from .spectral import _realization_spectra
 
 #: every resolvent solve must beat this relative residual or it is rejected
@@ -77,12 +79,41 @@ def _certify(z: complex, residual: np.ndarray, b: np.ndarray) -> None:
             )
 
 
+@dataclass(frozen=True)
+class _Factor:
+    """SuperLU factors of ``A[p][:, p]``; :meth:`solve` applies and undoes ``p``."""
+
+    lu: object  # scipy.sparse.linalg.SuperLU
+    p: np.ndarray
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """``A^{-1} b`` for trans "N", ``(A^H)^{-1} b`` for "H"."""
+        x = np.empty(b.shape, dtype=complex)
+        x[self.p] = self.lu.solve(b[self.p], trans=trans)
+        return x
+
+
+def _factor(A: sp.csc_matrix, H: FiniteVolumeOperator) -> _Factor:
+    """The one sparse factorization of a matrix ``A = z - H`` (any z).
+
+    Rows and columns are taken in the nested-dissection order of ``H``'s box
+    (:func:`~bdgtools.lattice._dissection_order` at ``H.range``), which
+    SuperLU keeps: its symmetric mode pivots on the diagonal unless that
+    entry falls below 0.01 of its column, so the order's small fill
+    survives.  A singular ``A`` raises SuperLU's ``RuntimeError``.
+    """
+    p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
+    lu = splu(A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.01,
+              options={"SymmetricMode": True})
+    return _Factor(lu, p)
+
+
 class ResolventSolver:
     """Sparse-LU backed resolvent ``G = (z - H)^{-1}`` of a finite volume.
 
-    The matrix ``z - H`` is factored once; right-hand sides are served with
-    one step of iterative refinement and checked against
-    :data:`RESIDUAL_TOL`.  A ``z`` sitting on an eigenvalue therefore fails
+    The matrix ``z - H`` is factored once (:func:`_factor`); right-hand
+    sides are served with one step of iterative refinement and checked
+    against :data:`RESIDUAL_TOL`.  A ``z`` sitting on an eigenvalue therefore fails
     loudly (singular factorization or rejected residual) instead of
     returning garbage.
     """
@@ -95,7 +126,7 @@ class ResolventSolver:
         A = (self.z * sp.identity(H.dim, dtype=complex, format="csr") - H.matrix).tocsc()
         self._A = A
         try:
-            self._lu = splu(A)
+            self._lu = _factor(A, H)
         except RuntimeError as err:
             raise ValueError(
                 f"z = {z} makes z - H singular (z lies on the spectrum): {err}"
@@ -242,8 +273,15 @@ _DISTANCE_FLOOR = 1e-3
 def spectral_distance(model: TightBindingOperator, z: complex) -> float:
     """``D(z)``: distance from ``z`` to the Bloch spectrum, hypot(Im z, d) with d
     the refined distance from Re z to the bands (the search of ``central_gap``)."""
+    return _distance_to_bands(model, z, None)
+
+
+def _distance_to_bands(model: TightBindingOperator, z: complex, bands: np.ndarray | None) -> float:
+    """:func:`spectral_distance`, given the coarse-grid bands of its search
+    (``models._grid_bands``) or None to compute them."""
     z = complex(z)
-    return math.hypot(z.imag, math.sqrt(_distance_sq(model, None, z.real, "spectral_distance")))
+    d_sq = _distance_sq(model, None, z.real, "spectral_distance", bands)
+    return math.hypot(z.imag, math.sqrt(d_sq))
 
 
 @dataclass(frozen=True)
@@ -274,10 +312,11 @@ def combes_thomas_probe(
     H = assemble_finite_volume(model, box)
     n0 = _center(box)
     dists = np.arange(0, _fit_distance(model, None, 0.0, box, None) + 1)
+    bands = _grid_bands(model, _periodic_grid(_GAP_GRID), "spectral_distance")  # one per probe
     out = []
     for z in z_list:
         z = complex(z)
-        dist = spectral_distance(model, z)
+        dist = _distance_to_bands(model, z, bands)
         if dist <= _DISTANCE_FLOOR:
             raise ValueError(
                 f"z = {z} lies on the Bloch spectrum (D(z) = {dist:.3e}); "
@@ -374,17 +413,19 @@ def _clean_axis_profile(model, z, box, dists) -> np.ndarray:
     return _norm_profile(H, _bloch_columns(model, H, np.conj(z), n0), n0, dists)
 
 
-def _wrap_exclusions(model, z, box, dists) -> np.ndarray:
+def _wrap_exclusions(model, z, box, dists, small=None) -> np.ndarray:
     """Distances whose clean profile shifts by >1% when the box doubles.
 
-    Comparing the lam = 0 profile on ``L`` against ``2L`` flags distances
-    where the periodic images contribute; those are dropped from the fit
-    window.  If the clean resolvent is unavailable at this ``z`` (inside
-    the clean spectrum) the check is skipped and only the geometric bound
-    ``d <= L/2 - R`` protects the window.
+    Comparing the lam = 0 profile on ``L`` (``small``, when the caller has
+    it already) against ``2L`` flags distances where the periodic images
+    contribute; those are dropped from the fit window.  If the clean
+    resolvent is unavailable at this ``z`` (inside the clean spectrum) the
+    check is skipped and only the geometric bound ``d <= L/2 - R`` protects
+    the window.
     """
     try:
-        small = _clean_axis_profile(model, z, box, dists)
+        if small is None:
+            small = _clean_axis_profile(model, z, box, dists)
         big = _clean_axis_profile(model, z, (2 * box[0], 2 * box[1]), dists)
     except (ValueError, ArithmeticError):
         return np.zeros(len(dists), dtype=bool)
@@ -421,15 +462,20 @@ def fractional_moment_scan(
     dists = np.arange(0, max_dist + 1)
     n0 = _center(box)
 
+    clean: list[np.ndarray] = []  # the clean profile, kept for the wrap check
+
+    def clean_profile(model, box) -> np.ndarray:
+        clean.append(_clean_axis_profile(model, z, box, dists))
+        return clean[0] ** s
+
     profiles = np.array(
         _realization_map(
             lambda H: _axis_profile(H, z, n0, dists) ** s,
-            model, spec, lam, box, n_realizations, seed, threads,
-            lambda model, box: _clean_axis_profile(model, z, box, dists) ** s,
+            model, spec, lam, box, n_realizations, seed, threads, clean_profile,
         )
     )
     tau, stderr = _mean_stderr(profiles)
-    wrapped = _wrap_exclusions(model, z, box, dists)
+    wrapped = _wrap_exclusions(model, z, box, dists, *clean)
     keep = (
         (dists >= 1)
         & ~wrapped
@@ -787,13 +833,16 @@ def _paired_edges(H: FiniteVolumeOperator) -> tuple[tuple[float, float, float, f
     complex ``A`` to ``eigs`` without the generator, so ``eigs`` is called
     directly).  A singular shift-invert factorization (0 is an eigenvalue
     to rounding) or a solve that does not converge takes the dense route.
+    The shift-invert solves use the factorization of :func:`_factor`.
     """
     u = np.random.default_rng(_EDGE_SEED).uniform(-1.0, 1.0, (2, H.dim))
     v0 = u[0] + 1j * u[1]
     kw = dict(k=1, v0=v0, rng=_EDGE_SEED, return_eigenvectors=False)
     try:
         hi = float(eigs(H.matrix, which="LR", **kw)[0].real)
-        g = abs(float(eigs(H.matrix, sigma=0.0, **kw)[0].real))
+        inv = _factor(H.matrix.tocsc(), H)
+        OPinv = LinearOperator(H.matrix.shape, matvec=inv.solve, dtype=complex)
+        g = abs(float(eigs(H.matrix, sigma=0.0, OPinv=OPinv, **kw)[0].real))
     except RuntimeError:  # "exactly singular" from SuperLU, or an ArpackError
         return _spectrum_edges(H.eigenvalues()), True
     return (-hi, hi, -g, g), False

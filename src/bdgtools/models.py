@@ -414,25 +414,33 @@ def example_bands(model, params: ModelParams, k) -> BandPoint:
     return BandPoint((float(k[0]), float(k[1])), e, -e)
 
 
-def _gap_objective(model, params, ks: np.ndarray, E: float = 0.0, what: str = "central_gap"):
+def _grid_bands(model: TightBindingOperator, ks: np.ndarray, what: str) -> np.ndarray:
+    """The Bloch eigenvalues of ``model`` on the product grid ``ks x ks``,
+    ``(len(ks), len(ks), d)``, with the checks of ``assemble_bloch``."""
+    return np.linalg.eigvalsh(_hermitian_bloch_points(model, ks[:, None], ks[None, :], what))
+
+
+def _gap_objective(model, params, ks: np.ndarray, E: float = 0.0, what: str = "central_gap",
+                   bands: np.ndarray | None = None):
     """Squared distance from the energy ``E`` to the bands of ``model``.
 
     Returns ``(values, esq, label)``: ``values[a, b]`` is min_i (E_i(k) - E)^2
     at ``k = (ks[a], ks[b])`` from one vectorized pass, ``esq(k)`` the same
     quantity at one point (bitwise equal on the grid), and ``label`` names
     the model in error messages (``what``, the caller, in the Bloch checks).
-    On closed-form bands +-E_+ it is (E_+ - |E|)^2, E_+^2 at E = 0.
+    An operator's grid eigenvalues may be passed as ``bands``
+    (:func:`_grid_bands` of ``ks``), so that several energies share one
+    diagonalization.  On closed-form bands +-E_+ it is (E_+ - |E|)^2, E_+^2
+    at E = 0.
     """
     if isinstance(model, TightBindingOperator):
-        def min_esq(m):  # smallest (E_i - E)^2 of one Bloch matrix or of a stack
-            return _square(np.min(np.abs(np.linalg.eigvalsh(m) - E), axis=-1))
+        def min_esq(e):  # smallest (E_i - E)^2 of one Bloch spectrum or of a stack
+            return _square(np.min(np.abs(e - E), axis=-1))
 
         def esq(k):
-            return float(min_esq(_bloch_points(model, k[0], k[1])))
+            return float(min_esq(np.linalg.eigvalsh(_bloch_points(model, k[0], k[1]))))
 
-        values = min_esq(
-            _hermitian_bloch_points(model, ks[:, None], ks[None, :], what)
-        )
+        values = min_esq(_grid_bands(model, ks, what) if bands is None else bands)
         label = (
             f"operator (fiber dimension {model.fiber.dim}, "
             f"{len(model.terms)} terms)"
@@ -448,7 +456,7 @@ def _gap_objective(model, params, ks: np.ndarray, E: float = 0.0, what: str = "c
     return values, esq, label
 
 
-def _distance_sq(model, params, E: float, what: str) -> float:
+def _distance_sq(model, params, E: float, what: str, bands: np.ndarray | None = None) -> float:
     """The refined min_k of :func:`_gap_objective`: the one search behind
     :func:`central_gap` and :func:`~bdgtools.greens.spectral_distance`.
 
@@ -458,9 +466,10 @@ def _distance_sq(model, params, E: float, what: str) -> float:
     stops once its simplex spans less than 1e-10 in k, where the objective
     is flat to rounding; one that hits the iteration cap raises
     :class:`ArithmeticError` naming ``what``, the model and the start cell.
+    ``bands`` are an operator's :func:`_grid_bands` on that grid, if known.
     """
     ks = _periodic_grid(_GAP_GRID)
-    values, esq, label = _gap_objective(model, params, ks, E, what)
+    values, esq, label = _gap_objective(model, params, ks, E, what, bands)
     seeds = np.argwhere(_local_minima(values))
     best = np.inf
     for i, j in seeds[np.argsort(values[tuple(seeds.T)], kind="stable")[:3]]:
