@@ -14,7 +14,8 @@
 Every route takes the operator itself.  The transfer, Berry and contour
 routes evaluate its Bloch sums as stacks, one kernel call per k1 scan, grid
 or contour; only the contour's Nelder-Mead polish and the transfer route's
-bisections and shifts past a singular a(k1) evaluate single points.
+bisections evaluate single points.  A transfer scan also takes every step
+from the blocks to U(k1) as one stack, except the sorted Schur form.
 
 All routes must agree on clean gapped models; each returns a
 :class:`ChernResult` carrying the raw (pre-rounding) value so grid and
@@ -51,7 +52,7 @@ from .lattice import (
     _require_closure,
     phs_conjugation,
 )
-from .models import _GAP_GRID, SIGMA, minimize
+from .models import _GAP_GRID, SIGMA, _square, minimize
 
 __all__ = [
     "TransferData",
@@ -136,14 +137,9 @@ class TransferData:
             raise ValueError(
                 f"inconsistent shapes: a {a.shape}, b {b.shape}, T {T.shape}"
             )
-        form = phs_conjugation("odd", d)
-        defect = float(np.linalg.norm(T.conj().T @ form @ T - form, 2))
-        bound = 1e-10 * float(np.linalg.norm(T, 2)) ** 2
-        if defect > bound:
-            raise ValueError(
-                f"transfer matrix does not conserve the form I "
-                f"(defect {defect:.3e} > {bound:.3e})"
-            )
+        scan = _Scan([self.k1])
+        _check_form(scan, T[None])
+        scan.done()
         for name, m in (("a", a), ("b", b), ("T", T)):
             object.__setattr__(self, name, _freeze(m))
 
@@ -160,10 +156,19 @@ class UMatrix:
         n = u.shape[0]
         if u.shape != (n, n):
             raise ValueError(f"U must be square, got shape {u.shape}")
-        defect = float(np.linalg.norm(u.conj().T @ u - np.eye(n), 2))
-        if defect > PLANE_TOL:
-            raise ValueError(f"U is not unitary (defect {defect:.3e})")
+        scan = _Scan([self.k1])
+        _check_unitary(scan, u[None])
+        scan.done()
         object.__setattr__(self, "U", _freeze(u))
+
+
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields have passed the
+    checks of its constructor on a stack already: they are not checked twice."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -249,30 +254,105 @@ class _SingularBlock(ValueError):
     """a(k1) is too ill-conditioned to invert; the transfer route retries past it."""
 
 
-def _condition(m: np.ndarray, message: str, error=ValueError) -> float:
-    """The 2-norm condition number of ``m``, refused at or above COND_MAX with
-    ``error(message)``, where ``{}`` in ``message`` receives the number."""
+class _Scan:
+    """The checks of the transfer route over a stack of momenta, failing as a
+    loop over k1 fails: with the error of the first failing momentum in scan
+    order, from its first failing check.
+
+    ``ks`` holds the k1 of every matrix of the stack (after any shift past a
+    singular a(k1)) and ``n`` the length of the prefix that has passed every
+    check so far.  A check that fails at index i < n records its error and
+    cuts the prefix to i, every later check runs on the prefix alone, and
+    :meth:`done` raises the recorded error, if any.
+    """
+
+    def __init__(self, ks) -> None:
+        self.ks = np.array(ks, dtype=float)
+        self.n = len(self.ks)
+        self.error: Exception | None = None
+
+    def fail(self, i: int, error: Exception) -> None:
+        self.n, self.error = i, error
+
+    def refuse(self, bad: np.ndarray, error) -> None:
+        """Record ``error(i)`` for the first index i of the prefix where ``bad`` holds."""
+        hits = np.flatnonzero(bad[: self.n])
+        if hits.size:
+            i = int(hits[0])
+            self.fail(i, error(i))
+
+    def done(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _conditions(m: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a ``(n, d, d)`` stack, inf where singular; the
+    transfer route refuses every one that is not below COND_MAX."""
     svals = np.linalg.svd(m, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if not math.isfinite(cond) or cond >= COND_MAX:
-        raise error(message.format(f"{cond:.3e}"))
-    return cond
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(svals[:, -1] > 0, svals[:, 0] / svals[:, -1], math.inf)
+
+
+def _check_form(scan: _Scan, T: np.ndarray) -> None:
+    """Refuse every T of the prefix that does not conserve the form I."""
+    form = phs_conjugation("odd", T.shape[-1] // 2)
+    T = T[: scan.n]
+    defect = np.linalg.norm(np.swapaxes(T.conj(), -1, -2) @ form @ T - form, 2, axis=(-2, -1))
+    bound = 1e-10 * _square(np.linalg.norm(T, 2, axis=(-2, -1)))
+    scan.refuse(defect > bound, lambda i: ValueError(
+        f"transfer matrix does not conserve the form I "
+        f"(defect {defect[i]:.3e} > {bound[i]:.3e})"
+    ))
+
+
+def _check_unitary(scan: _Scan, u: np.ndarray) -> None:
+    """Refuse every U of the prefix whose unitarity defect exceeds PLANE_TOL."""
+    u = u[: scan.n]
+    defect = np.linalg.norm(
+        np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]), 2, axis=(-2, -1)
+    )
+    scan.refuse(defect > PLANE_TOL, lambda i: ValueError(f"U is not unitary (defect {defect[i]:.3e})"))
+
+
+def _transfer_stack(scan: _Scan, a: np.ndarray, b: np.ndarray, shift=None):
+    """T and cond a of the prefix of the ``(n, d, d)`` block stacks, with the
+    checks of :class:`TransferData`.
+
+    ``shift``, given a scan, maps momenta to their blocks: every a(k1) that the
+    condition test refuses is then replaced once by a(k1 + 1e-6), and only
+    a block that is still refused fails.
+    """
+    cond_a = _conditions(a)
+    if shift is not None:
+        again = np.flatnonzero(~(cond_a < COND_MAX))
+        if again.size:
+            scan.ks[again] += 1e-6
+            a[again], b[again] = shift(scan.ks[again])
+            cond_a[again] = _conditions(a[again])
+    scan.refuse(~(cond_a < COND_MAX), lambda i: _SingularBlock(
+        f"a(k1) is numerically singular at k1 = {scan.ks[i]:.9g} (condition number "
+        f"{cond_a[i]:.3e}); shift k1 by ~1e-6 and retry — generic momenta are fine"
+    ))
+    a, b = a[: scan.n], b[: scan.n]
+    a_inv = np.linalg.inv(a)
+    d = a.shape[-1]
+    T = np.zeros((scan.n, 2 * d, 2 * d), dtype=complex)
+    T[:, :d, :d] = -b @ a_inv
+    T[:, :d, d:] = -np.swapaxes(a.conj(), -1, -2)
+    T[:, d:, :d] = a_inv
+    _check_form(scan, T)
+    T.setflags(write=False)
+    return T, cond_a
 
 
 def _transfer_data(k1: float, a: np.ndarray, b: np.ndarray) -> TransferData:
-    """The checked transfer data of the blocks a(k1), b(k1)."""
-    d = a.shape[0]
-    cond_a = _condition(
-        a,
-        f"a(k1) is numerically singular at k1 = {k1:.9g} (condition number {{}}); "
-        "shift k1 by ~1e-6 and retry — generic momenta are fine",
-        _SingularBlock,
-    )
-    a_inv = np.linalg.inv(a)
-    T = np.block(
-        [[-b @ a_inv, -a.conj().T], [a_inv, np.zeros((d, d), dtype=complex)]]
-    )
-    return TransferData(k1=k1, a=a, b=b, T=T, cond_a=cond_a)
+    """The checked transfer data of the blocks a(k1), b(k1): the stacked checks
+    on a stack of one."""
+    scan = _Scan([k1])
+    T, cond_a = _transfer_stack(scan, a[None], b[None])
+    scan.done()
+    return _checked(TransferData, k1=k1, a=_freeze(a), b=_freeze(b), T=T[0], cond_a=float(cond_a[0]))
 
 
 def transfer_matrix(model: TightBindingOperator, k1: float) -> TransferData:
@@ -293,6 +373,37 @@ def transfer_matrix(model: TightBindingOperator, k1: float) -> TransferData:
     return _transfer_data(k1, *_transfer_blocks(model, k1))
 
 
+def _planes(scan: _Scan, T: np.ndarray) -> np.ndarray:
+    """The contracting planes of the prefix of the T stack, with the checks of
+    :func:`contracting_subspace`; only the sorted Schur form is taken per k1."""
+    T = T[: scan.n]
+    half = T.shape[-1] // 2
+    off = np.abs(np.abs(np.linalg.eigvals(T)) - 1.0).min(axis=-1)
+    scan.refuse(off <= UNIT_CIRCLE_TOL, lambda i: ValueError(
+        f"transfer eigenvalue within {off[i]:.3e} of the unit circle at "
+        f"k1 = {scan.ks[i]:.9g}: the central gap is closed there"
+    ))
+    phi = np.empty((scan.n, 2 * half, half), dtype=complex)
+    for i in range(scan.n):
+        _, q, sdim = schur(T[i], output="complex", sort=lambda t: abs(t) < 1.0)
+        if sdim != half:
+            scan.fail(i, ValueError(
+                f"contracting subspace at k1 = {scan.ks[i]:.9g} has dimension "
+                f"{sdim}, expected {half}: zero energy is not in a gap"
+            ))
+            break
+        phi[i] = q[:, :half]
+    phi = phi[: scan.n]
+    defect = np.linalg.norm(
+        np.swapaxes(phi.conj(), -1, -2) @ phs_conjugation("odd", half) @ phi, 2, axis=(-2, -1)
+    )
+    scan.refuse(defect > PLANE_TOL, lambda i: ArithmeticError(
+        f"contracting plane is not I-Lagrangian (defect {defect[i]:.3e}) at "
+        f"k1 = {scan.ks[i]:.9g}"
+    ))
+    return phi
+
+
 def contracting_subspace(data: TransferData) -> np.ndarray:
     """Orthonormal basis of the contracting generalized eigenspace of T.
 
@@ -303,30 +414,28 @@ def contracting_subspace(data: TransferData) -> np.ndarray:
     gap this subspace has dimension exactly d and is I-Lagrangian; both
     facts are verified.
     """
-    T = np.asarray(data.T)
-    dim = T.shape[0]
-    half = dim // 2
-    eigs = np.linalg.eigvals(T)
-    off = float(np.abs(np.abs(eigs) - 1.0).min())
-    if off <= UNIT_CIRCLE_TOL:
-        raise ValueError(
-            f"transfer eigenvalue within {off:.3e} of the unit circle at "
-            f"k1 = {data.k1:.9g}: the central gap is closed there"
-        )
-    _, q, sdim = schur(T, output="complex", sort=lambda t: abs(t) < 1.0)
-    if sdim != half:
-        raise ValueError(
-            f"contracting subspace at k1 = {data.k1:.9g} has dimension "
-            f"{sdim}, expected {half}: zero energy is not in a gap"
-        )
-    phi = q[:, :half].copy()
-    defect = float(np.linalg.norm(phi.conj().T @ phs_conjugation("odd", half) @ phi, 2))
-    if defect > PLANE_TOL:
-        raise ArithmeticError(
-            f"contracting plane is not I-Lagrangian (defect {defect:.3e}) at "
-            f"k1 = {data.k1:.9g}"
-        )
-    return phi
+    scan = _Scan([data.k1])
+    phi = _planes(scan, np.asarray(data.T)[None])
+    scan.done()
+    return phi[0]
+
+
+def _unitaries(scan: _Scan, phi: np.ndarray) -> np.ndarray:
+    """U of the prefix of the ``(n, 2d, d)`` plane stack, with the checks of
+    :func:`u_matrix` and :class:`UMatrix`."""
+    d = phi.shape[-1]
+    up, low = phi[: scan.n, :d], phi[: scan.n, d:]
+    den = up + 1j * low
+    cond = _conditions(den)
+    scan.refuse(~(cond < COND_MAX), lambda i: ValueError(
+        f"denominator (1, -i 1)* Phi is numerically singular (condition number "
+        f"{cond[i]:.3e}); perturb k1 and rebuild the plane"
+    ))
+    n = scan.n
+    u = (up[:n] - 1j * low[:n]) @ np.linalg.inv(den[:n])
+    _check_unitary(scan, u)
+    u.setflags(write=False)
+    return u[: scan.n]
 
 
 def u_matrix(phi: np.ndarray, k1: float = 0.0) -> UMatrix:
@@ -334,22 +443,17 @@ def u_matrix(phi: np.ndarray, k1: float = 0.0) -> UMatrix:
 
     ``phi`` is a (2d x d) basis of an I-Lagrangian plane; the result does
     not depend on the basis choice (a right factor cancels), and unitarity
-    is a consequence of the Lagrangian property, enforced by the
-    :class:`UMatrix` constructor.
+    is a consequence of the Lagrangian property, enforced as the
+    :class:`UMatrix` constructor enforces it.
     """
     phi = np.asarray(phi, dtype=complex)
     m, n = phi.shape
     if m != 2 * n:
         raise ValueError(f"plane basis must be (2d x d), got {phi.shape}")
-    up, low = phi[:n], phi[n:]
-    den = up + 1j * low
-    _condition(
-        den,
-        "denominator (1, -i 1)* Phi is numerically singular (condition number {}); "
-        "perturb k1 and rebuild the plane",
-    )
-    u = (up - 1j * low) @ np.linalg.inv(den)
-    return UMatrix(k1=float(k1), U=u)
+    scan = _Scan([k1])
+    u = _unitaries(scan, phi[None])
+    scan.done()
+    return _checked(UMatrix, k1=float(k1), U=u[0])
 
 
 def winding_number(u_samples, refine=None) -> ChernResult:
@@ -362,13 +466,14 @@ def winding_number(u_samples, refine=None) -> ChernResult:
     (k1 -> :class:`UMatrix`) is supplied, offending segments are bisected up
     to ``_MAX_REFINE`` times before giving up.  The accumulated total is an
     integer multiple of 2 pi by construction, so the residual is at rounding
-    level whenever the routine returns at all.
+    level whenever the routine returns at all.  The determinants of the
+    samples come from one stacked call.
     """
     samples = list(u_samples)
     if len(samples) < 2:
         raise ValueError("need at least two samples around the loop")
     ks = [float(s.k1) for s in samples]
-    dets = [complex(np.linalg.det(s.U)) for s in samples]
+    dets = np.linalg.det(np.array([s.U for s in samples])).tolist()
     extra = 0
 
     def segment(k_lo, d_lo, k_hi, d_hi, depth):
@@ -400,19 +505,26 @@ def winding_number(u_samples, refine=None) -> ChernResult:
     return _round_result("transfer", raw, grid)
 
 
-def _u_of(model: TightBindingOperator, k1: float, blocks=None) -> UMatrix:
-    """U(k1) from given or assembled blocks, shifted once by 1e-6 past a singular a(k1)."""
+def _u_of(model: TightBindingOperator, k1: float) -> UMatrix:
+    """U(k1) at one momentum, shifted once by 1e-6 past a singular a(k1): the
+    bisection refinement of :func:`chern_transfer`."""
     try:
-        data = transfer_matrix(model, k1) if blocks is None else _transfer_data(float(k1), *blocks)
+        data = transfer_matrix(model, k1)
     except _SingularBlock:
         data = transfer_matrix(model, k1 + 1e-6)
     return u_matrix(contracting_subspace(data), data.k1)
 
 
 def _u_scan(model: TightBindingOperator, ks: np.ndarray) -> list[UMatrix]:
-    """U(k1) at every momentum of ``ks``, from one stacked block assembly."""
-    a, b = _transfer_blocks(model, ks)
-    return [_u_of(model, k, (a_k, b_k)) for k, a_k, b_k in zip(ks, a, b)]
+    """U(k1) at every momentum of ``ks``: one block assembly and one stack
+    through every check, each a(k1) that the condition test refuses shifted
+    once by 1e-6, as :func:`_u_of` shifts it."""
+    scan = _Scan(ks)
+    T, _ = _transfer_stack(scan, *_transfer_blocks(model, ks),
+                           shift=lambda k: _transfer_blocks(model, k))
+    u = _unitaries(scan, _planes(scan, T))
+    scan.done()
+    return [_checked(UMatrix, k1=k, U=m) for k, m in zip(scan.ks.tolist(), u)]
 
 
 def chern_transfer(model: TightBindingOperator, *, n_k: int = 64) -> ChernResult:
@@ -426,13 +538,12 @@ def eigenphase_table(model: TightBindingOperator, n_k: int = 181) -> np.ndarray:
     """Eigenphases of U(k1) on an inclusive [-pi, pi] grid, for plotting.
 
     Returns an (n_k, 1 + d) array with rows (k1, phase_1 ... phase_d),
-    phases sorted ascending within each row.
+    phases sorted ascending within each row, from one stacked ``eigvals``.
     """
     _at_least("n_k", n_k, 2)
-    return np.array([
-        [u.k1, *np.sort(np.angle(np.linalg.eigvals(u.U)))]
-        for u in _u_scan(model, np.linspace(-math.pi, math.pi, n_k))
-    ])
+    samples = _u_scan(model, np.linspace(-math.pi, math.pi, n_k))
+    phases = np.sort(np.angle(np.linalg.eigvals(np.array([u.U for u in samples]))), axis=-1)
+    return np.column_stack([[u.k1 for u in samples], phases])
 
 
 # ---------------------------------------------------------------------------

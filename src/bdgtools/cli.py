@@ -540,7 +540,7 @@ def _check_tmatrix_oracle() -> None:
 
 
 def _check_transfer_plane_defects() -> None:
-    # TransferData, contracting_subspace and UMatrix refuse the form defect
+    # transfer_matrix, contracting_subspace and u_matrix refuse the form defect
     # (1e-10 ||T||^2), the Lagrangian defect and the unitarity defect (1e-8)
     model = build_model("pip+", delta=0.3, mu=-0.5)
     for k1 in (-2.1, -0.4, 0.9, 2.8):

@@ -38,7 +38,6 @@ from .lattice import (
     _box_action,
     _box_fibers,
     _dissection_order,
-    _hermitian_bloch_points,
     _hop,
     _periodic_grid,
     assemble_finite_volume,
@@ -259,11 +258,10 @@ def bloch_band_grid(model: TightBindingOperator, grid_n: int = 128) -> np.ndarra
     """All Bloch eigenvalues on a ``grid_n x grid_n`` momentum grid.
 
     Returns an array of shape ``(grid_n * grid_n, fiberdim)``, rows ordered
-    by momentum, columns ascending.
+    by momentum, columns ascending: ``models._grid_bands`` of the periodic
+    grid, reshaped.
     """
-    ks = _periodic_grid(grid_n)
-    m = _hermitian_bloch_points(model, ks[:, None], ks[None, :], "bloch_band_grid")
-    return np.linalg.eigvalsh(m).reshape(-1, model.fiber.dim)
+    return _grid_bands(model, _periodic_grid(grid_n), "bloch_band_grid").reshape(-1, model.fiber.dim)
 
 
 #: A distance D(z) at or below which z counts as on the Bloch spectrum.

@@ -145,6 +145,15 @@ class TightBindingOperator:
         return (*closure_defect(self), scale)
 
     @cached_property
+    def _bloch_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms as arrays for :func:`_bloch_points`: the displacements'
+        two components, each ``(T,)`` float, and the ``(T, d, d)`` block stack."""
+        d = self.fiber.dim
+        j = np.array(list(self.terms), dtype=float).reshape(-1, 2)
+        blocks = np.array(list(self.terms.values())).reshape(-1, d, d)
+        return j[:, 0], j[:, 1], blocks
+
+    @cached_property
     def _transfer_slices(self) -> tuple[TightBindingOperator, TightBindingOperator]:
         """The terms with j2 = -1 and those with j2 = 0, as two operators: the
         slices whose Bloch sums at k2 = 0 are the transfer route's a(k1), b(k1)."""
@@ -241,19 +250,25 @@ def _bloch_points(model: TightBindingOperator, k1, k2) -> np.ndarray:
 
     The one Bloch summation kernel: ``k1`` and ``k2`` broadcast against each
     other (a product grid, a point list or a single point) and the result
-    is the ``(..., d, d)`` stack of Bloch matrices.  Every entry is summed
-    term by term in the same order with the same arithmetic, so a stack
-    agrees bit for bit with single-point calls.  It serves non-self-adjoint
-    operators such as pairing potentials directly; Hermitian consumers go
-    through :func:`_hermitian_bloch_points` or :func:`assemble_bloch`.
+    is the ``(..., d, d)`` stack of Bloch matrices.  The phases of all terms
+    come from one ``exp`` over the operator's cached term arrays
+    (``_bloch_terms``), and every entry is then summed term by term, in
+    term order and starting from zero, with the same arithmetic for every
+    shape, so a stack agrees bit for bit with single-point calls.  It serves
+    non-self-adjoint operators such as pairing potentials directly;
+    Hermitian consumers go through :func:`_hermitian_bloch_points` or
+    :func:`assemble_bloch`.
     """
     k1 = np.asarray(k1, dtype=float)
     k2 = np.asarray(k2, dtype=float)
-    d = model.fiber.dim
-    m = np.zeros(np.broadcast_shapes(k1.shape, k2.shape) + (d, d), dtype=complex)
-    for j, b in model.terms.items():
-        phase = np.asarray(np.exp(1j * (k1 * j[0] + k2 * j[1])))
-        m += phase[..., None, None] * b
+    j1, j2, blocks = model._bloch_terms
+    shape = np.broadcast_shapes(k1.shape, k2.shape)
+    axes = (-1,) + (1,) * len(shape)  # the term axis first, so each term's phases are contiguous
+    phases = 1j * (k1 * j1.reshape(axes) + k2 * j2.reshape(axes))
+    np.exp(phases, out=phases)
+    m = np.zeros(shape + blocks.shape[1:], dtype=complex)
+    for t, b in enumerate(blocks):
+        m += phases[t, ..., None, None] * b
     return m
 
 

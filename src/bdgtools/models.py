@@ -373,22 +373,25 @@ def _square(x):
     return np.float_power(x, 2)
 
 
-def _closed_form_eplus(tag: str, params: ModelParams) -> Callable:
-    """E_+(k1, k2) from NumPy ufuncs: the same formula on scalars and grids."""
+def _closed_form_eplus(tag: str, params: ModelParams, xp=np) -> Callable:
+    """E_+(k1, k2), written once over the ufunc module ``xp``: ``numpy`` for
+    grids, ``math`` for single points, which it evaluates on plain floats at a
+    fraction of the cost of a NumPy scalar call.  Both give the same bits (the
+    coarse-grid equivalence tests pin the grid to the ``math`` points)."""
     delta, mu = params.delta, params.mu
     if tag == "p_ip":
         def eplus(k1, k2):
-            band = np.cos(k1) + np.cos(k2) - mu / 2
-            return np.sqrt(
+            band = xp.cos(k1) + xp.cos(k2) - mu / 2
+            return xp.sqrt(
                 band * band
-                + delta * delta * (_square(np.sin(k1)) + _square(np.sin(k2)))
+                + delta * delta * (_square(xp.sin(k1)) + _square(xp.sin(k2)))
             )
     elif tag == "d_id":
         def eplus(k1, k2):
-            c1, c2 = np.cos(k1), np.cos(k2)
+            c1, c2 = xp.cos(k1), xp.cos(k2)
             band = c1 + c2 - mu / 2
             pair = c1 * c2 - 1.0
-            return np.sqrt(band * band + delta * delta * pair * pair)
+            return xp.sqrt(band * band + delta * delta * pair * pair)
     else:
         raise ValueError(
             f"no closed-form bands for {tag!r}; use the generic Bloch route"
@@ -409,8 +412,8 @@ def _resolve_band_tag(model) -> str:
 def example_bands(model, params: ModelParams, k) -> BandPoint:
     """Closed-form bands E_+- (chiral p- or d-wave) at quasi-momentum k."""
     tag = _resolve_band_tag(model)
-    eplus = _closed_form_eplus(tag, params)
-    e = float(eplus(float(k[0]), float(k[1])))
+    eplus = _closed_form_eplus(tag, params, math)
+    e = eplus(float(k[0]), float(k[1]))
     return BandPoint((float(k[0]), float(k[1])), e, -e)
 
 
@@ -435,7 +438,7 @@ def _gap_objective(model, params, ks: np.ndarray, E: float = 0.0, what: str = "c
     """
     if isinstance(model, TightBindingOperator):
         def min_esq(e):  # smallest (E_i - E)^2 of one Bloch spectrum or of a stack
-            return _square(np.min(np.abs(e - E), axis=-1))
+            return _square(np.abs(e - E).min(axis=-1))
 
         def esq(k):
             return float(min_esq(np.linalg.eigvalsh(_bloch_points(model, k[0], k[1]))))
@@ -446,12 +449,13 @@ def _gap_objective(model, params, ks: np.ndarray, E: float = 0.0, what: str = "c
             f"{len(model.terms)} terms)"
         )
     else:
-        eplus = _closed_form_eplus(_resolve_band_tag(model), params)
+        tag = _resolve_band_tag(model)
+        grid, point = (_closed_form_eplus(tag, params, xp) for xp in (np, math))
 
         def esq(k):
-            return float(_square(eplus(k[0], k[1]) - abs(E)))
+            return _square(point(k[0], k[1]) - abs(E))
 
-        values = _square(eplus(*np.meshgrid(ks, ks, indexing="ij")) - abs(E))
+        values = _square(grid(*np.meshgrid(ks, ks, indexing="ij")) - abs(E))
         label = f"{model!r} at delta={params.delta!r}, mu={params.mu!r}"
     return values, esq, label
 
