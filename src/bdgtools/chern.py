@@ -52,7 +52,7 @@ from .lattice import (
     _require_closure,
     phs_conjugation,
 )
-from .models import _GAP_GRID, SIGMA, _square, minimize
+from .models import _GAP_GRID, SIGMA, _nelder_mead, _square
 
 __all__ = [
     "TransferData",
@@ -679,12 +679,7 @@ def _pauli_plane_zeros(model: TightBindingOperator, grid_n: int) -> list[tuple[f
     scale = max(float(values.max()), 1e-300)
     zeros: list[tuple[float, float]] = []
     for i, j in np.argwhere(_local_minima(values)):
-        res = minimize(
-            rho,
-            x0=(ks[i], ks[j]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-20, "maxiter": 2000},
-        )
+        res = _nelder_mead(rho, (ks[i], ks[j]), xatol=1e-10, fatol=1e-20, maxiter=2000)
         if not res.success:
             raise ArithmeticError(
                 f"transition_winding: polish of the rho minimum from grid cell "

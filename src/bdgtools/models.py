@@ -57,15 +57,6 @@ __all__ = [
 ]
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on its first call: the import
-    costs about a quarter of ``import bdgtools.cli``, and only a Nelder--Mead
-    refinement needs it."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
-
-
 SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
     2: np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -460,6 +451,96 @@ def _gap_objective(model, params, ks: np.ndarray, E: float = 0.0, what: str = "c
     return values, esq, label
 
 
+@dataclass(frozen=True)
+class _Simplex:
+    """The outcome of :func:`_nelder_mead`, with the fields of SciPy's
+    ``OptimizeResult`` that the callers read."""
+
+    x: tuple[float, float]
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+    message: str
+
+
+def _nan_last(vertex) -> tuple:
+    """Sort key of a ``(value, point)`` vertex in NumPy's order: NaN after all."""
+    f = vertex[0]
+    return (f != f, f)
+
+
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> _Simplex:
+    """Minimize ``f`` of two variables from ``x0`` by SciPy's Nelder-Mead.
+
+    The non-adaptive simplex of ``scipy.optimize.minimize(method="Nelder-Mead")``
+    without bounds, on plain floats: SciPy's NumPy bookkeeping on 3 x 2
+    arrays costs several times a closed-form objective.  The start simplex,
+    the centroid, the steps, the shrink and the stable sort by value copy
+    SciPy's arithmetic literally, so the vertices, ``nfev``, ``nit``, ``x``
+    and ``fun`` agree with it bit for bit (pinned in ``tests/test_models.py``;
+    SciPy's ``fun`` is ``np.min`` of the last values, which may pick the
+    other sign of a zero tied with +-0).  ``f`` receives each point as a
+    tuple of floats.  The run stops once the simplex spans at most ``xatol``
+    in each coordinate and ``fatol`` in value, tested before each iteration,
+    and fails once ``nit`` reaches ``maxiter``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    start = [(float(x0[0]), float(x0[1]))]
+    for k in range(2):
+        y = list(start[0])
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        start.append(tuple(y))
+    sim = sorted([(f(p), p) for p in start], key=_nan_last)
+    nfev, nit = 3, 1
+    while nit < maxiter:
+        (f0, (a0, b0)), (f1, (a1, b1)), (f2, (a2, b2)) = sim
+        if (abs(a1 - a0) <= xatol and abs(b1 - b0) <= xatol and abs(a2 - a0) <= xatol
+                and abs(b2 - b0) <= xatol and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
+            break
+        xa, xb = (a0 + a1) / 2, (b0 + b1) / 2  # the centroid of the two best
+        r = ((1 + rho) * xa - rho * a2, (1 + rho) * xb - rho * b2)
+        fr = f(r)
+        nfev += 1
+        if fr < f0:
+            e = ((1 + rho * chi) * xa - rho * chi * a2, (1 + rho * chi) * xb - rho * chi * b2)
+            fe = f(e)
+            nfev += 1
+            sim[2] = (fe, e) if fe < fr else (fr, r)
+        elif fr < f1:
+            sim[2] = (fr, r)
+        else:
+            if fr < f2:  # outside contraction
+                c = ((1 + psi * rho) * xa - psi * rho * a2, (1 + psi * rho) * xb - psi * rho * b2)
+                fc = f(c)
+                accept = fc <= fr
+            else:  # inside contraction
+                c = ((1 - psi) * xa + psi * a2, (1 - psi) * xb + psi * b2)
+                fc = f(c)
+                accept = fc < f2
+            nfev += 1
+            if accept:
+                sim[2] = (fc, c)
+            else:  # shrink towards the best vertex
+                for j in (1, 2):
+                    aj, bj = sim[j][1]
+                    p = (a0 + sigma * (aj - a0), b0 + sigma * (bj - b0))
+                    sim[j] = (f(p), p)
+                nfev += 2
+        nit += 1
+        sim.sort(key=_nan_last)
+    success = nit < maxiter
+    return _Simplex(
+        x=sim[0][1],
+        fun=next((v for v, _ in sim if v != v), sim[0][0]),  # NaN wins, as in np.min
+        nfev=nfev,
+        nit=nit,
+        success=success,
+        message="Optimization terminated successfully." if success
+        else "Maximum number of iterations has been exceeded.",
+    )
+
+
 def _distance_sq(model, params, E: float, what: str, bands: np.ndarray | None = None) -> float:
     """The refined min_k of :func:`_gap_objective`: the one search behind
     :func:`central_gap` and :func:`~bdgtools.greens.spectral_distance`.
@@ -477,13 +558,8 @@ def _distance_sq(model, params, E: float, what: str, bands: np.ndarray | None = 
     seeds = np.argwhere(_local_minima(values))
     best = np.inf
     for i, j in seeds[np.argsort(values[tuple(seeds.T)], kind="stable")[:3]]:
-        res = minimize(
-            esq,
-            x0=(ks[i], ks[j]),
-            method="Nelder-Mead",
-            # stop on k alone: any fatol below one ulp of the objective is unreachable
-            options={"xatol": 1e-10, "fatol": np.inf, "maxiter": 4000},
-        )
+        # stop on k alone: any fatol below one ulp of the objective is unreachable
+        res = _nelder_mead(esq, (ks[i], ks[j]), xatol=1e-10, fatol=math.inf, maxiter=4000)
         if not res.success:
             raise ArithmeticError(
                 f"{what}: refinement for {label} from coarse cell "

@@ -535,7 +535,7 @@ def test_transition_winding_reports_a_polish_that_does_not_converge(monkeypatch)
             message="Maximum number of iterations has been exceeded.",
         )
 
-    monkeypatch.setattr(chern, "minimize", stalled)
+    monkeypatch.setattr(chern, "_nelder_mead", stalled)
     with pytest.raises(ArithmeticError, match=r"grid cell \(\d+, \d+\).*did not converge"):
         transition_winding(DID_PLUS, mu=2.0)
 

@@ -337,22 +337,37 @@ def test_verify_flags_a_bloch_route_off_the_dense_one(monkeypatch, capsys):
     assert out.splitlines()[-1] == "verify: FAIL"
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter has ``module`` loaded after ``import bdgtools.cli``."""
-    code = f"import sys, bdgtools.cli; print({module!r} in sys.modules)"
+def _loaded_by_cli(module: str, *argvs: list[str]) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``import bdgtools.cli``
+    and a successful ``main`` call on each of ``argvs``."""
+    code = (
+        f"import sys, bdgtools.cli\n"
+        f"for argv in {argvs!r}:\n"
+        f"    assert bdgtools.cli.main(argv) == 0, argv\n"
+        f"print({module!r} in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(bdgtools.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.strip().splitlines()[-1] == "True"
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    assert not _loaded_by_cli_import("scipy.stats")
+    assert not _loaded_by_cli("scipy.stats")
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    assert not _loaded_by_cli_import("scipy.optimize")
+    assert not _loaded_by_cli("scipy.optimize")
+
+
+def test_gap_scan_contour_chern_and_verify_leave_scipy_optimize_unloaded():
+    assert not _loaded_by_cli(
+        "scipy.optimize",
+        ["gap-scan", "--model", "pip+", "--params", "delta=0.3,mu_min=-1,mu_max=1,n=3"],
+        ["chern", "--model", "did+", "--params", "delta=1,sector=1,mus=2,method=contour"],
+        ["verify"],
+    )
 
 
 def test_usage_errors_exit_2(capsys):
@@ -438,7 +453,7 @@ def test_non_converged_gap_refinement_exits_2(monkeypatch, capsys):
             message="Maximum number of iterations has been exceeded.",
         )
 
-    monkeypatch.setattr(models, "minimize", stalled)
+    monkeypatch.setattr(models, "_nelder_mead", stalled)
     args = ["gap-scan", "--model", "pip+", "--params", "delta=0.3,mu_min=0.5,mu_max=0.5,n=1"]
     assert main(args) == 2
     err = capsys.readouterr().err

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, minimize
 
-from bdgtools import lattice, models
+from bdgtools import chern, lattice, models
+from bdgtools.chern import transition_winding
 from bdgtools.lattice import (
     FiberShape,
     assemble_bloch,
@@ -24,6 +25,7 @@ from bdgtools.models import (
     BandPoint,
     ModelParams,
     PairingKind,
+    _nelder_mead,
     build_bdg,
     build_model,
     build_one_electron,
@@ -378,14 +380,14 @@ PINNED_GAPS = {
 def refinements(monkeypatch):
     """Record every Nelder-Mead result that central_gap sees."""
     seen = []
-    minimize = models.minimize
+    nelder_mead = models._nelder_mead
 
     def recording(*args, **kwargs):
-        res = minimize(*args, **kwargs)
+        res = nelder_mead(*args, **kwargs)
         seen.append(res)
         return res
 
-    monkeypatch.setattr(models, "minimize", recording)
+    monkeypatch.setattr(models, "_nelder_mead", recording)
     return seen
 
 
@@ -449,7 +451,7 @@ def test_gap_refinement_failure_raises(monkeypatch):
         return OptimizeResult(x=np.asarray(x0), fun=fun(x0), success=False, nit=4000,
                               message="Maximum number of iterations has been exceeded.")
 
-    monkeypatch.setattr(models, "minimize", stalled)
+    monkeypatch.setattr(models, "_nelder_mead", stalled)
     with pytest.raises(ArithmeticError, match=r"'did\+' at delta=1\.0, mu=2\.0 from coarse cell \(\d+, \d+\)"):
         central_gap("did+", ModelParams(1.0, 2.0))
     with pytest.raises(ArithmeticError, match="operator .* from coarse cell"):
@@ -523,19 +525,19 @@ def test_basin_seeds_agree_with_the_three_cell_seeds_on_the_catalog(name, monkey
     # the coarse grid, objective and refinements of the case at hand, shared
     # with the reference so that it repeats none of them
     objective, runs = [], {}
-    gap_objective = models._gap_objective
+    gap_objective, nelder_mead = models._gap_objective, models._nelder_mead
 
     def recorded_objective(*args):
         objective[:] = out = gap_objective(*args)
         return out
 
     def recorded_minimize(fun, x0, **kwargs):
-        assert kwargs == _REFINE
-        runs[tuple(x0)] = res = minimize(fun, x0=x0, **kwargs)
+        assert kwargs == _REFINE["options"]
+        runs[tuple(x0)] = res = nelder_mead(fun, x0, **kwargs)
         return res
 
     monkeypatch.setattr(models, "_gap_objective", recorded_objective)
-    monkeypatch.setattr(models, "minimize", recorded_minimize)
+    monkeypatch.setattr(models, "_nelder_mead", recorded_minimize)
     cases = [(build_model(name, d, mu), ModelParams(0.0, 0.0)) for d in _CATALOG_DELTAS
              for mu in _CATALOG_MUS]
     if MODEL_NAMES[name].tag in models._CLOSED_FORM_TAGS:
@@ -548,3 +550,96 @@ def test_basin_seeds_agree_with_the_three_cell_seeds_on_the_catalog(name, monkey
             assert got <= 1e-8
         else:
             assert abs(got - ref) <= 1e-14 * ref, (model, params, got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the plain-float Nelder-Mead against SciPy's
+
+
+def _assert_repeats_scipy(f, x0, xatol, fatol, maxiter):
+    """``models._nelder_mead`` gives SciPy's Nelder-Mead result bit for bit."""
+    ref = minimize(f, x0=x0, method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+    got = _nelder_mead(f, x0, xatol, fatol, maxiter)
+    assert np.array(got.x).tobytes() == ref.x.tobytes(), (x0, got.x, ref.x)
+    assert np.float64(got.fun).tobytes() == np.float64(ref.fun).tobytes(), (x0, got.fun, ref.fun)
+    assert (got.nfev, got.nit, got.success, got.message) == (
+        ref.nfev, ref.nit, ref.success, ref.message)
+    return got
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The arguments of every Nelder-Mead run of the band-distance refinement
+    and of the contour polish."""
+    runs = []
+    nelder_mead = models._nelder_mead
+
+    def recording(f, x0, **kwargs):
+        runs.append((f, x0, kwargs))
+        return nelder_mead(f, x0, **kwargs)
+
+    monkeypatch.setattr(models, "_nelder_mead", recording)
+    monkeypatch.setattr(chern, "_nelder_mead", recording)
+    return runs
+
+
+def _assert_runs_repeat_scipy(runs):
+    assert runs
+    for f, x0, kwargs in runs:
+        _assert_repeats_scipy(f, x0, **kwargs)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_nelder_mead_repeats_scipy_on_the_catalog_refinements(name, kernel_runs):
+    for delta, mu in GAP_POINTS[:2]:
+        central_gap(build_model(name, delta, mu), ModelParams(0.0, 0.0))
+        if MODEL_NAMES[name].tag in models._CLOSED_FORM_TAGS:
+            central_gap(name, ModelParams(delta, mu))
+    _assert_runs_repeat_scipy(kernel_runs)
+
+
+@pytest.mark.parametrize("name, delta", [("pip+", 0.3), ("did+", 1.0)])
+def test_nelder_mead_repeats_scipy_on_the_closed_form_scans(name, delta, kernel_runs):
+    for mu in np.linspace(-1.0, 1.0, 21):
+        central_gap(name, ModelParams(delta, float(mu)))
+    _assert_runs_repeat_scipy(kernel_runs)
+
+
+@pytest.mark.parametrize("seed", [34, 90])
+def test_nelder_mead_repeats_scipy_on_random_operators(seed, kernel_runs):
+    central_gap(_random_bdg(seed), ModelParams(0.0, 0.0))
+    _assert_runs_repeat_scipy(kernel_runs)
+
+
+def test_nelder_mead_repeats_scipy_on_the_contour_polish(kernel_runs):
+    sector = reduce_su2(build_model("did+", delta=1.0, mu=2.0))[0]
+    transition_winding(sector, mu=2.0)
+    assert all(kw == {"xatol": 1e-10, "fatol": 1e-20, "maxiter": 2000} for _, _, kw in kernel_runs)
+    _assert_runs_repeat_scipy(kernel_runs)
+
+
+def test_nelder_mead_repeats_scipy_from_a_zero_start_with_tied_vertices():
+    _, esq, _ = models._gap_objective("pip+", ModelParams(0.3, -0.5), lattice._periodic_grid(4))
+    assert esq((0.00025, 0.0)) == esq((0.0, 0.00025))  # the two start steps tie
+    _assert_repeats_scipy(esq, (0.0, 0.0), 1e-10, math.inf, 4000)
+    _assert_repeats_scipy(lambda p: abs(p[0]) + abs(p[1]), (0.0, 0.0), 1e-10, 1e-20, 300)
+
+
+def test_nelder_mead_repeats_scipy_when_it_hits_maxiter():
+    def rosenbrock(p):
+        return 100.0 * (p[1] - p[0] ** 2) ** 2 + (1.0 - p[0]) ** 2
+
+    res = _assert_repeats_scipy(rosenbrock, (-1.2, 1.0), 1e-10, 1e-20, 30)
+    assert not res.success and res.nit == 30
+    assert res.message == "Maximum number of iterations has been exceeded."
+
+
+def test_nelder_mead_repeats_scipy_on_nan_values():
+    # NaN sorts last, as in NumPy, and a NaN left in the simplex is its fun
+    def clipped(p):
+        return math.nan if p[0] > 0.5 else (p[0] - 0.6) ** 2 + p[1] ** 2
+
+    _assert_repeats_scipy(clipped, (0.49, 0.1), 1e-10, 1e-20, 2000)
+    res = _assert_repeats_scipy(lambda p: math.nan if p[0] else 1.0, (0.0, 2.0), 1e-10, 1e-20, 20)
+    assert not res.success and math.isnan(res.fun)
