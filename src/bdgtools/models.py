@@ -473,17 +473,19 @@ def _nan_last(vertex) -> tuple:
 def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> _Simplex:
     """Minimize ``f`` of two variables from ``x0`` by SciPy's Nelder-Mead.
 
-    The non-adaptive simplex of ``scipy.optimize.minimize(method="Nelder-Mead")``
+    The non-adaptive simplex of SciPy's ``minimize(method="Nelder-Mead")``
     without bounds, on plain floats: SciPy's NumPy bookkeeping on 3 x 2
     arrays costs several times a closed-form objective.  The start simplex,
     the centroid, the steps, the shrink and the stable sort by value copy
     SciPy's arithmetic literally, so the vertices, ``nfev``, ``nit``, ``x``
-    and ``fun`` agree with it bit for bit (pinned in ``tests/test_models.py``;
-    SciPy's ``fun`` is ``np.min`` of the last values, which may pick the
-    other sign of a zero tied with +-0).  ``f`` receives each point as a
-    tuple of floats.  The run stops once the simplex spans at most ``xatol``
-    in each coordinate and ``fatol`` in value, tested before each iteration,
-    and fails once ``nit`` reaches ``maxiter``.
+    and ``fun`` agree with it bit for bit (pinned in ``tests/test_models.py``).
+    The one exception is the sign of a zero: SciPy's ``fun`` is ``np.min``
+    of the final values, which may return -0.0 where the best vertex holds
+    +0.0 or back; the squared objectives here never yield -0.0.  ``f``
+    receives each point as a tuple of floats.  The run stops once the
+    simplex spans at most ``xatol`` in each coordinate and ``fatol`` in
+    value, tested before each iteration, and fails once ``nit`` reaches
+    ``maxiter``.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     start = [(float(x0[0]), float(x0[1]))]
