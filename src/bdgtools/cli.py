@@ -60,6 +60,7 @@ from .disorder import (
     DisorderSpec,
     DisorderTerm,
     Distribution,
+    _Ensemble,
     build_random_hamiltonian,
     default_spec,
     gap_closure_threshold,
@@ -578,7 +579,7 @@ def _check_clean_bloch_routes() -> None:
     for name, params, box in (("pip+", (0.3, -0.5), (8, 10)), ("did+", (1.0, 2.0), (6, 6))):
         model = build_model(name, *params)
         H = assemble_finite_volume(model, box)
-        (eigs,) = _realization_spectra(model, None, 0.0, box, 1, 0, 1)
+        (eigs,) = _realization_spectra(_Ensemble(model, None, 0.0, box, 1, 0, 1))
         err = float(np.abs(eigs - H.eigenvalues()).max())
         assert err <= 1e-12, f"{name} {box}: Bloch spectrum off the dense one by {err:.3e}"
         n0 = (box[0] // 2, box[1] // 2)

@@ -34,6 +34,7 @@ from .lattice import (
     _as_box,
     _assemble,
     assemble_finite_volume,
+    check_phs,
 )
 
 __all__ = [
@@ -289,18 +290,6 @@ def _pack(x: tuple[int, int]) -> int:
     return ((x[0] + (1 << 31)) << 32) + (x[1] + (1 << 31))
 
 
-def _class_uniform(seed: int, j: tuple[int, int], l: tuple[int, int]) -> float:
-    """The single uniform [0,1) draw attached to the disorder class (j, l).
-
-    The scalar reference of :func:`_philox_uniforms`, which the sampler uses.
-    """
-    # dtype must be explicit: a plain list would go through float64 and lose
-    # the low counter bits for values >= 2^63
-    counter = np.array([_pack(j), _pack(l), 0, 0], dtype=np.uint64)
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    return float(np.random.Generator(np.random.Philox(counter=counter, key=key)).random())
-
-
 # Philox4x64-10 round multipliers and key increments (Salmon et al.,
 # "Parallel random numbers: as easy as 1, 2, 3", SC'11)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -320,7 +309,10 @@ def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _philox_uniforms(seed: int, j: tuple[int, int], L: tuple[int, int]) -> np.ndarray:
-    """``_class_uniform(seed, j, l)`` for every site l of the box, as an (L1, L2) array.
+    """The uniform [0, 1) draw of every disorder class (j, l) of the box, as an (L1, L2) array.
+
+    ``tests/test_disorder.py`` keeps the scalar reference, one NumPy
+    ``Philox`` generator per class.
 
     One Philox4x64-10 block per class, as NumPy's ``Philox`` computes it:
     the counter (pack(j), pack(l), 0, 0) is bumped once, with carry, before
@@ -413,30 +405,69 @@ def build_random_hamiltonian(
     )
 
 
-def _realization_map(fn, model, spec, lam, L, n_realizations, seed, threads, clean=None) -> list:
-    """``fn`` of every realization's finite-volume Hamiltonian, in order.
+@dataclass(frozen=True)
+class _Ensemble:
+    """One disorder-averaged input, checked once: realization i of
+    ``H0 + lam * V`` on the periodic ``box`` is drawn from ``seed + i`` and
+    mapped on ``threads`` pool threads.  ``route`` is the one route rule:
 
-    This is the one disorder-ensemble path and the one clean/disordered
-    branch: H0 is assembled once, and realization i is drawn from
-    ``seed + i`` and added as ``H0 + lam * V``.  A clean ensemble (no spec,
-    ``lam = 0`` or no terms) is ``[fn(H0)]``, or ``[clean(model, box)]``
-    when a clean body is given; the realization count must be at least 1.
+    * ``"bloch"``: ``lam * V`` vanishes (no spec, ``lam = 0`` or no terms),
+      so the clean box is exact through its Bloch fibers;
+    * ``"paired"``: disordered, and ``model`` and every spec term obey
+      ``C* conj(B) C = -B`` with one parity (``lattice.check_phs``).  The
+      couplings are real, so every realization's spectrum pairs as (E, -E);
+    * ``"general"``: any other input.
+
+    ``reach`` is the R of the distance rule ``L/2 - R``: the model range, or
+    the larger of the model and disorder ranges on a disordered input.
     """
-    if not isinstance(model, TightBindingOperator):
-        raise TypeError("model must be a TightBindingOperator")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    if _is_clean(spec, lam):
-        return [fn(assemble_finite_volume(model, L)) if clean is None else clean(model, _as_box(L))]
-    base = assemble_finite_volume(model, L)
+
+    model: TightBindingOperator
+    spec: DisorderSpec | None
+    lam: float
+    box: tuple[int, int]
+    n_realizations: int
+    seed: int
+    threads: int
+    route: str = field(init=False)
+    reach: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        model, spec = self.model, self.spec
+        if not isinstance(model, TightBindingOperator):
+            raise TypeError("model must be a TightBindingOperator")
+        if self.n_realizations < 1:
+            raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
+        object.__setattr__(self, "box", _as_box(self.box))
+        route, reach = "bloch", model.range
+        if not _is_clean(spec, self.lam):
+            reach = max(reach, spec.range)
+            route = "general"
+            if model.fiber.ph and spec.fiber_dim == model.fiber.dim:
+                V = TightBindingOperator(model.fiber, {t.j: t.W for t in spec.terms})
+                if any(check_phs(model, p).holds and check_phs(V, p).holds
+                       for p in ("even", "odd")):
+                    route = "paired"
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "reach", reach)
+
+
+def _realization_map(fn, ens: _Ensemble) -> list:
+    """``fn`` of every realization's finite-volume Hamiltonian, in order: the
+    one disorder-ensemble path.  H0 is assembled once, and realization i is
+    drawn from ``seed + i`` and added as ``H0 + lam * V``.  A ``"bloch"``
+    ensemble is the one clean box, ``[fn(H0)]``."""
+    base = assemble_finite_volume(ens.model, ens.box)
+    if ens.route == "bloch":
+        return [fn(base)]
     return parallel_map(
         lambda i: fn(
             build_random_hamiltonian(
-                base, spec, lam, sample_realization(spec, L, seed + i)
+                base, ens.spec, ens.lam, sample_realization(ens.spec, ens.box, ens.seed + i)
             )
         ),
-        range(n_realizations),
-        threads,
+        range(ens.n_realizations),
+        ens.threads,
     )
 
 

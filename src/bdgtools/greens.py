@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigs, splu
 
-from .disorder import DisorderSpec, _is_clean, _mean_stderr, _realization_map
+from .disorder import DisorderSpec, _Ensemble, _mean_stderr, _realization_map
 from .lattice import (
     FiniteVolumeOperator,
     TightBindingOperator,
@@ -41,7 +41,6 @@ from .lattice import (
     _hop,
     _periodic_grid,
     assemble_finite_volume,
-    check_phs,
 )
 from .models import _GAP_GRID, _distance_sq, _grid_bands
 from .spectral import _realization_spectra
@@ -309,7 +308,7 @@ def combes_thomas_probe(
     box = _as_box(L)
     H = assemble_finite_volume(model, box)
     n0 = _center(box)
-    dists = np.arange(0, _fit_distance(model, None, 0.0, box, None) + 1)
+    dists = np.arange(0, _fit_distance(box, model.range, None) + 1)
     bands = _grid_bands(model, _periodic_grid(_GAP_GRID), "spectral_distance")  # one per probe
     out = []
     for z in z_list:
@@ -363,10 +362,9 @@ class DecayEstimate:
         return self.rate - 2.0 * self.rate_err > 0.0
 
 
-def _max_distance(model, spec, lam, box, max_dist: int | None) -> int:
-    """``max_dist``, by default and at most L/2 - R, R the larger of the model
-    and disorder ranges (the model range alone on a clean input)."""
-    reach = model.range if _is_clean(spec, lam) else max(model.range, spec.range)
+def _max_distance(box, reach: int, max_dist: int | None) -> int:
+    """``max_dist``, by default and at most L/2 - R, R the ``reach`` of the
+    input (:attr:`~bdgtools.disorder._Ensemble.reach`)."""
     limit = min(box) // 2 - reach
     if max_dist is None:
         max_dist = limit
@@ -380,25 +378,25 @@ def _max_distance(model, spec, lam, box, max_dist: int | None) -> int:
     return max_dist
 
 
-def _fit_distance(model, spec, lam, box, max_dist: int | None) -> int:
+def _fit_distance(box, reach: int, max_dist: int | None) -> int:
     """:func:`_max_distance`, refused below the two distances a decay fit needs."""
-    max_dist = _max_distance(model, spec, lam, box, max_dist)
+    max_dist = _max_distance(box, reach, max_dist)
     if max_dist < 2:
         raise ValueError(f"max_dist = {max_dist} leaves fewer than the two distances a fit needs")
     return max_dist
 
 
-def _scan_settings(model, spec, lam, box, s, n_realizations, max_dist) -> int:
+def _scan_settings(ens: _Ensemble, s: float, max_dist: int | None) -> int:
     """Everything :func:`fractional_moment_scan` refuses before it solves:
     ``s`` outside (0, 1), a ``max_dist`` or box that leaves fewer than the
     two distances a fit needs, and fewer than eight realizations on a
     disordered input.  Returns the checked ``max_dist``."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional power s must lie in (0, 1), got {s}")
-    max_dist = _fit_distance(model, spec, lam, box, max_dist)
-    if not _is_clean(spec, lam) and n_realizations < 8:
+    max_dist = _fit_distance(ens.box, ens.reach, max_dist)
+    if ens.route != "bloch" and ens.n_realizations < 8:
         raise ValueError(
-            f"n_realizations = {n_realizations} is below the minimum of 8 "
+            f"n_realizations = {ens.n_realizations} is below the minimum of 8 "
             "for a disorder average"
         )
     return max_dist
@@ -414,8 +412,8 @@ def _clean_axis_profile(model, z, box, dists) -> np.ndarray:
 def _wrap_exclusions(model, z, box, dists, small=None) -> np.ndarray:
     """Distances whose clean profile shifts by >1% when the box doubles.
 
-    Comparing the lam = 0 profile on ``L`` (``small``, when the caller has
-    it already) against ``2L`` flags distances where the periodic images
+    Comparing the lam = 0 profile on ``L`` (``small``, when a clean scan
+    has it already) against ``2L`` flags distances where the periodic images
     contribute; those are dropped from the fit window.  If the clean
     resolvent is unavailable at this ``z`` (inside the clean spectrum) the
     check is skipped and only the geometric bound ``d <= L/2 - R`` protects
@@ -454,26 +452,19 @@ def fractional_moment_scan(
     exceed it (beyond that the two arcs around the torus have comparable
     length and the decay law is polluted).
     """
-    box = _as_box(L)
     z = complex(z)
-    max_dist = _scan_settings(model, spec, lam, box, s, n_realizations, max_dist)
+    ens = _Ensemble(model, spec, lam, L, n_realizations, seed, threads)
+    max_dist = _scan_settings(ens, s, max_dist)
     dists = np.arange(0, max_dist + 1)
-    n0 = _center(box)
-
-    clean: list[np.ndarray] = []  # the clean profile, kept for the wrap check
-
-    def clean_profile(model, box) -> np.ndarray:
-        clean.append(_clean_axis_profile(model, z, box, dists))
-        return clean[0] ** s
-
-    profiles = np.array(
-        _realization_map(
-            lambda H: _axis_profile(H, z, n0, dists) ** s,
-            model, spec, lam, box, n_realizations, seed, threads, clean_profile,
-        )
-    )
-    tau, stderr = _mean_stderr(profiles)
-    wrapped = _wrap_exclusions(model, z, box, dists, *clean)
+    n0 = _center(ens.box)
+    if ens.route == "bloch":  # its profile is kept for the wrap check
+        clean = _clean_axis_profile(model, z, ens.box, dists)
+        profiles = [clean**s]
+    else:
+        clean = None
+        profiles = _realization_map(lambda H: _axis_profile(H, z, n0, dists) ** s, ens)
+    tau, stderr = _mean_stderr(np.array(profiles))
+    wrapped = _wrap_exclusions(model, z, ens.box, dists, clean)
     keep = (
         (dists >= 1)
         & ~wrapped
@@ -650,12 +641,11 @@ def fermi_projection_decay(
     via ``shifted`` / ``energy``.  ``max_dist`` follows the rule of
     :func:`fractional_moment_scan`: by default and at most ``L/2 - R``.
     """
-    box = _as_box(L)
-    max_dist = _max_distance(model, spec, lam, box, max_dist)
+    ens = _Ensemble(model, spec, lam, L, n_realizations, seed, threads)
+    box = ens.box
+    max_dist = _max_distance(box, ens.reach, max_dist)
     n0 = _center(box)
-    systems = _realization_map(
-        lambda H: np.linalg.eigh(H.dense()), model, spec, lam, box, n_realizations, seed, threads,
-    )
+    systems = _realization_map(lambda H: np.linalg.eigh(H.dense()), ens)
     n_used = len(systems)
 
     pooled = np.sort(np.concatenate([w for w, _ in systems]))
@@ -791,18 +781,6 @@ class PhaseDiagram:
         }
 
 
-def _ph_paired(model: TightBindingOperator, spec: DisorderSpec) -> bool:
-    """True when ``model`` and every term of ``spec`` obey
-    ``C* conj(B) C = -B`` with one parity (:func:`~bdgtools.lattice.check_phs`
-    at its ``PHS_TOL``).  Realizations have real couplings, so then every
-    ``H0 + lam * V`` is particle-hole symmetric and its spectrum pairs as
-    (E, -E)."""
-    if not model.fiber.ph or spec.fiber_dim != model.fiber.dim:
-        return False
-    V = TightBindingOperator(model.fiber, {t.j: t.W for t in spec.terms})
-    return any(check_phs(model, p).holds and check_phs(V, p).holds for p in ("even", "odd"))
-
-
 #: seed of the fixed ARPACK start vector and restart draws of the sparse edges
 _EDGE_SEED = 0
 
@@ -846,41 +824,22 @@ def _paired_edges(H: FiniteVolumeOperator) -> tuple[tuple[float, float, float, f
     return (-hi, hi, -g, g), False
 
 
-def _edge_stats(
-    model, spec, lam, box, n_realizations, seed, threads, paired: bool
-) -> tuple[SpectralEdges, int]:
+def _edge_stats(ens: _Ensemble) -> tuple[SpectralEdges, int]:
     """Realization statistics of the spectral ends and the gap edges next
     to 0, and the number of realizations that fell back to a dense solve.
 
-    A clean row is the periodic box's Bloch spectrum.  A disordered row
-    takes :func:`_paired_edges` when ``paired`` (the caller's
-    :func:`_ph_paired` verdict), and a dense spectrum per realization
-    otherwise."""
-    if paired and not _is_clean(spec, lam):
-        out = _realization_map(_paired_edges, model, spec, lam, box, n_realizations, seed, threads)
-        rows = [edges for edges, _ in out]
-        fallbacks = sum(dense for _, dense in out)
+    A ``"paired"`` row takes :func:`_paired_edges`; a ``"bloch"`` row is the
+    periodic box's Bloch spectrum and a ``"general"`` one a dense spectrum
+    per realization."""
+    if ens.route == "paired":
+        rows, dense = zip(*_realization_map(_paired_edges, ens))
     else:
-        spectra = _realization_spectra(model, spec, lam, box, n_realizations, seed, threads)
-        rows = [_spectrum_edges(e) for e in spectra]
-        fallbacks = 0
-    lo, hi, gap_lo, gap_hi = (np.array(c) for c in zip(*rows))
-
-    def std(a: np.ndarray) -> float:
-        return float(a.std(ddof=1)) if len(a) > 1 else 0.0
-
-    edges = SpectralEdges(
-        lam=float(lam),
-        lo=float(lo.mean()),
-        lo_std=std(lo),
-        hi=float(hi.mean()),
-        hi_std=std(hi),
-        gap_lo=float(gap_lo.mean()),
-        gap_lo_std=std(gap_lo),
-        gap_hi=float(gap_hi.mean()),
-        gap_hi_std=std(gap_hi),
-    )
-    return edges, fallbacks
+        rows, dense = [_spectrum_edges(e) for e in _realization_spectra(ens)], [0]
+    stats = []
+    for c in zip(*rows):  # the mean and sample deviation of lo, hi, gap_lo and gap_hi
+        a = np.array(c)
+        stats += [float(a.mean()), float(a.std(ddof=1)) if len(a) > 1 else 0.0]
+    return SpectralEdges(float(ens.lam), *stats), sum(dense)
 
 
 def localization_phase_diagram(
@@ -907,28 +866,22 @@ def localization_phase_diagram(
     scan's error text, ``"insignificant rate"`` or ``"r² ≤ 0.8"``.  Each scan
     probes every distance up to its default ``L/2 - R``.
 
-    Every row's edges come first (:func:`_edge_stats`; sparse when
-    :func:`_ph_paired` holds, and each dense fallback is counted).  Then a
-    setting the scans refuse (``s`` outside (0, 1), fewer than eight
-    realizations on a disordered row, a box too small for a fit) raises the
-    ``ValueError`` of the first row with a cell inside the spectrum, before
-    any scan runs.
+    Every row's edges come first (:func:`_edge_stats`; sparse on a
+    ``"paired"`` row, and each dense fallback is counted).  Then a setting
+    the scans refuse (``s`` outside (0, 1), fewer than eight realizations on
+    a disordered row, a box too small for a fit) raises the ``ValueError``
+    of the first row with a cell inside the spectrum, before any scan runs.
     """
     box = _as_box(L)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     energy_grid = np.asarray(energy_grid, dtype=float)
-    paired = spec is not None and _ph_paired(model, spec)
-    edges: list[SpectralEdges] = []
-    fallbacks: list[int] = []
-    outside: list[list[bool]] = []
-    for lam in lambda_grid:
-        edge, dense = _edge_stats(model, spec, lam, box, n_realizations, seed, threads, paired)
-        edges.append(edge)
-        fallbacks.append(dense)
-        outside.append([edge.outside(E) for E in energy_grid])
-    for lam, out in zip(lambda_grid, outside):
+    rows = [_Ensemble(model, spec, lam, box, n_realizations, seed, threads) for lam in lambda_grid]
+    stats = [_edge_stats(ens) for ens in rows]
+    edges, fallbacks = tuple(e for e, _ in stats), tuple(n for _, n in stats)
+    outside = [[edge.outside(E) for E in energy_grid] for edge in edges]
+    for ens, out in zip(rows, outside):
         if not all(out):  # a setting the scans refuse is an error, not a verdict
-            _scan_settings(model, spec, lam, box, s, n_realizations, None)
+            _scan_settings(ens, s, None)
 
     shape = (len(lambda_grid), len(energy_grid))
     rates = np.full(shape, np.nan)
@@ -971,8 +924,8 @@ def localization_phase_diagram(
         rate_errs=rate_errs,
         r_squared=r2s,
         n_realizations=n_reals,
-        edges=tuple(edges),
-        edge_fallbacks=tuple(fallbacks),
+        edges=edges,
+        edge_fallbacks=fallbacks,
         s=float(s),
         eps=float(eps),
         L=box,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSpec, _mean_stderr, _realization_map
-from .lattice import TightBindingOperator, _as_box, _box_fibers
+from .disorder import DisorderSpec, _Ensemble, _mean_stderr, _realization_map
+from .lattice import TightBindingOperator, _box_fibers
 
 __all__ = [
     "EDGE_TOL",
@@ -75,35 +75,32 @@ def _counts(eigs: np.ndarray, x) -> np.ndarray:
     return np.searchsorted(eigs, np.asarray(x, dtype=float) + EDGE_TOL, side="right")
 
 
-def _realization_spectra(model, spec, lam, L, n_realizations, seed, threads) -> list:
-    """The sorted spectrum of every realization.  A clean input is the one
-    periodic box, diagonalized fiber by fiber from its Bloch stack (exact:
-    the box is block-diagonal in momentum); a disordered one is diagonalized
-    densely, realization by realization."""
-    return _realization_map(
-        lambda H: H.eigenvalues(), model, spec, lam, L, n_realizations, seed, threads,
-        lambda model, box: np.sort(np.linalg.eigvalsh(_box_fibers(model, box)), axis=None),
-    )
+def _realization_spectra(ens: _Ensemble) -> list:
+    """The sorted spectrum of every realization.  A ``"bloch"`` ensemble is
+    the one periodic box, diagonalized fiber by fiber from its Bloch stack
+    (exact: the box is block-diagonal in momentum); any other is
+    diagonalized densely, realization by realization."""
+    if ens.route == "bloch":
+        return [np.sort(np.linalg.eigvalsh(_box_fibers(ens.model, ens.box)), axis=None)]
+    return _realization_map(lambda H: H.eigenvalues(), ens)
 
 
-def _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared):
+def _spectra(ens: _Ensemble, energies, squared: bool):
     """Sorted spectra of H, or of H^2 with ``squared`` (its squared spectrum,
     so no second diagonalization), one per realization, and the site count.
     ``energies`` (IDS energies or a DOS range) must be finite."""
     if not np.all(np.isfinite(energies)):
         raise ValueError(f"energies must be finite, got {tuple(energies)}")
-    lam = 0.0 if disorder is None else disorder.lam
-    spectra = _realization_spectra(model, disorder, lam, L, n_realizations, seed, threads)
+    spectra = _realization_spectra(ens)
     if squared:
         spectra = [np.sort(e * e) for e in spectra]
-    box = _as_box(L)
-    return spectra, box[0] * box[1]
+    return spectra, ens.box[0] * ens.box[1]
 
 
-def _ids(model, disorder, L, n_realizations, energies, seed, threads, squared) -> IdsCurve:
+def _ids(ens: _Ensemble, energies, squared: bool) -> IdsCurve:
     """Per-site signed counts of H's (or H^2's) spectrum at ``energies``, averaged."""
     energies = [float(e) for e in energies]
-    spectra, nsites = _spectra(model, disorder, L, n_realizations, seed, threads, energies, squared)
+    spectra, nsites = _spectra(ens, energies, squared)
     at = np.append(energies, 0.0)  # the count at 0 is the origin N(0) = 0
     counts = np.array([_counts(eigs, at) for eigs in spectra], dtype=float)
     counts = counts[:, :-1] - counts[:, -1:]
@@ -128,7 +125,8 @@ def ids_estimate(
     average.  Realization i uses seed + i, so curves at different energies
     share the same disorder.
     """
-    return _ids(model, disorder, L, n_realizations, energies, seed, threads, squared=False)
+    lam = 0.0 if disorder is None else disorder.lam
+    return _ids(_Ensemble(model, disorder, lam, L, n_realizations, seed, threads), energies, False)
 
 
 def ids_squared_estimate(
@@ -147,7 +145,8 @@ def ids_squared_estimate(
     the same lower-interval tie-break (zero modes within EDGE_TOL of 0 do
     not count).
     """
-    return _ids(model, disorder, L, n_realizations, energies, seed, threads, squared=True)
+    lam = 0.0 if disorder is None else disorder.lam
+    return _ids(_Ensemble(model, disorder, lam, L, n_realizations, seed, threads), energies, True)
 
 
 def dos_histogram(
@@ -181,8 +180,9 @@ def dos_histogram(
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("explicit bins must be an increasing edge array")
+    lam = 0.0 if disorder is None else disorder.lam
     spectra, nsites = _spectra(
-        model, disorder, L, n_realizations, seed, threads,
+        _Ensemble(model, disorder, lam, L, n_realizations, seed, threads),
         () if energy_range is None else energy_range, squared,
     )
     if by_count:

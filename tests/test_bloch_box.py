@@ -33,6 +33,7 @@ from bdgtools.chern import (
     real_space_chern,
 )
 from bdgtools.disorder import (
+    _Ensemble,
     _realization_map,
     build_random_hamiltonian,
     default_spec,
@@ -107,11 +108,11 @@ def test_the_kernel_refuses_an_operator_without_closure_with_the_assembly_text()
 def test_clean_spectra_keep_the_refusals_of_the_dense_route():
     model = build_model("pip+", delta=0.3, mu=-0.5)
     with pytest.raises(ValueError, match="too small for hopping range"):
-        _realization_spectra(model, None, 0.0, (8, 2), 1, 0, 1)
+        _realization_spectra(_Ensemble(model, None, 0.0, (8, 2), 1, 0, 1))
     with pytest.raises(ValueError, match="n_realizations must be >= 1"):
-        _realization_spectra(model, None, 0.0, 8, 0, 0, 1)
+        _realization_spectra(_Ensemble(model, None, 0.0, 8, 0, 0, 1))
     with pytest.raises(TypeError, match="TightBindingOperator"):
-        _realization_spectra("pip+", None, 0.0, 8, 1, 0, 1)
+        _realization_spectra(_Ensemble("pip+", None, 0.0, 8, 1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def test_clean_spectra_keep_the_refusals_of_the_dense_route():
 @pytest.mark.parametrize("name, box", CASES, ids=IDS)
 def test_bloch_spectrum_matches_the_dense_one(name, box, dense):
     _, ref = dense[name, box]
-    (got,) = _realization_spectra(MODELS[name], None, 0.0, box, 1, 0, 1)
+    (got,) = _realization_spectra(_Ensemble(MODELS[name], None, 0.0, box, 1, 0, 1))
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12
 
@@ -130,7 +131,7 @@ def test_bloch_spectrum_matches_the_dense_one(name, box, dense):
 @pytest.mark.parametrize("name, box", CASES, ids=IDS)
 def test_bloch_spectrum_gives_the_dense_counts(name, box, squared, dense):
     _, ref = dense[name, box]
-    (got,) = _realization_spectra(MODELS[name], None, 0.0, box, 1, 0, 1)
+    (got,) = _realization_spectra(_Ensemble(MODELS[name], None, 0.0, box, 1, 0, 1))
     if squared:
         ref, got = np.sort(ref * ref), np.sort(got * got)
         energies = np.append(_ENERGIES**2, 0.0)
@@ -142,8 +143,9 @@ def test_bloch_spectrum_gives_the_dense_counts(name, box, squared, dense):
 
 def test_a_disordered_ensemble_keeps_the_dense_spectra():
     model, spec = MODELS["pip+"], default_spec(r=1, lam=0.3)
-    got = _realization_spectra(model, spec, spec.lam, (6, 8), 3, 4, 1)
-    ref = _realization_map(lambda H: H.eigenvalues(), model, spec, spec.lam, (6, 8), 3, 4, 1)
+    ens = _Ensemble(model, spec, spec.lam, (6, 8), 3, 4, 1)
+    got = _realization_spectra(ens)
+    ref = _realization_map(lambda H: H.eigenvalues(), ens)
     assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
 
 

@@ -27,7 +27,14 @@ from bdgtools.disorder import (
     spec_to_json,
     standard_W,
 )
-from bdgtools.disorder import _class_uniform, _mean_stderr, _philox_uniforms, _realization_map
+from bdgtools.disorder import (
+    _MASK64,
+    _Ensemble,
+    _mean_stderr,
+    _pack,
+    _philox_uniforms,
+    _realization_map,
+)
 from bdgtools.lattice import assemble_finite_volume, spectrum_symmetry_check, tight_binding
 from bdgtools.models import build_model
 
@@ -208,6 +215,18 @@ def test_field_accessor_matches_values():
 # vectorized field sampling against the scalar per-class reference
 
 SEEDS = [0, 5, 2**63 + 7, 2**64 - 1]
+
+
+def _class_uniform(seed: int, j: tuple[int, int], l: tuple[int, int]) -> float:
+    """The single uniform [0,1) draw attached to the disorder class (j, l).
+
+    The scalar reference of :func:`_philox_uniforms`, which the sampler uses.
+    """
+    # dtype must be explicit: a plain list would go through float64 and lose
+    # the low counter bits for values >= 2^63
+    counter = np.array([_pack(j), _pack(l), 0, 0], dtype=np.uint64)
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    return float(np.random.Generator(np.random.Philox(counter=counter, key=key)).random())
 BOXES = pytest.mark.parametrize("L", [(37, 23), (1, 3)], ids=["37x23", "1x3"])
 
 
@@ -485,7 +504,7 @@ def test_a_periodic_box_too_small_for_the_disorder_range_is_refused(name):
         with pytest.raises(ValueError, match=message):
             build_random_hamiltonian(h0, spec, 0.7, rz)
     with pytest.raises(ValueError, match=message):  # the ensemble path
-        _realization_map(lambda fv: fv, H, spec, 0.7, L, 2, 0, 1)
+        _realization_map(lambda fv: fv, _Ensemble(H, spec, 0.7, L, 2, 0, 1))
     # an open box has no wrap-around, and the clean periodic box stays valid
     got = build_random_hamiltonian(H, spec, 0.7, rz, bc="open").dense()
     assert np.array_equal(got, _per_site_disorder(H, spec, 0.7, rz, "open"))
@@ -506,7 +525,7 @@ def test_ensemble_path_assembles_H0_once_and_matches_build_random_hamiltonian(
         return assemble_finite_volume(*args, **kwargs)
 
     monkeypatch.setattr(disorder, "assemble_finite_volume", counted)
-    got = _realization_map(lambda fv: fv.matrix, H, spec, 0.7, L, 4, 10, 2)
+    got = _realization_map(lambda fv: fv.matrix, _Ensemble(H, spec, 0.7, L, 4, 10, 2))
     assert len(calls) == 1
     monkeypatch.undo()
     for i, m in enumerate(got):
@@ -647,9 +666,11 @@ def test_a_clean_ensemble_is_the_clean_body_when_one_is_given():
         raise AssertionError("the clean body replaces fn on a clean ensemble")
 
     for spec, lam in ((None, 0.7), (default_spec(r=1), 0.0)):
-        got = _realization_map(refused, H, spec, lam, 6, 3, 0, 1, lambda m, box: (m, box))
+        ens = _Ensemble(H, spec, lam, 6, 3, 0, 1)
+        # the Bloch route's body takes (model, box); no realization is mapped
+        got = [(ens.model, ens.box)] if ens.route == "bloch" else _realization_map(refused, ens)
         assert got == [(H, (6, 6))]
     with pytest.raises(ValueError, match="n_realizations must be >= 1"):
-        _realization_map(refused, H, None, 0.0, 6, 0, 0, 1, lambda m, box: box)
+        _Ensemble(H, None, 0.0, 6, 0, 0, 1)
     with pytest.raises(TypeError, match="TightBindingOperator"):
-        _realization_map(refused, "pip+", None, 0.0, 6, 1, 0, 1, lambda m, box: box)
+        _Ensemble("pip+", None, 0.0, 6, 1, 0, 1)

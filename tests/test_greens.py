@@ -14,6 +14,7 @@ from bdgtools.disorder import (
     DisorderSpec,
     DisorderTerm,
     Distribution,
+    _Ensemble,
     build_random_hamiltonian,
     default_spec,
     sample_realization,
@@ -588,7 +589,7 @@ def _summary(lam, rows) -> greens.SpectralEdges:
 
 def _dense_edges(model, spec, lam, box, n, seed) -> greens.SpectralEdges:
     """The edge statistics from every realization's full dense spectrum."""
-    spectra = greens._realization_spectra(model, spec, lam, box, n, seed, 1)
+    spectra = greens._realization_spectra(_Ensemble(model, spec, lam, box, n, seed, 1))
     return _summary(lam, [greens._spectrum_edges(e) for e in spectra])
 
 
@@ -609,7 +610,7 @@ def test_sparse_edges_match_the_dense_spectrum(name, spec_name):
     delta, mu, L = EDGE_MODELS[name]
     model = build_model(name, delta=delta, mu=mu)
     spec = _spec(model.fiber.r, EDGE_SPECS[spec_name])
-    assert greens._ph_paired(model, spec)
+    assert _Ensemble(model, spec, 0.2, (L, L), 3, 5, 1).route == "paired"
     box, n, seed = (L, L), 3, 5
     energies = np.linspace(-8.0, 8.0, 321)
     for lam in (0.2, 0.6, 1.2):
@@ -627,12 +628,12 @@ def test_sparse_edges_match_the_dense_spectrum(name, spec_name):
             assert abs(getattr(got, f) - getattr(want, f)) <= tol, f
         assert [got.outside(E) for E in energies] == [want.outside(E) for E in energies]
     # the row statistics are those of the realizations' sparse edges
-    assert greens._edge_stats(model, spec, lam, box, n, seed, 1, paired=True) == (got, 0)
+    assert greens._edge_stats(_Ensemble(model, spec, lam, box, n, seed, 1)) == (got, 0)
 
 
 def test_a_spec_without_particle_hole_symmetry_takes_the_dense_route():
     spec = DisorderSpec((DisorderTerm((0, 0), np.eye(2)),))  # on-site W = 1
-    assert not greens._ph_paired(PIP, spec)
+    assert _Ensemble(PIP, spec, 0.5, (12, 12), 4, 3, 1).route == "general"
     pd = localization_phase_diagram(PIP, spec, [0.0, 0.5], [-9.0], L=12, n_realizations=4, seed=3)
     assert pd.edges[1] == _dense_edges(PIP, spec, 0.5, (12, 12), 4, 3)
     assert pd.edge_fallbacks == (0, 0)
