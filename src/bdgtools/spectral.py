@@ -11,16 +11,25 @@ the infinite-volume limit and hold within Monte-Carlo error at finite L.
 
 Eigenvalues within 1e-12 of an interval or bin edge are assigned to the
 lower interval; this fixed tie-break keeps every count reproducible.
+
+The IDS needs only counts, so a particle-hole paired ensemble on a box of at
+least 256 sites counts without a spectrum.  By Sylvester's law of inertia the
+number of eigenvalues of H below y is the number of negative pivots of an
+LDL* factor of H - y (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3);
+each count is certified or the realization is diagonalized after all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .disorder import DisorderSpec, _Ensemble, _mean_stderr, _realization_map
-from .lattice import TightBindingOperator, _box_fibers
+from .lattice import FiniteVolumeOperator, TightBindingOperator, _box_fibers, _dissection_order
 
 __all__ = [
     "EDGE_TOL",
@@ -34,14 +43,33 @@ __all__ = [
 #: Eigenvalues this close to an interval edge count for the lower interval.
 EDGE_TOL = 1e-12
 
+#: A paired ensemble counts by inertia on boxes of at least this many sites
+#: (L >= 16); below it one count costs about as much as a dense solve.
+_COUNT_MIN_SITES = 256
+
+#: Largest seeded backward error ||Ax - b||_1 / (||A||_1 ||x||_1 + ||b||_1) of
+#: the factor behind an accepted count, with A = H - y.
+_INERTIA_TOL = 1e-10
+
+#: The origin shift eta of the count route.  On a paired H, a certified count
+#: of n/2 eigenvalues below -eta leaves n/2 above +eta, so none lies in
+#: [-eta, eta]: every shift inside it counts n/2 with no factor, and the
+#: unpivoted factor is never asked near 0, where its backward error is worst.
+_ORIGIN_SHIFT = 1e-3
+
 
 @dataclass(frozen=True)
 class IdsCurve:
-    """IDS samples N(E) with per-point Monte-Carlo standard errors."""
+    """IDS samples N(E) with per-point Monte-Carlo standard errors.
+
+    ``dense_fallbacks`` counts the realizations of the inertia route whose
+    counts were not certified and came from the dense spectrum instead; it
+    is written neither to the CSV nor to the manifest."""
 
     energies: tuple
     values: tuple
     stderr: tuple
+    dense_fallbacks: int = 0
 
     def to_csv(self) -> str:
         lines = ["E,N,stderr"]
@@ -85,27 +113,151 @@ def _realization_spectra(ens: _Ensemble) -> list:
     return _realization_map(lambda H: H.eigenvalues(), ens)
 
 
+def _require_finite(energies) -> None:
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"energies must be finite, got {tuple(energies)}")
+
+
 def _spectra(ens: _Ensemble, energies, squared: bool):
     """Sorted spectra of H, or of H^2 with ``squared`` (its squared spectrum,
     so no second diagonalization), one per realization, and the site count.
     ``energies`` (IDS energies or a DOS range) must be finite."""
-    if not np.all(np.isfinite(energies)):
-        raise ValueError(f"energies must be finite, got {tuple(energies)}")
+    _require_finite(energies)
     spectra = _realization_spectra(ens)
     if squared:
         spectra = [np.sort(e * e) for e in spectra]
     return spectra, ens.box[0] * ens.box[1]
 
 
+class _Inertia:
+    """Certified counts of the eigenvalues of one finite volume H below a
+    shift y, from the pivots of an LDL* factor of H - y.
+
+    H is permuted once into CSC in the nested-dissection order of its box
+    (the order of ``greens._factor``), with every diagonal slot stored, so a
+    shift rewrites only the diagonal.
+    """
+
+    def __init__(self, H: FiniteVolumeOperator):
+        n = H.dim
+        p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
+        diag = np.arange(n)
+        position = np.empty(n, dtype=np.intp)
+        position[p] = diag  # where each finite-volume row goes in the order
+        coo = H.matrix.tocoo()
+        A = sp.csc_matrix(
+            (np.concatenate([coo.data, np.zeros(n)]),
+             (np.concatenate([position[coo.row], diag]),
+              np.concatenate([position[coo.col], diag]))),
+            shape=(n, n),
+        )
+        cols = np.repeat(diag, np.diff(A.indptr))
+        self.slots = np.flatnonzero(A.indices == cols)  # one per column, zeros kept
+        self.diag = A.data[self.slots].copy()
+        off = np.abs(A.data)
+        off[self.slots] = 0.0
+        self.off_norms = np.bincount(cols, off, minlength=n)  # column sums off the diagonal
+        self.A, self.identity = A, diag
+        rng = np.random.default_rng(0)
+        self.b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def below(self, y: float) -> int | None:
+        """The number of eigenvalues below y, or None when the factor is not
+        certified: a pivot off the diagonal, an exactly singular H - y, or a
+        backward error above :data:`_INERTIA_TOL`."""
+        A = self.A
+        A.data[self.slots] = self.diag - y
+        try:
+            # Pivot threshold 0: the count is read off U = D L* of A = L U,
+            # which is a congruence only while every pivot is A's diagonal
+            # entry.  A threshold above 0 (greens._factor's 0.01) lets SuperLU
+            # trade a small diagonal pivot for a row swap, and the signs of
+            # U's diagonal then say nothing about the inertia.
+            lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        except RuntimeError as err:
+            if "exactly singular" not in str(err):
+                raise
+            return None
+        if not (np.array_equal(lu.perm_r, self.identity)
+                and np.array_equal(lu.perm_c, self.identity)):
+            return None
+        x = lu.solve(self.b)
+        norm = float(np.max(self.off_norms + np.abs(self.diag - y)))
+        residual = np.abs(A @ x - self.b).sum()
+        if not residual <= _INERTIA_TOL * (norm * np.abs(x).sum() + np.abs(self.b).sum()):
+            return None
+        return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _inertia_counts(H: FiniteVolumeOperator, at, squared: bool) -> np.ndarray | None:
+    """What ``_counts`` gives at the points ``at`` on the sorted spectrum of a
+    paired H (of H^2 with ``squared``), from certified inertia, or None when
+    a count is not certified or an eigenvalue lies within :data:`_ORIGIN_SHIFT`
+    of 0.
+
+    An IDS point x counts below x + EDGE_TOL; a squared point t counts below
+    s minus below -s, s = sqrt(t + EDGE_TOL).  Both differ from the dense
+    count only when an eigenvalue lies within rounding of the shift."""
+    inertia = _Inertia(H)
+    eta, half = _ORIGIN_SHIFT, H.dim // 2
+    known = {-eta: inertia.below(-eta)}
+    if known[-eta] != half:
+        return None
+
+    def below(y: float) -> int | None:
+        if abs(y) < eta:
+            return half
+        if y not in known:
+            known[y] = inertia.below(y)
+        return known[y]
+
+    counts = []
+    for x in at:
+        t = x + EDGE_TOL
+        if not squared:
+            c = below(t)
+        elif t < eta * eta:
+            c = 0
+        else:
+            s = math.sqrt(t)
+            hi, lo = below(s), below(-s)
+            c = None if hi is None or lo is None else hi - lo
+        if c is None:
+            return None
+        counts.append(c)
+    return np.array(counts)
+
+
+def _realization_counts(H: FiniteVolumeOperator, at, squared: bool) -> tuple[np.ndarray, bool]:
+    """The counts of one realization at ``at`` by inertia, else from its
+    dense spectrum as the dense route counts them; and whether it fell back."""
+    counts = _inertia_counts(H, at, squared)
+    if counts is not None:
+        return counts, False
+    e = H.eigenvalues()
+    return _counts(np.sort(e * e) if squared else e, at), True
+
+
 def _ids(ens: _Ensemble, energies, squared: bool) -> IdsCurve:
-    """Per-site signed counts of H's (or H^2's) spectrum at ``energies``, averaged."""
+    """Per-site signed counts of H's (or H^2's) spectrum at ``energies``,
+    averaged.  A paired ensemble on a box of at least
+    :data:`_COUNT_MIN_SITES` sites counts by inertia; any other diagonalizes."""
     energies = [float(e) for e in energies]
-    spectra, nsites = _spectra(ens, energies, squared)
+    _require_finite(energies)
     at = np.append(energies, 0.0)  # the count at 0 is the origin N(0) = 0
-    counts = np.array([_counts(eigs, at) for eigs in spectra], dtype=float)
+    nsites = ens.box[0] * ens.box[1]
+    fallbacks = 0
+    if ens.route == "paired" and nsites >= _COUNT_MIN_SITES:
+        rows = _realization_map(lambda H: _realization_counts(H, at, squared), ens)
+        counts = np.array([c for c, _ in rows], dtype=float)
+        fallbacks = sum(dense for _, dense in rows)
+    else:
+        spectra, _ = _spectra(ens, energies, squared)
+        counts = np.array([_counts(eigs, at) for eigs in spectra], dtype=float)
     counts = counts[:, :-1] - counts[:, -1:]
     mean, err = _mean_stderr(counts / nsites)
-    return IdsCurve(tuple(energies), tuple(mean.tolist()), tuple(err.tolist()))
+    return IdsCurve(tuple(energies), tuple(mean.tolist()), tuple(err.tolist()), fallbacks)
 
 
 def ids_estimate(
@@ -119,11 +271,15 @@ def ids_estimate(
 ) -> IdsCurve:
     """Monte-Carlo IDS with the N(0) = 0 normalization.
 
-    The estimator diagonalizes the full torus operator per realization (a
-    clean torus through its Bloch fibers) and counts eigenvalues per site;
-    for covariant models this equals the trace-per-site definition on
-    average.  Realization i uses seed + i, so curves at different energies
-    share the same disorder.
+    The estimator counts the eigenvalues of the full torus operator per
+    realization and per site; for covariant models this equals the
+    trace-per-site definition on average.  A clean torus is diagonalized
+    through its Bloch fibers.  A particle-hole paired ensemble on a box of
+    at least 256 sites counts by certified sparse inertia, one LDL* factor
+    per energy, with no spectrum; a realization whose counts are not
+    certified is diagonalized instead, and ``dense_fallbacks`` counts it.
+    Any other input is diagonalized densely per realization.  Realization i
+    uses seed + i, so curves at different energies share the same disorder.
     """
     lam = 0.0 if disorder is None else disorder.lam
     return _ids(_Ensemble(model, disorder, lam, L, n_realizations, seed, threads), energies, False)
@@ -138,12 +294,13 @@ def ids_squared_estimate(
     seed: int = 0,
     threads: int = 1,
 ) -> IdsCurve:
-    """IDS of the squared operator H^2, from the squared spectrum of H.
+    """IDS of the squared operator H^2, from H alone.
 
-    No second diagonalization: the eigenvalues of H^2 are the squares of
-    those of H, so each realization is diagonalized once.  N2(0) = 0 with
-    the same lower-interval tie-break (zero modes within EDGE_TOL of 0 do
-    not count).
+    H^2 is never formed: its eigenvalues at or below t + EDGE_TOL are the
+    squares of those of H in [-s, s], s = sqrt(t + EDGE_TOL).  On the inertia route of
+    :func:`ids_estimate` that is the count below s minus the count below -s;
+    on the dense route, the squared spectrum of H.  N2(0) = 0 with the same
+    lower-interval tie-break (zero modes within EDGE_TOL of 0 do not count).
     """
     lam = 0.0 if disorder is None else disorder.lam
     return _ids(_Ensemble(model, disorder, lam, L, n_realizations, seed, threads), energies, True)

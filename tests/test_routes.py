@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bdgtools.greens as greens
+import bdgtools.spectral as spectral
 from bdgtools.disorder import DisorderSpec, DisorderTerm, _Ensemble, standard_W
 from bdgtools.greens import fractional_moment_scan, localization_phase_diagram
 from bdgtools.lattice import FiniteVolumeOperator
@@ -108,3 +109,61 @@ def test_a_general_row_takes_no_sparse_edges(monkeypatch):
     assert _Ensemble(PIP, spec, 0.5, 12, 4, 3, 1).route == "general"
     pd = localization_phase_diagram(PIP, spec, [0.0, 0.5], [-9.0], L=12, n_realizations=4, seed=3)
     assert pd.edge_fallbacks == (0, 0)
+
+
+
+def _count_eigenvalue_calls(monkeypatch) -> list:
+    calls = []
+    eigenvalues = FiniteVolumeOperator.eigenvalues
+
+    def counted(self):
+        calls.append(self.dim)
+        return eigenvalues(self)
+
+    monkeypatch.setattr(FiniteVolumeOperator, "eigenvalues", counted)
+    return calls
+
+
+_GAPPED = build_model("pip+", delta=0.3, mu=-0.5)
+_W00 = DisorderSpec((DisorderTerm((0, 0), standard_W("W00", 1)),), lam=0.3)
+_ENERGIES = (0.25, 0.5, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["ids", "ids squared"])
+def test_a_paired_ids_on_a_large_box_diagonalizes_only_its_counted_fallbacks(squared, monkeypatch):
+    calls = _count_eigenvalue_calls(monkeypatch)
+    assert _Ensemble(_GAPPED, _W00, 0.3, 20, 8, 3, 2).route == "paired"
+    estimator = spectral.ids_squared_estimate if squared else spectral.ids_estimate
+    energies = [e * e for e in _ENERGIES] if squared else _ENERGIES
+    curve = estimator(_GAPPED, _W00, L=20, n_realizations=8, energies=energies, seed=3, threads=2)
+    assert len(calls) == curve.dense_fallbacks == 0
+
+
+def test_a_paired_ids_below_the_size_rule_and_every_dos_diagonalize(monkeypatch):
+    monkeypatch.setattr(spectral, "_Inertia", _refuse("_Inertia"))
+    calls = _count_eigenvalue_calls(monkeypatch)
+    # the ids-identities check of `bdgtools verify`: L = 8, under the size rule
+    spec = DisorderSpec(_W00.terms, lam=0.1)
+    for estimator in (spectral.ids_estimate, spectral.ids_squared_estimate):
+        curve = estimator(_GAPPED, spec, L=8, n_realizations=8, energies=[0.3, 0.8], seed=0)
+        assert curve.dense_fallbacks == 0
+    assert len(calls) == 16
+    calls.clear()
+    for squared in (False, True):
+        spectral.dos_histogram(_GAPPED, _W00, L=20, n_realizations=3, seed=3, squared=squared)
+    assert len(calls) == 6
+
+
+def test_general_and_bloch_ids_take_no_inertia_counts(monkeypatch):
+    monkeypatch.setattr(spectral, "_Inertia", _refuse("_Inertia"))
+    calls = _count_eigenvalue_calls(monkeypatch)
+    general = DisorderSpec((DisorderTerm((0, 0), np.eye(2)),), lam=0.5)  # on-site W = 1
+    assert _Ensemble(_GAPPED, general, 0.5, 20, 3, 3, 1).route == "general"
+    curve = spectral.ids_estimate(_GAPPED, general, L=20, n_realizations=3, energies=_ENERGIES)
+    assert len(calls) == 3 and curve.dense_fallbacks == 0
+    calls.clear()
+    for spec in (None, DisorderSpec(_W00.terms, lam=0.0)):  # the clean box, by its Bloch fibers
+        assert _Ensemble(_GAPPED, spec, 0.0, 20, 1, 0, 1).route == "bloch"
+        curve = spectral.ids_estimate(_GAPPED, spec, L=20, energies=_ENERGIES)
+        assert curve.dense_fallbacks == 0
+    assert calls == []

@@ -5,13 +5,13 @@ Run from the repository root::
     python3 tools/bench_pairs.py BASE CHANGE --pairs 10 --seconds 25 \\
         --workloads localization momentum ensemble --out BENCH_<n>.json
 
-BASE and CHANGE are any git revisions.  Each is checked out into its own
-``git worktree`` (under ``--workdir``; both are removed at the end), and every
-run is ``python3 perfbench/run.py --workload W --seed S --seconds T`` in
-that checkout, so each side runs its own sources and its own harness.  Pair
-i of a workload uses seed ``--seed + i`` for both sides, and the side that
-runs first alternates from pair to pair, so slow drift of the machine falls
-on both sides alike.
+BASE and CHANGE are any git revisions.  Each is exported with ``git archive``
+into its own directory under ``--workdir`` (both are removed at the end), and
+every run is ``python3 perfbench/run.py --workload W --seed S --seconds T``
+in that directory, so each side runs its own committed sources and its own
+harness.  Pair i of a workload uses seed ``--seed + i`` for both sides, and
+the side that runs first alternates from pair to pair, so slow drift of the
+machine falls on both sides alike.
 
 The output records, per workload and end-to-end metric, each side's values,
 median and quartiles (``statistics.quantiles``, inclusive method), and the
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -87,7 +88,10 @@ def main(argv=None) -> int:
     args.workdir.mkdir(parents=True, exist_ok=True)
     try:
         for side, tree in trees.items():
-            _git("worktree", "add", "--detach", str(tree), shas[side])
+            tree.mkdir()
+            archive = subprocess.run(["git", "archive", shas[side]], cwd=ROOT, check=True,
+                                     capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         for workload in args.workloads:
             runs = {"base": [], "change": []}
             seeds = [args.seed + i for i in range(args.pairs)]
@@ -120,8 +124,7 @@ def main(argv=None) -> int:
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         for tree in trees.values():
-            if tree.exists():
-                subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT)
+            shutil.rmtree(tree, ignore_errors=True)
         with contextlib.suppress(OSError):  # only if nothing else is left in it
             args.workdir.rmdir()
     return 0
