@@ -244,11 +244,11 @@ def _ids(ens: _Ensemble, energies, squared: bool) -> IdsCurve:
     averaged.  A paired ensemble on a box of at least
     :data:`_COUNT_MIN_SITES` sites counts by inertia; any other diagonalizes."""
     energies = [float(e) for e in energies]
-    _require_finite(energies)
     at = np.append(energies, 0.0)  # the count at 0 is the origin N(0) = 0
     nsites = ens.box[0] * ens.box[1]
     fallbacks = 0
     if ens.route == "paired" and nsites >= _COUNT_MIN_SITES:
+        _require_finite(energies)
         rows = _realization_map(lambda H: _realization_counts(H, at, squared), ens)
         counts = np.array([c for c, _ in rows], dtype=float)
         fallbacks = sum(dense for _, dense in rows)

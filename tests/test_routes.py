@@ -80,6 +80,18 @@ def _refuse(what: str):
     return refused
 
 
+def _count_eigenvalue_calls(monkeypatch) -> list:
+    calls = []
+    eigenvalues = FiniteVolumeOperator.eigenvalues
+
+    def counted(self):
+        calls.append(self.dim)
+        return eigenvalues(self)
+
+    monkeypatch.setattr(FiniteVolumeOperator, "eigenvalues", counted)
+    return calls
+
+
 def test_a_bloch_scan_constructs_no_resolvent_solver(monkeypatch):
     monkeypatch.setattr(greens, "ResolventSolver", _refuse("ResolventSolver"))
     gapped = build_model("pip+", delta=0.3, mu=-0.5)
@@ -89,14 +101,7 @@ def test_a_bloch_scan_constructs_no_resolvent_solver(monkeypatch):
 
 
 def test_a_paired_row_diagonalizes_only_its_counted_fallbacks(monkeypatch):
-    calls = []
-    eigenvalues = FiniteVolumeOperator.eigenvalues
-
-    def counted(self):
-        calls.append(self.dim)
-        return eigenvalues(self)
-
-    monkeypatch.setattr(FiniteVolumeOperator, "eigenvalues", counted)
+    calls = _count_eigenvalue_calls(monkeypatch)
     spec = _spec(1, ["W00"])
     assert _Ensemble(PIP, spec, 0.6, 12, 4, 3, 1).route == "paired"
     pd = localization_phase_diagram(PIP, spec, [0.3, 0.6], [-9.0], L=12, n_realizations=4, seed=3)
@@ -109,19 +114,6 @@ def test_a_general_row_takes_no_sparse_edges(monkeypatch):
     assert _Ensemble(PIP, spec, 0.5, 12, 4, 3, 1).route == "general"
     pd = localization_phase_diagram(PIP, spec, [0.0, 0.5], [-9.0], L=12, n_realizations=4, seed=3)
     assert pd.edge_fallbacks == (0, 0)
-
-
-
-def _count_eigenvalue_calls(monkeypatch) -> list:
-    calls = []
-    eigenvalues = FiniteVolumeOperator.eigenvalues
-
-    def counted(self):
-        calls.append(self.dim)
-        return eigenvalues(self)
-
-    monkeypatch.setattr(FiniteVolumeOperator, "eigenvalues", counted)
-    return calls
 
 
 _GAPPED = build_model("pip+", delta=0.3, mu=-0.5)
