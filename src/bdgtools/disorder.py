@@ -36,6 +36,7 @@ from .lattice import (
     assemble_finite_volume,
     check_phs,
 )
+from .models import reduce_su2
 
 __all__ = [
     "Distribution",
@@ -405,15 +406,40 @@ def build_random_hamiltonian(
     )
 
 
+def _su2_sector(model: TightBindingOperator, spec: DisorderSpec):
+    """The sector input ``(H+, spec+)`` of a disordered input that reduces, or
+    None.  It reduces when ``models.reduce_su2`` accepts the model and every
+    spec term: no spin-mixing entries, and a second block equal to
+    sigma3 W+ sigma3, both within ``models._SU2_TOL``.  ``spec+`` keeps every
+    term's j and distribution, with W restricted to the first sector, so it
+    draws the same field and every realization ``H+ + lam V+`` is exactly the
+    first sector of ``H0 + lam V``; the second sector is sigma3 (H+ + lam V+)
+    sigma3, with the same spectrum."""
+    try:
+        plus, _ = reduce_su2(model)
+        v_plus, _ = reduce_su2(TightBindingOperator(model.fiber, {t.j: t.W for t in spec.terms}))
+    except ValueError:
+        return None
+    terms = tuple(DisorderTerm(t.j, v_plus.block(t.j), t.nu) for t in spec.terms)
+    return plus, DisorderSpec(terms, spec.lam)
+
+
 @dataclass(frozen=True)
 class _Ensemble:
     """One disorder-averaged input, checked once: realization i of
     ``H0 + lam * V`` on the periodic ``box`` is drawn from ``seed + i`` and
-    mapped on ``threads`` pool threads.  ``route`` is the one route rule:
+    mapped on ``threads`` pool threads.
+
+    A disordered input whose model and spec split into the two 2x2 SU(2)
+    sectors (:func:`_su2_sector`) is realized on the first sector alone:
+    ``realized_model`` and ``realized_spec`` are then H+ and spec+, and
+    ``multiplicity`` is 2, the number of sectors with the same spectrum.
+    Any other input is realized as given, with multiplicity 1.  ``route``
+    is the one route rule, on the realized input:
 
     * ``"bloch"``: ``lam * V`` vanishes (no spec, ``lam = 0`` or no terms),
       so the clean box is exact through its Bloch fibers;
-    * ``"paired"``: disordered, and ``model`` and every spec term obey
+    * ``"paired"``: disordered, and the model and every spec term obey
       ``C* conj(B) C = -B`` with one parity (``lattice.check_phs``).  The
       couplings are real, so every realization's spectrum pairs as (E, -E);
     * ``"general"``: any other input.
@@ -431,6 +457,9 @@ class _Ensemble:
     threads: int
     route: str = field(init=False)
     reach: int = field(init=False)
+    realized_model: TightBindingOperator = field(init=False)
+    realized_spec: DisorderSpec | None = field(init=False)
+    multiplicity: int = field(init=False)
 
     def __post_init__(self) -> None:
         model, spec = self.model, self.spec
@@ -439,9 +468,12 @@ class _Ensemble:
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         object.__setattr__(self, "box", _as_box(self.box))
-        route, reach = "bloch", model.range
+        route, reach, multiplicity = "bloch", model.range, 1
         if not _is_clean(spec, self.lam):
             reach = max(reach, spec.range)
+            sector = _su2_sector(model, spec)
+            if sector is not None:
+                (model, spec), multiplicity = sector, 2
             route = "general"
             if model.fiber.ph and spec.fiber_dim == model.fiber.dim:
                 V = TightBindingOperator(model.fiber, {t.j: t.W for t in spec.terms})
@@ -450,20 +482,26 @@ class _Ensemble:
                     route = "paired"
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "realized_model", model)
+        object.__setattr__(self, "realized_spec", spec)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 def _realization_map(fn, ens: _Ensemble) -> list:
     """``fn`` of every realization's finite-volume Hamiltonian, in order: the
     one disorder-ensemble path.  H0 is assembled once, and realization i is
-    drawn from ``seed + i`` and added as ``H0 + lam * V``.  A ``"bloch"``
-    ensemble is the one clean box, ``[fn(H0)]``."""
-    base = assemble_finite_volume(ens.model, ens.box)
+    drawn from ``seed + i`` and added as ``H0 + lam * V``, both of the
+    realized input: the first SU(2) sector when ``ens.multiplicity`` is 2,
+    and each caller accounts for the second.  A ``"bloch"`` ensemble is the
+    one clean box, ``[fn(H0)]``."""
+    model, spec = ens.realized_model, ens.realized_spec
+    base = assemble_finite_volume(model, ens.box)
     if ens.route == "bloch":
         return [fn(base)]
     return parallel_map(
         lambda i: fn(
             build_random_hamiltonian(
-                base, ens.spec, ens.lam, sample_realization(ens.spec, ens.box, ens.seed + i)
+                base, spec, ens.lam, sample_realization(spec, ens.box, ens.seed + i)
             )
         ),
         range(ens.n_realizations),

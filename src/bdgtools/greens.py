@@ -23,6 +23,7 @@ them sit
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -430,6 +431,30 @@ def _wrap_exclusions(model, z, box, dists, small=None) -> np.ndarray:
     return rel > 0.01
 
 
+#: The wrap checks of the phase diagram being computed, by (z, distances), or
+#: None outside one.  Every lambda row of a diagram scans the same model on
+#: the same box, and the clean check depends on nothing else.
+_DIAGRAM_WRAPS: ContextVar[dict | None] = ContextVar("_DIAGRAM_WRAPS", default=None)
+
+
+def _wrap_mask(model, z, box, dists, small=None) -> np.ndarray:
+    """:func:`_wrap_exclusions`, computed once per (z, distances) within a
+    phase diagram."""
+    wraps = _DIAGRAM_WRAPS.get()
+    if wraps is None:
+        return _wrap_exclusions(model, z, box, dists, small)
+    key = (z, len(dists))
+    if key not in wraps:
+        wraps[key] = _wrap_exclusions(model, z, box, dists, small)
+    return wraps[key]
+
+
+_EMPTY_WINDOW = (
+    "fit window is empty after noise and wrap exclusions; increase "
+    "n_realizations or the box size"
+)
+
+
 def fractional_moment_scan(
     model: TightBindingOperator,
     spec: DisorderSpec | None,
@@ -450,7 +475,9 @@ def fractional_moment_scan(
     least eight realizations are required.  ``max_dist`` defaults to
     ``L/2 - R``, R the larger of the model and disorder ranges, and may not
     exceed it (beyond that the two arcs around the torus have comparable
-    length and the decay law is polluted).
+    length and the decay law is polluted).  The wrap check comes first on a
+    disordered input: when it leaves fewer than two distances, the scan
+    raises before it draws a realization.
     """
     z = complex(z)
     ens = _Ensemble(model, spec, lam, L, n_realizations, seed, threads)
@@ -460,11 +487,15 @@ def fractional_moment_scan(
     if ens.route == "bloch":  # its profile is kept for the wrap check
         clean = _clean_axis_profile(model, z, ens.box, dists)
         profiles = [clean**s]
+        wrapped = _wrap_mask(model, z, ens.box, dists, clean)
     else:
-        clean = None
-        profiles = _realization_map(lambda H: _axis_profile(H, z, n0, dists) ** s, ens)
+        wrapped = _wrap_mask(model, z, ens.box, dists)
+        if np.count_nonzero((dists >= 1) & ~wrapped) < 2:
+            raise ValueError(_EMPTY_WINDOW)
+        # a reduced ensemble's site block is G+ (+) sigma3 G+ sigma3: sqrt(2) ||G+||_F
+        root = math.sqrt(ens.multiplicity)
+        profiles = _realization_map(lambda H: (root * _axis_profile(H, z, n0, dists)) ** s, ens)
     tau, stderr = _mean_stderr(np.array(profiles))
-    wrapped = _wrap_exclusions(model, z, ens.box, dists, clean)
     keep = (
         (dists >= 1)
         & ~wrapped
@@ -473,10 +504,7 @@ def fractional_moment_scan(
     )
     window = tuple(int(d) for d in dists[keep])
     if len(window) < 2:
-        raise ValueError(
-            "fit window is empty after noise and wrap exclusions; increase "
-            "n_realizations or the box size"
-        )
+        raise ValueError(_EMPTY_WINDOW)
     intercept, slope, se, r2 = _line_fit(dists[keep], np.log(tau[keep]))
     return DecayEstimate(
         distances=dists,
@@ -635,7 +663,9 @@ def fermi_projection_decay(
     Each realization is diagonalized densely; P = V V*, V the eigenvectors at
     or below the Fermi level, is never built: its blocks are V(n0) V(m)*, and
     ||P^2 - P||_2 is max |g^2 - g| over the eigenvalues g of the Gram matrix
-    V* V, which shares P's nonzero spectrum.  If the requested level lies within
+    V* V, which shares P's nonzero spectrum.  An SU(2)-reduced input
+    diagonalizes one 2x2 sector, and its block norms take the factor sqrt(2)
+    of the two sectors.  If the requested level lies within
     1e-8 of any realization eigenvalue it is moved to the midpoint of the wider
     adjacent spacing (pooled over realizations) and the shift is reported
     via ``shifted`` / ``energy``.  ``max_dist`` follows the rule of
@@ -658,8 +688,12 @@ def fermi_projection_decay(
         E_used, shifted = 0.5 * (lo + hi), True
 
     dists = np.arange(0, max_dist + 1)
-    dim = model.fiber.dim  # the fiber rows of the sites n0 + d e1, in the finite-volume order
+    # the fiber rows of the sites n0 + d e1, in the finite-volume order
+    dim = ens.realized_model.fiber.dim
     rows = dim * ((n0[0] + dists) % box[0] + box[0] * n0[1])[:, None] + np.arange(dim)
+    # a reduced ensemble's P is P+ (+) sigma3 P+ sigma3: its blocks have sqrt(2) times
+    # the Frobenius norm, and the same idempotency defect
+    root = math.sqrt(ens.multiplicity)
     profiles = np.empty((n_used, len(dists)))
     defect = 0.0
     for i, (w, vecs) in enumerate(systems):
@@ -667,7 +701,7 @@ def fermi_projection_decay(
         g = np.linalg.eigvalsh(filled.conj().T @ filled)
         defect = max(defect, float(np.abs(g * g - g).max(initial=0.0)))
         blocks = filled[rows[0]] @ np.swapaxes(filled[rows].conj(), 1, 2)  # P(n0, n0 + d e1)
-        profiles[i] = np.linalg.norm(blocks, axis=(1, 2))
+        profiles[i] = root * np.linalg.norm(blocks, axis=(1, 2))
     norms, stderr = _mean_stderr(profiles)
     keep = (dists >= 1) & (norms > 0.0)
     if keep.sum() >= 2:
@@ -871,6 +905,8 @@ def localization_phase_diagram(
     the scans refuse (``s`` outside (0, 1), fewer than eight realizations on
     a disordered row, a box too small for a fit) raises the ``ValueError``
     of the first row with a cell inside the spectrum, before any scan runs.
+    The scans' clean wrap checks depend only on (E, distances), so each is
+    computed once and serves every row.
     """
     box = _as_box(L)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -890,31 +926,35 @@ def localization_phase_diagram(
     n_reals = np.zeros(shape, dtype=int)
     verdicts: list[tuple[str, ...]] = []
     reasons: list[tuple[str, ...]] = []
-    for i, lam in enumerate(lambda_grid):
-        row: list[tuple[str, str]] = []
-        for k, E in enumerate(energy_grid):
-            if outside[i][k]:
-                row.append((OUTSIDE, ""))
-                continue
-            try:
-                est = fractional_moment_scan(model, spec, float(lam), complex(E, eps), s=s, L=box,
-                                             n_realizations=n_realizations, seed=seed,
-                                             threads=threads)
-            except (ValueError, ArithmeticError) as err:
-                row.append((NO_VERDICT, str(err)))
-                continue
-            rates[i, k] = est.rate
-            rate_errs[i, k] = est.rate_err
-            r2s[i, k] = est.r_squared
-            n_reals[i, k] = est.n_realizations
-            if not est.significant():
-                row.append((NO_VERDICT, "insignificant rate"))
-            elif not est.r_squared > 0.8:
-                row.append((NO_VERDICT, "r² ≤ 0.8"))
-            else:
-                row.append((LOCALIZED, ""))
-        verdicts.append(tuple(v for v, _ in row))
-        reasons.append(tuple(why for _, why in row))
+    token = _DIAGRAM_WRAPS.set({})  # each (E, distances) wrap check serves every row
+    try:
+        for i, lam in enumerate(lambda_grid):
+            row: list[tuple[str, str]] = []
+            for k, E in enumerate(energy_grid):
+                if outside[i][k]:
+                    row.append((OUTSIDE, ""))
+                    continue
+                try:
+                    est = fractional_moment_scan(model, spec, float(lam), complex(E, eps), s=s,
+                                                 L=box, n_realizations=n_realizations, seed=seed,
+                                                 threads=threads)
+                except (ValueError, ArithmeticError) as err:
+                    row.append((NO_VERDICT, str(err)))
+                    continue
+                rates[i, k] = est.rate
+                rate_errs[i, k] = est.rate_err
+                r2s[i, k] = est.r_squared
+                n_reals[i, k] = est.n_realizations
+                if not est.significant():
+                    row.append((NO_VERDICT, "insignificant rate"))
+                elif not est.r_squared > 0.8:
+                    row.append((NO_VERDICT, "r² ≤ 0.8"))
+                else:
+                    row.append((LOCALIZED, ""))
+            verdicts.append(tuple(v for v, _ in row))
+            reasons.append(tuple(why for _, why in row))
+    finally:
+        _DIAGRAM_WRAPS.reset(token)
     return PhaseDiagram(
         lambda_grid=lambda_grid,
         energy_grid=energy_grid,

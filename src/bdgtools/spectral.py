@@ -17,6 +17,10 @@ least 256 sites counts without a spectrum.  By Sylvester's law of inertia the
 number of eigenvalues of H below y is the number of negative pivots of an
 LDL* factor of H - y (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3);
 each count is certified or the realization is diagonalized after all.
+
+An SU(2)-singlet ensemble whose disorder keeps the two 2x2 sectors apart
+(``disorder._Ensemble.multiplicity`` 2) is diagonalized or counted on one
+sector, and every eigenvalue or count of it stands for two.
 """
 
 from __future__ import annotations
@@ -107,10 +111,12 @@ def _realization_spectra(ens: _Ensemble) -> list:
     """The sorted spectrum of every realization.  A ``"bloch"`` ensemble is
     the one periodic box, diagonalized fiber by fiber from its Bloch stack
     (exact: the box is block-diagonal in momentum); any other is
-    diagonalized densely, realization by realization."""
+    diagonalized densely, realization by realization.  An SU(2)-reduced
+    ensemble diagonalizes one sector and lists each of its eigenvalues
+    ``ens.multiplicity`` times, once per sector."""
     if ens.route == "bloch":
         return [np.sort(np.linalg.eigvalsh(_box_fibers(ens.model, ens.box)), axis=None)]
-    return _realization_map(lambda H: H.eigenvalues(), ens)
+    return _realization_map(lambda H: np.repeat(H.eigenvalues(), ens.multiplicity), ens)
 
 
 def _require_finite(energies) -> None:
@@ -250,7 +256,7 @@ def _ids(ens: _Ensemble, energies, squared: bool) -> IdsCurve:
     if ens.route == "paired" and nsites >= _COUNT_MIN_SITES:
         _require_finite(energies)
         rows = _realization_map(lambda H: _realization_counts(H, at, squared), ens)
-        counts = np.array([c for c, _ in rows], dtype=float)
+        counts = ens.multiplicity * np.array([c for c, _ in rows], dtype=float)
         fallbacks = sum(dense for _, dense in rows)
     else:
         spectra, _ = _spectra(ens, energies, squared)

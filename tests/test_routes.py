@@ -159,3 +159,116 @@ def test_general_and_bloch_ids_take_no_inertia_counts(monkeypatch):
         curve = spectral.ids_estimate(_GAPPED, spec, L=20, energies=_ENERGIES)
         assert curve.dense_fallbacks == 0
     assert calls == []
+
+
+# which catalog inputs of INPUTS reduce to one SU(2) sector (multiplicity 2):
+# the singlets under every disorder whose matrices are sigma3-symmetric in
+# the two sectors (W00, and W = 1); no triplet, no spinless model, and no
+# input with W10 or W01, which mix the sectors
+_SINGLET = (1, 1, 2, 1, 1, 2)
+_REST = (1,) * 6
+MULTIPLICITY = {
+    "did+": _SINGLET, "did-": _SINGLET, "dx2y2": _SINGLET, "dxy": _SINGLET,
+    "s": _SINGLET, "s-star": _SINGLET,
+    "p-spinful": _REST, "p-triplet+": _REST, "p-triplet-": _REST,
+    "pip+": _REST, "pip-": _REST, "px": _REST,
+}
+
+
+def test_the_reduction_table_covers_the_catalog():
+    assert sorted(MULTIPLICITY) == sorted(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLICITY))
+def test_every_catalog_input_reduces_as_its_table_says(name):
+    model = build_model(name, delta=0.6, mu=0.9)
+    inputs = _inputs(model)
+    ensembles = [_Ensemble(model, *inputs[k], 8, 8, 0, 1) for k in INPUTS]
+    assert tuple(ens.multiplicity for ens in ensembles) == MULTIPLICITY[name]
+    for ens in ensembles:
+        full = ens.multiplicity == 1
+        assert (ens.realized_model is model) == full
+        assert (ens.realized_spec is ens.spec) == full
+        assert ens.realized_model.fiber.dim == model.fiber.dim // ens.multiplicity
+
+
+def test_a_mixed_w00_w10_input_does_not_reduce():
+    did = build_model("did+", delta=0.6, mu=0.9)
+    for names in (["W00", "W10"], ["W10"], ["W01"]):
+        assert _Ensemble(did, _spec(2, names), 0.3, 8, 1, 0, 1).multiplicity == 1
+
+
+def _refuse_full_fiber(monkeypatch) -> list:
+    """Record the fiber of every disordered box the ensemble builds or
+    diagonalizes, and refuse a 4 x 4 one."""
+    import bdgtools.disorder as disorder
+
+    fibers = []
+    build = disorder.build_random_hamiltonian
+
+    def built(H0, spec, lam, realization, bc="periodic"):
+        H = build(H0, spec, lam, realization, bc)
+        fibers.append(H.fiber.dim)
+        assert H.fiber.dim == 2, "a reducing ensemble assembled its 4 x 4-fiber box"
+        return H
+
+    eigenvalues = FiniteVolumeOperator.eigenvalues
+
+    def diagonalized(self):
+        assert self.fiber.dim == 2, "a reducing ensemble diagonalized its 4 x 4-fiber box"
+        return eigenvalues(self)
+
+    monkeypatch.setattr(disorder, "build_random_hamiltonian", built)
+    monkeypatch.setattr(FiniteVolumeOperator, "eigenvalues", diagonalized)
+    return fibers
+
+
+def test_a_reducing_ensemble_never_builds_a_full_fiber_box(monkeypatch):
+    fibers = _refuse_full_fiber(monkeypatch)
+    did = build_model("did+", delta=1.0, mu=2.0)
+    spec = DisorderSpec(_spec(2, ["W00"]).terms, lam=0.3)
+    spectral.ids_estimate(did, spec, L=8, n_realizations=2, energies=[0.5])
+    spectral.ids_estimate(did, spec, L=16, n_realizations=2, energies=[0.5])  # by inertia
+    spectral.dos_histogram(did, spec, L=8, n_realizations=2)
+    localization_phase_diagram(did, spec, [0.3], [9.0], L=8, n_realizations=2)
+    fractional_moment_scan(did, spec, 0.3, 5.0 + 1e-3j, L=12, n_realizations=8)
+    greens.fermi_projection_decay(did, spec, 0.3, 0.0, L=8, n_realizations=2)
+    assert fibers == [2] * 18
+
+
+def test_a_doomed_scan_constructs_no_resolvent_solver(monkeypatch):
+    monkeypatch.setattr(greens, "ResolventSolver", _refuse("ResolventSolver"))
+    spec = _spec(1, ["W00"])
+    # at E = 1 on the 16 x 16 box the clean check wraps every distance
+    wrapped = greens._wrap_exclusions(PIP, 1.0 + 1e-4j, (16, 16), np.arange(0, 8))
+    assert np.count_nonzero(wrapped[1:]) >= 6
+    with pytest.raises(ValueError, match="fit window is empty"):
+        fractional_moment_scan(PIP, spec, 0.6, 1.0 + 1e-4j, L=16, n_realizations=8)
+
+
+def test_the_phase_diagram_takes_each_wrap_check_once(monkeypatch):
+    calls = []
+    wrap = greens._wrap_exclusions
+
+    def counted(model, z, box, dists, small=None):
+        calls.append((z, len(dists)))
+        return wrap(model, z, box, dists, small)
+
+    monkeypatch.setattr(greens, "_wrap_exclusions", counted)
+    spec = _spec(1, ["W00"])
+    pd = localization_phase_diagram(PIP, spec, [0.0, 0.2, 0.6], [0.0, 1.0], L=12, n_realizations=8)
+    scanned = sum(v != greens.OUTSIDE for row in pd.verdicts for v in row)
+    assert scanned > len(calls) == len(set(calls))
+    monkeypatch.undo()
+    assert greens._DIAGRAM_WRAPS.get() is None  # the shared checks end with the diagram
+    for i, lam in enumerate(pd.lambda_grid):  # the same verdicts as scans on their own
+        for k, E in enumerate(pd.energy_grid):
+            if pd.verdicts[i][k] == greens.OUTSIDE:
+                continue
+            try:
+                est = fractional_moment_scan(PIP, spec, lam, complex(E, pd.eps), L=12,
+                                             n_realizations=8)
+            except ValueError as err:
+                assert pd.reasons[i][k] == str(err)
+            else:
+                assert pd.rates[i, k] == est.rate
