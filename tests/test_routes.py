@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import bdgtools.disorder as disorder
 import bdgtools.greens as greens
 import bdgtools.spectral as spectral
 from bdgtools.disorder import DisorderSpec, DisorderTerm, _Ensemble, standard_W
@@ -192,17 +193,9 @@ def test_every_catalog_input_reduces_as_its_table_says(name):
         assert ens.realized_model.fiber.dim == model.fiber.dim // ens.multiplicity
 
 
-def test_a_mixed_w00_w10_input_does_not_reduce():
-    did = build_model("did+", delta=0.6, mu=0.9)
-    for names in (["W00", "W10"], ["W10"], ["W01"]):
-        assert _Ensemble(did, _spec(2, names), 0.3, 8, 1, 0, 1).multiplicity == 1
-
-
 def _refuse_full_fiber(monkeypatch) -> list:
     """Record the fiber of every disordered box the ensemble builds or
     diagonalizes, and refuse a 4 x 4 one."""
-    import bdgtools.disorder as disorder
-
     fibers = []
     build = disorder.build_random_hamiltonian
 
