@@ -444,6 +444,9 @@ class _Ensemble:
       couplings are real, so every realization's spectrum pairs as (E, -E);
     * ``"general"``: any other input.
 
+    ``parity`` is the parity that made the input ``"paired"``, ``"even"``
+    when both hold, and None on the other routes.
+
     ``reach`` is the R of the distance rule ``L/2 - R``: the model range, or
     the larger of the model and disorder ranges on a disordered input.
     """
@@ -460,6 +463,7 @@ class _Ensemble:
     realized_model: TightBindingOperator = field(init=False)
     realized_spec: DisorderSpec | None = field(init=False)
     multiplicity: int = field(init=False)
+    parity: str | None = field(init=False)
 
     def __post_init__(self) -> None:
         model, spec = self.model, self.spec
@@ -468,7 +472,7 @@ class _Ensemble:
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         object.__setattr__(self, "box", _as_box(self.box))
-        route, reach, multiplicity = "bloch", model.range, 1
+        route, reach, multiplicity, parity = "bloch", model.range, 1, None
         if not _is_clean(spec, self.lam):
             reach = max(reach, spec.range)
             sector = _su2_sector(model, spec)
@@ -477,14 +481,16 @@ class _Ensemble:
             route = "general"
             if model.fiber.ph and spec.fiber_dim == model.fiber.dim:
                 V = TightBindingOperator(model.fiber, {t.j: t.W for t in spec.terms})
-                if any(check_phs(model, p).holds and check_phs(V, p).holds
-                       for p in ("even", "odd")):
+                parity = next((p for p in ("even", "odd")
+                               if check_phs(model, p).holds and check_phs(V, p).holds), None)
+                if parity is not None:
                     route = "paired"
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "realized_model", model)
         object.__setattr__(self, "realized_spec", spec)
         object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "parity", parity)
 
 
 def _realization_map(fn, ens: _Ensemble) -> list:

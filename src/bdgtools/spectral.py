@@ -21,6 +21,16 @@ each count is certified or the realization is diagonalized after all.
 An SU(2)-singlet ensemble whose disorder keeps the two 2x2 sectors apart
 (``disorder._Ensemble.multiplicity`` 2) is diagonalized or counted on one
 sector, and every eigenvalue or count of it stands for two.
+
+A squared spectrum of a paired ensemble with even parity (C = K, class D of
+Altland and Zirnbauer, Phys. Rev. B 55, 1142 (1997)) is real.  In the
+Majorana basis W = (1/sqrt 2)[[1, 1], [i, -i]] on each fiber (W^T W = K),
+M = W H W* is i A with A real antisymmetric, so H^2 is unitarily equivalent
+to the real symmetric A^T A, diagonalized at about a quarter of the cost of
+the complex H.  Its eigenvalues are the E^2 to eps ||H||^2 absolute, as the
+squares of the complex eigenvalues are, so a count differs from the complex
+route's only when an E^2 lies within rounding of a shifted edge.  A
+realization whose Re M is not at rounding level is diagonalized as it is.
 """
 
 from __future__ import annotations
@@ -67,13 +77,16 @@ class IdsCurve:
     """IDS samples N(E) with per-point Monte-Carlo standard errors.
 
     ``dense_fallbacks`` counts the realizations of the inertia route whose
-    counts were not certified and came from the dense spectrum instead; it
-    is written neither to the CSV nor to the manifest."""
+    counts were not certified and came from the dense spectrum instead;
+    ``complex_fallbacks`` those whose squared spectrum should have come from
+    the real Majorana route but whose Re M was above rounding.  Neither is
+    written to the CSV or to the manifest."""
 
     energies: tuple
     values: tuple
     stderr: tuple
     dense_fallbacks: int = 0
+    complex_fallbacks: int = 0
 
     def to_csv(self) -> str:
         lines = ["E,N,stderr"]
@@ -84,12 +97,16 @@ class IdsCurve:
 
 @dataclass(frozen=True)
 class DosHistogram:
-    """Histogram estimate of the DOS (states per site per energy)."""
+    """Histogram estimate of the DOS (states per site per energy).
+
+    ``complex_fallbacks`` is :class:`IdsCurve`'s, for a squared histogram;
+    it is written neither to the CSV nor to the manifest."""
 
     bin_edges: tuple
     density: tuple
     total_weight: float
     stderr: tuple = ()
+    complex_fallbacks: int = 0
 
     def to_csv(self) -> str:
         lines = ["bin_lo,bin_hi,rho"]
@@ -124,15 +141,55 @@ def _require_finite(energies) -> None:
         raise ValueError(f"energies must be finite, got {tuple(energies)}")
 
 
-def _spectra(ens: _Ensemble, energies, squared: bool):
-    """Sorted spectra of H, or of H^2 with ``squared`` (its squared spectrum,
-    so no second diagonalization), one per realization, and the site count.
+#: The Majorana basis change on one particle-hole pair, times sqrt 2.
+_MAJORANA = np.array([[1.0, 1.0], [1j, -1j]])
+
+#: Largest max|Re M| / max|M| of the Majorana image M of an even-parity
+#: paired H that is taken for rounding.
+_MAJORANA_TOL = 1e-14
+
+
+def _majorana_image(H: FiniteVolumeOperator) -> sp.csr_matrix | None:
+    """The real antisymmetric A with W H W* = i A, W the Majorana basis
+    change I_sites (x) (1/sqrt 2)[[1, 1], [i, -i]] (x) I_r, or None when
+    Re(W H W*) is above rounding: H is then not paired with C = W^T W = K.
+
+    It is formed as M = 2 W H W* and A = Im M / 2, which rounds only in
+    the sums of M."""
+    W = sp.kron(sp.identity(H.nsites), sp.kron(_MAJORANA, sp.identity(H.fiber.r)), format="csr")
+    M = W @ H.matrix @ W.conj().T
+    if np.abs(M.data.real).max(initial=0.0) > _MAJORANA_TOL * np.abs(M.data).max(initial=0.0):
+        return None
+    return 0.5 * M.imag
+
+
+def _squared_spectrum(H: FiniteVolumeOperator, even: bool) -> tuple[np.ndarray, bool]:
+    """The sorted spectrum of H^2 of one realization, and whether the real
+    route was refused.  With ``even`` (a paired H of even parity) it is the
+    spectrum of the real symmetric A^T A of :func:`_majorana_image`, clamped
+    at 0 as H^2 is positive semidefinite; otherwise, or when the image is
+    refused, the squares of the complex spectrum of H."""
+    A = _majorana_image(H) if even else None
+    if A is not None:
+        return np.maximum(np.linalg.eigvalsh((A.T @ A).toarray()), 0.0), False
+    e = H.eigenvalues()
+    return np.sort(e * e), even
+
+
+def _spectra(ens: _Ensemble, energies, squared: bool) -> tuple[list, int]:
+    """Sorted spectra of H, or of H^2 with ``squared``, one per realization,
+    and how many realizations the real H^2 route refused.  A paired ensemble
+    of even parity takes H^2 from the real route (:func:`_squared_spectrum`);
+    any other squares its spectrum, with no second diagonalization.
     ``energies`` (IDS energies or a DOS range) must be finite."""
     _require_finite(energies)
+    if squared and ens.parity == "even":
+        rows = _realization_map(lambda H: _squared_spectrum(H, True), ens)
+        return [np.repeat(e, ens.multiplicity) for e, _ in rows], sum(r for _, r in rows)
     spectra = _realization_spectra(ens)
     if squared:
         spectra = [np.sort(e * e) for e in spectra]
-    return spectra, ens.box[0] * ens.box[1]
+    return spectra, 0
 
 
 class _Inertia:
@@ -235,14 +292,20 @@ def _inertia_counts(H: FiniteVolumeOperator, at, squared: bool) -> np.ndarray | 
     return np.array(counts)
 
 
-def _realization_counts(H: FiniteVolumeOperator, at, squared: bool) -> tuple[np.ndarray, bool]:
+def _realization_counts(
+    H: FiniteVolumeOperator, at, squared: bool, even: bool = False
+) -> tuple[np.ndarray, bool, bool]:
     """The counts of one realization at ``at`` by inertia, else from its
-    dense spectrum as the dense route counts them; and whether it fell back."""
+    dense spectrum as the dense route counts them (H^2 by
+    :func:`_squared_spectrum`, with ``even`` as there); whether it fell
+    back, and whether the real H^2 route was refused."""
     counts = _inertia_counts(H, at, squared)
     if counts is not None:
-        return counts, False
-    e = H.eigenvalues()
-    return _counts(np.sort(e * e) if squared else e, at), True
+        return counts, False, False
+    if squared:
+        e2, refused = _squared_spectrum(H, even)
+        return _counts(e2, at), True, refused
+    return _counts(H.eigenvalues(), at), True, False
 
 
 def _ids(ens: _Ensemble, energies, squared: bool) -> IdsCurve:
@@ -255,15 +318,17 @@ def _ids(ens: _Ensemble, energies, squared: bool) -> IdsCurve:
     fallbacks = 0
     if ens.route == "paired" and nsites >= _COUNT_MIN_SITES:
         _require_finite(energies)
-        rows = _realization_map(lambda H: _realization_counts(H, at, squared), ens)
-        counts = ens.multiplicity * np.array([c for c, _ in rows], dtype=float)
-        fallbacks = sum(dense for _, dense in rows)
+        even = ens.parity == "even"
+        rows = _realization_map(lambda H: _realization_counts(H, at, squared, even), ens)
+        counts = ens.multiplicity * np.array([c for c, _, _ in rows], dtype=float)
+        fallbacks = sum(dense for _, dense, _ in rows)
+        refused = sum(r for _, _, r in rows)
     else:
-        spectra, _ = _spectra(ens, energies, squared)
+        spectra, refused = _spectra(ens, energies, squared)
         counts = np.array([_counts(eigs, at) for eigs in spectra], dtype=float)
     counts = counts[:, :-1] - counts[:, -1:]
     mean, err = _mean_stderr(counts / nsites)
-    return IdsCurve(tuple(energies), tuple(mean.tolist()), tuple(err.tolist()), fallbacks)
+    return IdsCurve(tuple(energies), tuple(mean.tolist()), tuple(err.tolist()), fallbacks, refused)
 
 
 def ids_estimate(
@@ -344,10 +409,9 @@ def dos_histogram(
         if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("explicit bins must be an increasing edge array")
     lam = 0.0 if disorder is None else disorder.lam
-    spectra, nsites = _spectra(
-        _Ensemble(model, disorder, lam, L, n_realizations, seed, threads),
-        () if energy_range is None else energy_range, squared,
-    )
+    ens = _Ensemble(model, disorder, lam, L, n_realizations, seed, threads)
+    spectra, refused = _spectra(ens, () if energy_range is None else energy_range, squared)
+    nsites = ens.box[0] * ens.box[1]
     if by_count:
         if energy_range is None:
             lo = min(float(e[0]) for e in spectra)
@@ -363,4 +427,5 @@ def dos_histogram(
         tuple(density.tolist()),
         float(np.sum(density * widths)),
         tuple(err.tolist()),
+        refused,
     )

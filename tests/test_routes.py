@@ -132,19 +132,61 @@ def test_a_paired_ids_on_a_large_box_diagonalizes_only_its_counted_fallbacks(squ
     assert len(calls) == curve.dense_fallbacks == 0
 
 
+def _count_real_solves(monkeypatch) -> list:
+    """The dimension of every Majorana image the real H^2 route accepts,
+    one per real symmetric solve."""
+    solves = []
+    image = spectral._majorana_image
+
+    def counted(H):
+        A = image(H)
+        if A is not None:
+            solves.append(H.dim)
+        return A
+
+    monkeypatch.setattr(spectral, "_majorana_image", counted)
+    return solves
+
+
 def test_a_paired_ids_below_the_size_rule_and_every_dos_diagonalize(monkeypatch):
     monkeypatch.setattr(spectral, "_Inertia", _refuse("_Inertia"))
     calls = _count_eigenvalue_calls(monkeypatch)
-    # the ids-identities check of `bdgtools verify`: L = 8, under the size rule
+    solves = _count_real_solves(monkeypatch)
+    # the ids-identities check of `bdgtools verify`: L = 8, under the size rule;
+    # the squared curve takes the real H^2 route (even parity)
     spec = DisorderSpec(_W00.terms, lam=0.1)
     for estimator in (spectral.ids_estimate, spectral.ids_squared_estimate):
         curve = estimator(_GAPPED, spec, L=8, n_realizations=8, energies=[0.3, 0.8], seed=0)
-        assert curve.dense_fallbacks == 0
-    assert len(calls) == 16
+        assert curve.dense_fallbacks == curve.complex_fallbacks == 0
+    assert (len(calls), len(solves)) == (8, 8)
     calls.clear()
+    solves.clear()
     for squared in (False, True):
-        spectral.dos_histogram(_GAPPED, _W00, L=20, n_realizations=3, seed=3, squared=squared)
-    assert len(calls) == 6
+        dos = spectral.dos_histogram(_GAPPED, _W00, L=20, n_realizations=3, seed=3, squared=squared)
+        assert dos.complex_fallbacks == 0
+    assert (len(calls), len(solves)) == (3, 3)
+
+
+def test_odd_general_and_bloch_inputs_never_build_the_majorana_image(monkeypatch):
+    monkeypatch.setattr(spectral, "_majorana_image", _refuse("_majorana_image"))
+    did = build_model("did+", delta=1.0, mu=2.0)
+    odd = DisorderSpec(_spec(2, ["W00"]).terms, lam=0.3)  # the singlet's 2 x 2 sector
+    general = DisorderSpec((DisorderTerm((0, 0), np.eye(2)),), lam=0.5)  # on-site W = 1
+    for model, spec, route, parity in ((did, odd, "paired", "odd"),
+                                       (_GAPPED, general, "general", None),
+                                       (_GAPPED, None, "bloch", None),
+                                       (_GAPPED, DisorderSpec(_W00.terms, lam=0.0), "bloch", None)):
+        lam = 0.0 if spec is None else spec.lam
+        ens = _Ensemble(model, spec, lam, 8, 2, 0, 1)
+        assert (ens.route, ens.parity) == (route, parity)
+        kw = dict(L=8, n_realizations=2, seed=0)
+        dos = spectral.dos_histogram(model, spec, squared=True, **kw)
+        curve = spectral.ids_squared_estimate(model, spec, energies=[0.25, 1.0], **kw)
+        assert dos.complex_fallbacks == curve.complex_fallbacks == 0
+    # the dense fallback of an odd-parity count (at L = 16, by inertia)
+    monkeypatch.setattr(spectral, "_INERTIA_TOL", 0.0)
+    curve = spectral.ids_squared_estimate(did, odd, L=16, n_realizations=2, energies=[1.0])
+    assert curve.dense_fallbacks == 2 and curve.complex_fallbacks == 0
 
 
 def test_general_and_bloch_ids_take_no_inertia_counts(monkeypatch):
@@ -176,8 +218,30 @@ MULTIPLICITY = {
 }
 
 
+# the parity that made each "paired" input of INPUTS paired (None on the
+# other routes): even (C = K) on every full fiber, odd (C = I) on the
+# singlets' 2 x 2 sector
+_SECTOR_PARITY = (None, None, "odd", "even", "even", None)
+_FULL_PARITY = (None, None, "even", "even", "even", None)
+PARITY = {
+    "did+": _SECTOR_PARITY, "did-": _SECTOR_PARITY, "dx2y2": _SECTOR_PARITY,
+    "dxy": _SECTOR_PARITY, "s": _SECTOR_PARITY, "s-star": _SECTOR_PARITY,
+    "p-spinful": _FULL_PARITY, "p-triplet+": _FULL_PARITY, "p-triplet-": _FULL_PARITY,
+    "pip+": _FULL_PARITY, "pip-": _FULL_PARITY, "px": _FULL_PARITY,
+}
+
+
 def test_the_reduction_table_covers_the_catalog():
-    assert sorted(MULTIPLICITY) == sorted(MODEL_NAMES)
+    assert sorted(MULTIPLICITY) == sorted(MODEL_NAMES) == sorted(PARITY)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY))
+def test_every_paired_catalog_input_records_its_parity(name):
+    model = build_model(name, delta=0.6, mu=0.9)
+    inputs = _inputs(model)
+    got = tuple(_Ensemble(model, *inputs[k], 8, 8, 0, 1).parity for k in INPUTS)
+    assert got == PARITY[name]
+    assert all((p is not None) == (r == "paired") for p, r in zip(got, ROUTES[name]))
 
 
 @pytest.mark.parametrize("name", sorted(MULTIPLICITY))
