@@ -365,12 +365,18 @@ def ids_squared_estimate(
     seed: int = 0,
     threads: int = 1,
 ) -> IdsCurve:
-    """IDS of the squared operator H^2, from H alone.
+    """IDS of the squared operator H^2.
 
-    H^2 is never formed: its eigenvalues at or below t + EDGE_TOL are the
-    squares of those of H in [-s, s], s = sqrt(t + EDGE_TOL).  On the inertia route of
-    :func:`ids_estimate` that is the count below s minus the count below -s;
-    on the dense route, the squared spectrum of H.  N2(0) = 0 with the same
+    Its eigenvalues at or below t + EDGE_TOL are the squares of those of H
+    in [-s, s], s = sqrt(t + EDGE_TOL).  On the inertia route of
+    :func:`ids_estimate` that is the count below s minus the count below -s,
+    with no spectrum.  On the dense route a paired ensemble of even parity
+    diagonalizes the real symmetric H^2 of the Majorana basis (see the
+    module docstring: E^2 to eps ||H||^2 absolute, so a count differs from
+    the squared complex spectrum's only when an E^2 lies within rounding of
+    t + EDGE_TOL); any other input squares the spectrum of H.  A realization
+    whose Majorana image is not real within rounding takes the complex route,
+    and ``complex_fallbacks`` counts it.  N2(0) = 0 with the same
     lower-interval tie-break (zero modes within EDGE_TOL of 0 do not count).
     """
     lam = 0.0 if disorder is None else disorder.lam
@@ -394,7 +400,13 @@ def dos_histogram(
     full sampled spectrum) or an explicit increasing edge array.  With
     ``squared`` the histogram is over the spectrum of H^2, which makes the
     density comparison rho(E) = |E| rho2(E^2) a bin-exact statement when the
-    squared edges are the squares of the direct ones.  An ``energy_range``
+    squared edges are the squares of the direct ones.  A paired ensemble of
+    even parity takes that spectrum from the real symmetric H^2 of the
+    Majorana basis: E^2 to eps ||H||^2 absolute, so a bin count differs from
+    the squared complex spectrum's only when an E^2 lies within rounding of
+    a shifted edge, and the default range's ends move at rounding level.
+    ``complex_fallbacks`` counts the realizations that took the complex
+    route instead (:func:`ids_squared_estimate`).  An ``energy_range``
     that is not finite, empty or reversed raises ``ValueError``.
     """
     if energy_range is not None and not energy_range[0] < energy_range[1]:
