@@ -3,7 +3,8 @@
 Everything here works with finite-volume operators.  The central object is
 :class:`ResolventSolver`, a sparse-LU factorization of ``z - H`` that serves
 site-block queries ``G^z(n, m)`` with a certified relative residual.  Every
-sparse factorization of ``z - H`` takes one rule, :func:`_factor`.  A clean
+sparse factor of a finite volume, here and in ``spectral``, is one realization's
+:class:`~bdgtools.lattice._Pencil` factored at a shift.  A clean
 periodic box needs no factorization: its columns come from the Bloch fibers
 (:func:`_bloch_columns`), certified by the same residual rule.  On top of
 them sit
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigs, splu
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from .disorder import DisorderSpec, _Ensemble, _mean_stderr, _realization_map
 from .lattice import (
@@ -38,8 +39,8 @@ from .lattice import (
     _as_box,
     _box_action,
     _box_fibers,
-    _dissection_order,
     _hop,
+    _Pencil,
     _periodic_grid,
     assemble_finite_volume,
 )
@@ -78,43 +79,16 @@ def _certify(z: complex, residual: np.ndarray, b: np.ndarray) -> None:
             )
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """SuperLU factors of ``A[p][:, p]``; :meth:`solve` applies and undoes ``p``."""
-
-    lu: object  # scipy.sparse.linalg.SuperLU
-    p: np.ndarray
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """``A^{-1} b`` for trans "N", ``(A^H)^{-1} b`` for "H"."""
-        x = np.empty(b.shape, dtype=complex)
-        x[self.p] = self.lu.solve(b[self.p], trans=trans)
-        return x
-
-
-def _factor(A: sp.csc_matrix, H: FiniteVolumeOperator) -> _Factor:
-    """The one sparse factorization of a matrix ``A = z - H`` (any z).
-
-    Rows and columns are taken in the nested-dissection order of ``H``'s box
-    (:func:`~bdgtools.lattice._dissection_order` at ``H.range``), which
-    SuperLU keeps: its symmetric mode pivots on the diagonal unless that
-    entry falls below 0.01 of its column, so the order's small fill
-    survives.  A singular ``A`` raises SuperLU's ``RuntimeError``.
-    """
-    p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
-    lu = splu(A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.01,
-              options={"SymmetricMode": True})
-    return _Factor(lu, p)
-
-
 class ResolventSolver:
     """Sparse-LU backed resolvent ``G = (z - H)^{-1}`` of a finite volume.
 
-    The matrix ``z - H`` is factored once (:func:`_factor`); right-hand
-    sides are served with one step of iterative refinement and checked
-    against :data:`RESIDUAL_TOL`.  A ``z`` sitting on an eigenvalue therefore fails
-    loudly (singular factorization or rejected residual) instead of
-    returning garbage.
+    The pencil of H (:class:`~bdgtools.lattice._Pencil`) is factored once at
+    z, pivot threshold 0.01; right-hand sides are served with one step of
+    iterative refinement and checked against :data:`RESIDUAL_TOL`, both on the
+    residual of ``z - H`` in the finite-volume order, kept for them since its
+    summation order sets the bits of every refined column.  A ``z`` sitting on
+    an eigenvalue therefore fails loudly (singular factorization or rejected
+    residual) instead of returning garbage.
     """
 
     def __init__(self, H: FiniteVolumeOperator, z: complex):
@@ -122,10 +96,10 @@ class ResolventSolver:
             raise TypeError(f"expected a FiniteVolumeOperator, got {type(H).__name__}")
         self.H = H
         self.z = complex(z)
-        A = (self.z * sp.identity(H.dim, dtype=complex, format="csr") - H.matrix).tocsc()
-        self._A = A
+        self._A = (self.z * sp.identity(H.dim, dtype=complex, format="csr") - H.matrix).tocsc()
+        self._pencil = _Pencil(H)
         try:
-            self._lu = _factor(A, H)
+            self._lu = self._pencil.factor(self.z, 0.01)
         except RuntimeError as err:
             raise ValueError(
                 f"z = {z} makes z - H singular (z lies on the spectrum): {err}"
@@ -142,8 +116,8 @@ class ResolventSolver:
         squeeze = b.ndim == 1
         if squeeze:
             b = b[:, None]
-        x = self._lu.solve(b, trans=trans)
-        x = x + self._lu.solve(b - A @ x, trans=trans)
+        x = self._pencil.solve(self._lu, b, trans)
+        x = x + self._pencil.solve(self._lu, b - A @ x, trans)
         _certify(self.z, A @ x - b, b)
         return x[:, 0] if squeeze else x
 
@@ -798,20 +772,9 @@ class PhaseDiagram:
             "eps": self.eps,
             "L": list(self.L),
             "seed": self.seed,
-            "edges": [
-                {
-                    "lambda": e.lam,
-                    "lo": e.lo,
-                    "lo_std": e.lo_std,
-                    "hi": e.hi,
-                    "hi_std": e.hi_std,
-                    "gap_lo": e.gap_lo,
-                    "gap_lo_std": e.gap_lo_std,
-                    "gap_hi": e.gap_hi,
-                    "gap_hi_std": e.gap_hi_std,
-                }
-                for e in self.edges
-            ],
+            # SpectralEdges' fields in their order, "lam" written as "lambda"
+            "edges": [{"lambda" if k == "lam" else k: v for k, v in asdict(e).items()}
+                      for e in self.edges],
         }
 
 
@@ -843,15 +806,17 @@ def _paired_edges(H: FiniteVolumeOperator) -> tuple[tuple[float, float, float, f
     complex ``A`` to ``eigs`` without the generator, so ``eigs`` is called
     directly).  A singular shift-invert factorization (0 is an eigenvalue
     to rounding) or a solve that does not converge takes the dense route.
-    The shift-invert solves use the factorization of :func:`_factor`.
+    The shift-invert solves negate those of the pencil's ``0 - H``, factored
+    as :class:`ResolventSolver` factors, on H's own pattern (zeros dropped).
     """
     u = np.random.default_rng(_EDGE_SEED).uniform(-1.0, 1.0, (2, H.dim))
     v0 = u[0] + 1j * u[1]
     kw = dict(k=1, v0=v0, rng=_EDGE_SEED, return_eigenvectors=False)
     try:
         hi = float(eigs(H.matrix, which="LR", **kw)[0].real)
-        inv = _factor(H.matrix.tocsc(), H)
-        OPinv = LinearOperator(H.matrix.shape, matvec=inv.solve, dtype=complex)
+        pencil = _Pencil(H)
+        lu = pencil.factor(0.0, 0.01)
+        OPinv = LinearOperator(H.matrix.shape, matvec=lambda b: -pencil.solve(lu, b), dtype=complex)
         g = abs(float(eigs(H.matrix, sigma=0.0, OPinv=OPinv, **kw)[0].real))
     except RuntimeError:  # "exactly singular" from SuperLU, or an ArpackError
         return _spectrum_edges(H.eigenvalues()), True

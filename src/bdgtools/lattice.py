@@ -34,6 +34,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "FiberShape",
@@ -428,6 +429,53 @@ def _dissection_order(L: tuple[int, int], bc: str, d: int, R: int) -> np.ndarray
         dissect(0, L[0], 0, L[1])
     sites = np.concatenate(blocks)
     return _freeze((d * sites[:, None] + np.arange(d)).ravel(), dtype=np.intp)
+
+
+class _Pencil:
+    """``z - H`` of one finite volume, laid out for every sparse factor: CSC
+    in the nested-dissection order ``p`` of its box, every diagonal slot
+    stored, so a shift z rewrites only the ``slots`` with ``z - h``."""
+
+    def __init__(self, H: FiniteVolumeOperator):
+        n = H.dim
+        self.p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
+        diag = np.arange(n)
+        position = np.empty(n, dtype=np.intp)
+        position[self.p] = diag  # where each finite-volume row goes in the order
+        coo = H.matrix.tocoo()
+        # "0.0 -" as in z I - H, where an entry of H alone is subtracted from 0
+        self.A = sp.csc_matrix(
+            (np.concatenate([0.0 - coo.data, np.zeros(n)]),
+             (np.concatenate([position[coo.row], diag]),
+              np.concatenate([position[coo.col], diag]))),
+            shape=(n, n),
+        )
+        self.slots = np.flatnonzero(self.A.indices == np.repeat(diag, np.diff(self.A.indptr)))
+        self.h = H.matrix.diagonal()[self.p]
+
+    def at(self, z: complex) -> sp.csc_matrix:
+        """``A`` holding ``z - H``, until the next shift."""
+        self.A.data[self.slots] = z - self.h
+        return self.A
+
+    def factor(self, z: complex, threshold: float):
+        """The one SuperLU call, on ``z - H``; symmetric mode pivots on the
+        diagonal unless it falls below ``threshold`` of its column.  Exact zeros
+        are dropped first, as ``z I - H`` drops them (at z = 0 a stored zero
+        would change the supernodes and so the rounding), and a singular
+        ``z - H`` raises ``RuntimeError``."""
+        A = self.at(z)
+        if not A.data[self.slots].all():
+            A = A.copy()
+            A.eliminate_zeros()
+        return splu(A, permc_spec="NATURAL", diag_pivot_thresh=threshold,
+                    options={"SymmetricMode": True})
+
+    def solve(self, lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """``(z - H)^{-1} b`` (trans "N") or ``(conj(z) - H)^{-1} b`` ("H") from ``lu``."""
+        x = np.empty(b.shape, dtype=complex)
+        x[self.p] = lu.solve(b[self.p], trans=trans)
+        return x
 
 
 def _require_periodic_box(L: tuple[int, int], R: int) -> None:

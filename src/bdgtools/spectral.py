@@ -14,8 +14,8 @@ lower interval; this fixed tie-break keeps every count reproducible.
 
 The IDS needs only counts, so a particle-hole paired ensemble on a box of at
 least 256 sites counts without a spectrum.  By Sylvester's law of inertia the
-number of eigenvalues of H below y is the number of negative pivots of an
-LDL* factor of H - y (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3);
+number of eigenvalues of H below y is the number of positive pivots of an
+LDL* factor of y - H (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3);
 each count is certified or the realization is diagonalized after all.
 
 An SU(2)-singlet ensemble whose disorder keeps the two 2x2 sectors apart
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .disorder import DisorderSpec, _Ensemble, _mean_stderr, _realization_map
-from .lattice import FiniteVolumeOperator, TightBindingOperator, _box_fibers, _dissection_order
+from .lattice import FiniteVolumeOperator, TightBindingOperator, _box_fibers, _Pencil
 
 __all__ = [
     "EDGE_TOL",
@@ -62,7 +62,7 @@ EDGE_TOL = 1e-12
 _COUNT_MIN_SITES = 256
 
 #: Largest seeded backward error ||Ax - b||_1 / (||A||_1 ||x||_1 + ||b||_1) of
-#: the factor behind an accepted count, with A = H - y.
+#: the factor behind an accepted count, with A = y - H.
 _INERTIA_TOL = 1e-10
 
 #: The origin shift eta of the count route.  On a paired H, a certified count
@@ -194,50 +194,35 @@ def _spectra(ens: _Ensemble, energies, squared: bool) -> tuple[list, int]:
 
 class _Inertia:
     """Certified counts of the eigenvalues of one finite volume H below a
-    shift y, from the pivots of an LDL* factor of H - y.
+    shift y, from the pivots of an LDL* factor of y - H: its positive pivots,
+    as many as the negative pivots of H - y.
 
-    H is permuted once into CSC in the nested-dissection order of its box
-    (the order of ``greens._factor``), with every diagonal slot stored, so a
-    shift rewrites only the diagonal.
+    Every shift factors the one :class:`~bdgtools.lattice._Pencil` of H,
+    which rewrites only the diagonal.
     """
 
     def __init__(self, H: FiniteVolumeOperator):
         n = H.dim
-        p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
-        diag = np.arange(n)
-        position = np.empty(n, dtype=np.intp)
-        position[p] = diag  # where each finite-volume row goes in the order
-        coo = H.matrix.tocoo()
-        A = sp.csc_matrix(
-            (np.concatenate([coo.data, np.zeros(n)]),
-             (np.concatenate([position[coo.row], diag]),
-              np.concatenate([position[coo.col], diag]))),
-            shape=(n, n),
-        )
-        cols = np.repeat(diag, np.diff(A.indptr))
-        self.slots = np.flatnonzero(A.indices == cols)  # one per column, zeros kept
-        self.diag = A.data[self.slots].copy()
-        off = np.abs(A.data)
-        off[self.slots] = 0.0
+        self.pencil = pencil = _Pencil(H)
+        off = np.abs(pencil.A.data)
+        off[pencil.slots] = 0.0
+        cols = np.repeat(np.arange(n), np.diff(pencil.A.indptr))
         self.off_norms = np.bincount(cols, off, minlength=n)  # column sums off the diagonal
-        self.A, self.identity = A, diag
+        self.identity = np.arange(n)
         rng = np.random.default_rng(0)
         self.b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     def below(self, y: float) -> int | None:
         """The number of eigenvalues below y, or None when the factor is not
-        certified: a pivot off the diagonal, an exactly singular H - y, or a
+        certified: a pivot off the diagonal, an exactly singular y - H, or a
         backward error above :data:`_INERTIA_TOL`."""
-        A = self.A
-        A.data[self.slots] = self.diag - y
         try:
             # Pivot threshold 0: the count is read off U = D L* of A = L U,
             # which is a congruence only while every pivot is A's diagonal
-            # entry.  A threshold above 0 (greens._factor's 0.01) lets SuperLU
+            # entry.  A threshold above 0 (ResolventSolver's 0.01) lets SuperLU
             # trade a small diagonal pivot for a row swap, and the signs of
             # U's diagonal then say nothing about the inertia.
-            lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
+            lu = self.pencil.factor(y, 0.0)
         except RuntimeError as err:
             if "exactly singular" not in str(err):
                 raise
@@ -246,11 +231,11 @@ class _Inertia:
                 and np.array_equal(lu.perm_c, self.identity)):
             return None
         x = lu.solve(self.b)
-        norm = float(np.max(self.off_norms + np.abs(self.diag - y)))
-        residual = np.abs(A @ x - self.b).sum()
+        norm = float(np.max(self.off_norms + np.abs(y - self.pencil.h)))
+        residual = np.abs(self.pencil.A @ x - self.b).sum()
         if not residual <= _INERTIA_TOL * (norm * np.abs(x).sum() + np.abs(self.b).sum()):
             return None
-        return int(np.count_nonzero(lu.U.diagonal().real < 0))
+        return int(np.count_nonzero(lu.U.diagonal().real > 0))
 
 
 def _inertia_counts(H: FiniteVolumeOperator, at, squared: bool) -> np.ndarray | None:
@@ -264,16 +249,13 @@ def _inertia_counts(H: FiniteVolumeOperator, at, squared: bool) -> np.ndarray | 
     count only when an eigenvalue lies within rounding of the shift."""
     inertia = _Inertia(H)
     eta, half = _ORIGIN_SHIFT, H.dim // 2
-    known = {-eta: inertia.below(-eta)}
-    if known[-eta] != half:
-        return None
 
+    @cache
     def below(y: float) -> int | None:
-        if abs(y) < eta:
-            return half
-        if y not in known:
-            known[y] = inertia.below(y)
-        return known[y]
+        return half if abs(y) < eta else inertia.below(y)
+
+    if below(-eta) != half:
+        return None
 
     counts = []
     for x in at:

@@ -1,11 +1,13 @@
-"""The one sparse factorization of z - H (``greens._factor``): its
-nested-dissection order, and its solves against SuperLU's default COLAMD
-partial-pivoting LU, the reference it replaced."""
+"""The one layout of every sparse factor of z - H (``lattice._Pencil``): its
+nested-dissection order, its matrix and solves against the layouts it
+replaced, and its solves against SuperLU's default COLAMD partial-pivoting
+LU, the reference the order replaced."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import bdgtools.greens as greens
@@ -18,13 +20,24 @@ from bdgtools.disorder import (
     standard_W,
 )
 from bdgtools.greens import ResolventSolver, localization_phase_diagram
-from bdgtools.lattice import _dissection_order, assemble_finite_volume
+from bdgtools.lattice import _dissection_order, _Pencil, assemble_finite_volume
 from bdgtools.models import MODEL_NAMES, build_model
+from bdgtools.spectral import _Inertia
 
 
-def _reference_factor(A, H):
-    """SuperLU with its defaults: COLAMD columns and partial pivoting."""
+def _reference_factor(pencil, z, threshold):
+    """SuperLU with its defaults, COLAMD columns and partial pivoting, on
+    z - H in the finite-volume order."""
+    q = np.argsort(pencil.p)
+    A = pencil.at(z)[q][:, q].tocsc()
+    A.eliminate_zeros()
     return splu(A)
+
+
+def _reference(m) -> None:
+    """Every factor of a pencil taken by :func:`_reference_factor`."""
+    m.setattr(_Pencil, "factor", _reference_factor)
+    m.setattr(_Pencil, "solve", lambda pencil, lu, b, trans="N": lu.solve(b, trans=trans))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +114,7 @@ def test_factor_solves_match_the_colamd_reference(name, monkeypatch):
         b = rng.normal(size=(H.dim, 2)) + 1j * rng.normal(size=(H.dim, 2))
         got = _solves(H, z, b)
         with monkeypatch.context() as m:
-            m.setattr(greens, "_factor", _reference_factor)
+            _reference(m)
             ref = _solves(H, z, b)
         if isinstance(ref, type):
             assert got is ref, (names, lam, z, box, bc)
@@ -127,10 +140,146 @@ def test_phase_diagram_repeats_the_colamd_reference(monkeypatch):
     for seed in (1, 2, 3):
         got = localization_phase_diagram(model, spec, lambdas, energies, seed=seed, **kw)
         with monkeypatch.context() as m:
-            m.setattr(greens, "_factor", _reference_factor)
+            _reference(m)
             ref = localization_phase_diagram(model, spec, lambdas, energies, seed=seed, **kw)
         assert got.verdicts == ref.verdicts
         assert got.reasons == ref.reasons
         assert got.edge_fallbacks == ref.edge_fallbacks
         for a, b in ((got.rates, ref.rates), (got.rate_errs, ref.rate_errs)):
             assert np.allclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the pencil against the layouts it replaced: each factor user built its own
+# matrix, the resolvent A[p][:, p] of the CSR z - H, the shift-invert edges
+# H[p][:, p], and the inertia counts H - y through COO with every diagonal slot
+
+PIN_BOXES = (((8, 8), "periodic"), ((9, 11), "periodic"), ((8, 10), "open"))
+PIN_ZS = (0.3 + 1e-3j, -1.7 + 1e-6j)
+PIN_YS = (-1e-3, 0.05, 0.5, 1.7)
+
+
+def _pin_inputs(name):
+    """Every (mu, spec, lambda, box) of one catalog model: 54 realizations,
+    the clean box (lambda = 0) among them."""
+    for mu in (0.9, 0.0):
+        model = build_model(name, delta=0.6, mu=mu)
+        for names in SPECS:
+            spec = _spec(model.fiber.r, names)
+            for lam in (0.0, 0.2, 1.2):
+                for box, bc in PIN_BOXES:
+                    H = build_random_hamiltonian(model, spec, lam, sample_realization(spec, box, 11), bc=bc)
+                    yield (mu, names, lam, box, bc), H
+
+
+def _order(H):
+    return _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=complex).view(np.int64)
+
+
+def _layout_factor(A, p):
+    """The resolvent's and the edges' factor of A = z - H or H: A[p][:, p]."""
+    return splu(A.tocsc()[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                options={"SymmetricMode": True})
+
+
+def _layout_solve(lu, p, b):
+    x = np.empty(b.shape, dtype=complex)
+    x[p] = lu.solve(b[p])
+    return x
+
+
+def _layout_below(H, y):
+    """The inertia count below y: negative pivots of H - y, assembled through
+    COO in the order with every diagonal slot stored and certified as the
+    counts are."""
+    n, p = H.dim, _order(H)
+    diag = np.arange(n)
+    position = np.empty(n, dtype=np.intp)
+    position[p] = diag
+    coo = H.matrix.tocoo()
+    A = sp.csc_matrix((np.concatenate([coo.data, np.zeros(n)]),
+                       (np.concatenate([position[coo.row], diag]),
+                        np.concatenate([position[coo.col], diag]))), shape=(n, n))
+    cols = np.repeat(diag, np.diff(A.indptr))
+    slots = np.flatnonzero(A.indices == cols)
+    h = A.data[slots].copy()
+    off = np.abs(A.data)
+    off[slots] = 0.0
+    off_norms = np.bincount(cols, off, minlength=n)
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    A.data[slots] = h - y
+    try:
+        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+    if not (np.array_equal(lu.perm_r, diag) and np.array_equal(lu.perm_c, diag)):
+        return None
+    x = lu.solve(b)
+    norm = float(np.max(off_norms + np.abs(h - y)))
+    if not np.abs(A @ x - b).sum() <= 1e-10 * (norm * np.abs(x).sum() + np.abs(b).sum()):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _edge_solve(H, b, monkeypatch):
+    """What the shift-invert operator of ``greens._paired_edges`` makes of b,
+    or None when its factor is singular (the dense route)."""
+    seen = {}
+
+    def eigs(A, sigma=None, OPinv=None, **kw):
+        if OPinv is not None:
+            seen["x"] = OPinv.matvec(b)
+        return np.ones(1)
+
+    with monkeypatch.context() as m:
+        m.setattr(greens, "eigs", eigs)
+        greens._paired_edges(H)
+    return seen.get("x")
+
+
+def _resolvent_solve(H, z, b):
+    try:
+        return ResolventSolver(H, z).solve(b)
+    except (ValueError, ArithmeticError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_NAMES))
+def test_the_pencil_repeats_every_factor_it_replaced(name, monkeypatch):
+    rng = np.random.default_rng(3)
+    for case, H in _pin_inputs(name):
+        n, p = H.dim, _order(H)
+        b = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        pencil = _Pencil(H)
+        assert np.array_equal(pencil.A.indices[pencil.slots], np.arange(n)), case
+        for z in PIN_ZS + (0.0,):
+            want = (z * sp.identity(n, dtype=complex, format="csr") - H.matrix)[p][:, p]
+            assert np.array_equal(_bits(pencil.at(z).toarray()), _bits(want.toarray())), (case, z)
+
+        for z in PIN_ZS:
+            got = _resolvent_solve(H, z, b)
+            with monkeypatch.context() as m:
+                m.setattr(_Pencil, "factor", lambda self, z, t: _layout_factor(
+                    z * sp.identity(n, dtype=complex, format="csr") - H.matrix, p))
+                want = _resolvent_solve(H, z, b)
+            if isinstance(want, type):
+                assert got is want, (case, z)
+            else:
+                assert np.array_equal(_bits(got), _bits(want)), (case, z)
+
+        got = _edge_solve(H, b[:, 0], monkeypatch)
+        try:
+            want = _layout_solve(_layout_factor(H.matrix, p), p, b[:, 0])
+        except RuntimeError:
+            assert got is None, case
+        else:
+            assert got is not None and np.array_equal(_bits(got), _bits(want)), case
+
+        inertia = _Inertia(H)
+        for y in PIN_YS:
+            assert inertia.below(y) == _layout_below(H, y), (case, y)
