@@ -204,11 +204,11 @@ class _Inertia:
     def __init__(self, H: FiniteVolumeOperator):
         n = H.dim
         self.pencil = pencil = _Pencil(H)
+        self.identity = np.arange(n)
         off = np.abs(pencil.A.data)
         off[pencil.slots] = 0.0
-        cols = np.repeat(np.arange(n), np.diff(pencil.A.indptr))
+        cols = np.repeat(self.identity, np.diff(pencil.A.indptr))
         self.off_norms = np.bincount(cols, off, minlength=n)  # column sums off the diagonal
-        self.identity = np.arange(n)
         rng = np.random.default_rng(0)
         self.b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
