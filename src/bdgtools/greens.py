@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigs
+from scipy.sparse.linalg import LinearOperator, eigs, eigsh
 
 from .disorder import DisorderSpec, _Ensemble, _mean_stderr, _realization_map
 from .lattice import (
@@ -45,7 +45,7 @@ from .lattice import (
     assemble_finite_volume,
 )
 from .models import _GAP_GRID, _distance_sq, _grid_bands
-from .spectral import _realization_spectra
+from .spectral import _majorana_image, _realization_spectra
 
 #: every resolvent solve must beat this relative residual or it is rejected
 RESIDUAL_TOL = 1e-10
@@ -795,24 +795,33 @@ def _spectrum_edges(e: np.ndarray) -> tuple[float, float, float, float]:
     )
 
 
-def _paired_edges(H: FiniteVolumeOperator) -> tuple[tuple[float, float, float, float], bool]:
+def _paired_edges(
+    H: FiniteVolumeOperator, even: bool = True
+) -> tuple[tuple[float, float, float, float], bool]:
     """:func:`_spectrum_edges` of a particle-hole symmetric ``H`` from two
     sparse solves, and whether it fell back to the dense spectrum.
 
     The pairing gives lo = -hi and gap_lo = -gap_hi, so ARPACK finds the
-    top eigenvalue, and the one nearest 0 by shift-invert.  Both start from
-    one seeded vector and draw any restart from a seeded generator, so a
+    top eigenvalue, and the one nearest 0 by shift-invert.  With ``even``
+    (H paired with even parity) and a Majorana image A of H
+    (:func:`~bdgtools.spectral._majorana_image`), both are real symmetric
+    Lanczos solves on A^T A (:func:`_majorana_edges`); otherwise, or when
+    the image is refused, complex Arnoldi solves on H.  Both start from one
+    seeded vector and draw any restart from a seeded generator, so a
     realization's edges do not depend on the call (``eigsh`` forwards a
     complex ``A`` to ``eigs`` without the generator, so ``eigs`` is called
     directly).  A singular shift-invert factorization (0 is an eigenvalue
     to rounding) or a solve that does not converge takes the dense route.
-    The shift-invert solves negate those of the pencil's ``0 - H``, factored
-    as :class:`ResolventSolver` factors, on H's own pattern (zeros dropped).
+    The complex shift-invert solves negate those of the pencil's ``0 - H``,
+    factored as :class:`ResolventSolver` factors, on H's own pattern (zeros
+    dropped).
     """
-    u = np.random.default_rng(_EDGE_SEED).uniform(-1.0, 1.0, (2, H.dim))
-    v0 = u[0] + 1j * u[1]
-    kw = dict(k=1, v0=v0, rng=_EDGE_SEED, return_eigenvectors=False)
+    A = _majorana_image(H) if even else None
     try:
+        if A is not None:
+            return _majorana_edges(H, A), False
+        u = np.random.default_rng(_EDGE_SEED).uniform(-1.0, 1.0, (2, H.dim))
+        kw = dict(k=1, v0=u[0] + 1j * u[1], rng=_EDGE_SEED, return_eigenvectors=False)
         hi = float(eigs(H.matrix, which="LR", **kw)[0].real)
         pencil = _Pencil(H)
         lu = pencil.factor(0.0, 0.01)
@@ -823,6 +832,29 @@ def _paired_edges(H: FiniteVolumeOperator) -> tuple[tuple[float, float, float, f
     return (-hi, hi, -g, g), False
 
 
+def _majorana_edges(H: FiniteVolumeOperator, A: sp.spmatrix) -> tuple[float, float, float, float]:
+    """The edges of H = W* (i A) W from its real Majorana image A: H's
+    eigenvalues are +-sigma, sigma^2 those of the real symmetric A^T A, so
+    hi^2 is its top eigenvalue and g^2 its bottom one, 1 / the top
+    eigenvalue of A^-1 A^-T.  Both come from real Lanczos (ARPACK's
+    ``dsaupd`` in place of ``znaupd``); A^-1 and A^-T share one real factor
+    of A in the dissection order, rows swapped within each site
+    (:class:`~bdgtools.lattice._Pencil`).  The pencil at 0 is -A, and the two
+    signs cancel in A^-1 A^-T.  Raises ``RuntimeError`` as the complex route
+    does."""
+    v0 = np.random.default_rng(_EDGE_SEED).uniform(-1.0, 1.0, H.dim)
+    kw = dict(k=1, v0=v0, rng=_EDGE_SEED, return_eigenvectors=False)
+    At = A.T.tocsr()
+    AtA = LinearOperator(A.shape, matvec=lambda x: At @ (A @ x), dtype=float)
+    hi = math.sqrt(float(eigsh(AtA, which="LA", **kw)[0]))
+    pencil = _Pencil(H, A)
+    lu = pencil.factor(0.0, 0.01)
+    OPinv = LinearOperator(A.shape, matvec=lambda b: pencil.solve(lu, pencil.solve(lu, b, "T")),
+                           dtype=float)
+    g = math.sqrt(float(eigsh(AtA, sigma=0.0, OPinv=OPinv, **kw)[0]))
+    return (-hi, hi, -g, g)
+
+
 def _edge_stats(ens: _Ensemble) -> tuple[SpectralEdges, int]:
     """Realization statistics of the spectral ends and the gap edges next
     to 0, and the number of realizations that fell back to a dense solve.
@@ -831,7 +863,8 @@ def _edge_stats(ens: _Ensemble) -> tuple[SpectralEdges, int]:
     periodic box's Bloch spectrum and a ``"general"`` one a dense spectrum
     per realization."""
     if ens.route == "paired":
-        rows, dense = zip(*_realization_map(_paired_edges, ens))
+        even = ens.parity == "even"
+        rows, dense = zip(*_realization_map(lambda H: _paired_edges(H, even), ens))
     else:
         rows, dense = [_spectrum_edges(e) for e in _realization_spectra(ens)], [0]
     stats = []

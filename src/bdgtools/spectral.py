@@ -29,8 +29,10 @@ M = W H W* is i A with A real antisymmetric, so H^2 is unitarily equivalent
 to the real symmetric A^T A, diagonalized at about a quarter of the cost of
 the complex H.  Its eigenvalues are the E^2 to eps ||H||^2 absolute, as the
 squares of the complex eigenvalues are, so a count differs from the complex
-route's only when an E^2 lies within rounding of a shifted edge.  A
-realization whose Re M is not at rounding level is diagonalized as it is.
+route's only when an E^2 lies within rounding of a shifted edge.  A DOS
+histogram of H takes its spectrum as +-sqrt of the same one, unless an
+|E| lies below 1e-3, where the square root loses too much.  A realization
+whose Re M is not at rounding level is diagonalized as it is.
 """
 
 from __future__ import annotations
@@ -99,8 +101,10 @@ class IdsCurve:
 class DosHistogram:
     """Histogram estimate of the DOS (states per site per energy).
 
-    ``complex_fallbacks`` is :class:`IdsCurve`'s, for a squared histogram;
-    it is written neither to the CSV nor to the manifest."""
+    ``complex_fallbacks`` counts the realizations of an even-parity paired
+    ensemble that took the complex spectrum instead of the real Majorana
+    route (:func:`dos_histogram`); it is written neither to the CSV nor to
+    the manifest."""
 
     bin_edges: tuple
     density: tuple
@@ -163,28 +167,56 @@ def _majorana_image(H: FiniteVolumeOperator) -> sp.csr_matrix | None:
     return 0.5 * M.imag
 
 
+def _real_squares(H: FiniteVolumeOperator) -> np.ndarray | None:
+    """The sorted spectrum of the real symmetric A^T A of
+    :func:`_majorana_image`, clamped at 0 as H^2 is positive semidefinite,
+    or None when the image is refused."""
+    A = _majorana_image(H)
+    if A is None:
+        return None
+    return np.maximum(np.linalg.eigvalsh((A.T @ A).toarray()), 0.0)
+
+
 def _squared_spectrum(H: FiniteVolumeOperator, even: bool) -> tuple[np.ndarray, bool]:
     """The sorted spectrum of H^2 of one realization, and whether the real
-    route was refused.  With ``even`` (a paired H of even parity) it is the
-    spectrum of the real symmetric A^T A of :func:`_majorana_image`, clamped
-    at 0 as H^2 is positive semidefinite; otherwise, or when the image is
-    refused, the squares of the complex spectrum of H."""
-    A = _majorana_image(H) if even else None
-    if A is not None:
-        return np.maximum(np.linalg.eigvalsh((A.T @ A).toarray()), 0.0), False
+    route was refused.  With ``even`` (a paired H of even parity) it is
+    :func:`_real_squares`; otherwise, or when the image is refused, the
+    squares of the complex spectrum of H."""
+    e2 = _real_squares(H) if even else None
+    if e2 is not None:
+        return e2, False
     e = H.eigenvalues()
     return np.sort(e * e), even
 
 
-def _spectra(ens: _Ensemble, energies, squared: bool) -> tuple[list, int]:
+def _real_spectrum(H: FiniteVolumeOperator) -> tuple[np.ndarray, bool]:
+    """The sorted spectrum of a paired H of even parity, and whether it took
+    the complex route.  The spectrum of i A is +-sigma, and each sigma^2 is a
+    double eigenvalue of :func:`_real_squares`, so one of each pair gives the
+    sigma.  An E = sqrt(E^2) is off by about eps ||H||^2 / (2 |E|), which
+    grows without bound towards 0; a realization with a sigma below
+    :data:`_ORIGIN_SHIFT` (where it is about 1e-13 ||H||^2) or a
+    refused image takes the complex spectrum of H instead."""
+    e2 = _real_squares(H)
+    if e2 is not None:
+        sigma = np.sqrt(e2[::2])
+        if sigma[0] >= _ORIGIN_SHIFT:
+            return np.concatenate([-sigma[::-1], sigma]), False
+    return H.eigenvalues(), True
+
+
+def _spectra(ens: _Ensemble, energies, squared: bool, real: bool = False) -> tuple[list, int]:
     """Sorted spectra of H, or of H^2 with ``squared``, one per realization,
-    and how many realizations the real H^2 route refused.  A paired ensemble
-    of even parity takes H^2 from the real route (:func:`_squared_spectrum`);
-    any other squares its spectrum, with no second diagonalization.
-    ``energies`` (IDS energies or a DOS range) must be finite."""
+    and how many realizations took the complex route where a real one was
+    asked for.  A paired ensemble of even parity takes H^2 from the real
+    route (:func:`_squared_spectrum`), and with ``real`` H too
+    (:func:`_real_spectrum`), which pairs it by construction; any other
+    squares its spectrum, with no second diagonalization.  ``energies``
+    (IDS energies or a DOS range) must be finite."""
     _require_finite(energies)
-    if squared and ens.parity == "even":
-        rows = _realization_map(lambda H: _squared_spectrum(H, True), ens)
+    if ens.parity == "even" and (squared or real):
+        one = (lambda H: _squared_spectrum(H, True)) if squared else _real_spectrum
+        rows = _realization_map(one, ens)
         return [np.repeat(e, ens.multiplicity) for e, _ in rows], sum(r for _, r in rows)
     spectra = _realization_spectra(ens)
     if squared:
@@ -379,7 +411,7 @@ def dos_histogram(
     """Eigenvalue histogram normalized to states per site per energy.
 
     ``bins`` is either a bin count (>= 16) on ``energy_range`` (default: the
-    full sampled spectrum) or an explicit increasing edge array.  With
+    full sampled spectrum) or an explicit finite, increasing edge array.  With
     ``squared`` the histogram is over the spectrum of H^2, which makes the
     density comparison rho(E) = |E| rho2(E^2) a bin-exact statement when the
     squared edges are the squares of the direct ones.  A paired ensemble of
@@ -387,24 +419,31 @@ def dos_histogram(
     Majorana basis: E^2 to eps ||H||^2 absolute, so a bin count differs from
     the squared complex spectrum's only when an E^2 lies within rounding of
     a shifted edge, and the default range's ends move at rounding level.
-    ``complex_fallbacks`` counts the realizations that took the complex
-    route instead (:func:`ids_squared_estimate`).  An ``energy_range``
-    that is not finite, empty or reversed raises ``ValueError``.
+    Without ``squared`` such an ensemble takes H's spectrum as +-sqrt of the
+    same real spectrum (see :func:`_real_spectrum`), which moves an E by
+    eps ||H||^2 / (2 |E|); so a realization with an |E| below
+    :data:`_ORIGIN_SHIFT` = 1e-3 takes the complex spectrum of H, as does
+    one whose image is refused (:func:`ids_squared_estimate`), and
+    ``complex_fallbacks`` counts both.  Bins that are not finite and
+    increasing, and an ``energy_range`` that is not finite, empty or
+    reversed, raise ``ValueError`` before any realization is drawn.
     """
     if energy_range is not None and not energy_range[0] < energy_range[1]:
         raise ValueError(
             f"energy_range must be finite and increasing (lo, hi), got {tuple(energy_range)}"
         )
     by_count = np.isscalar(bins)
-    if by_count and bins < 16:
+    if by_count and not bins >= 16:
         raise ValueError("need at least 16 bins")
     if not by_count:
         edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("explicit bins must be an increasing edge array")
+        if (edges.ndim != 1 or len(edges) < 2 or not np.all(np.isfinite(edges))
+                or np.any(np.diff(edges) <= 0)):
+            raise ValueError("explicit bins must be a finite, increasing edge array")
     lam = 0.0 if disorder is None else disorder.lam
     ens = _Ensemble(model, disorder, lam, L, n_realizations, seed, threads)
-    spectra, refused = _spectra(ens, () if energy_range is None else energy_range, squared)
+    spectra, refused = _spectra(ens, () if energy_range is None else energy_range, squared,
+                                real=True)
     nsites = ens.box[0] * ens.box[1]
     if by_count:
         if energy_range is None:

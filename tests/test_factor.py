@@ -22,14 +22,13 @@ from bdgtools.disorder import (
 from bdgtools.greens import ResolventSolver, localization_phase_diagram
 from bdgtools.lattice import _dissection_order, _Pencil, assemble_finite_volume
 from bdgtools.models import MODEL_NAMES, build_model
-from bdgtools.spectral import _Inertia
+from bdgtools.spectral import _Inertia, _majorana_image
 
 
 def _reference_factor(pencil, z, threshold):
     """SuperLU with its defaults, COLAMD columns and partial pivoting, on
-    z - H in the finite-volume order."""
-    q = np.argsort(pencil.p)
-    A = pencil.at(z)[q][:, q].tocsc()
+    the pencil at z in the finite-volume order."""
+    A = pencil.at(z)[np.argsort(pencil.q)][:, np.argsort(pencil.p)].tocsc()
     A.eliminate_zeros()
     return splu(A)
 
@@ -227,8 +226,9 @@ def _layout_below(H, y):
 
 
 def _edge_solve(H, b, monkeypatch):
-    """What the shift-invert operator of ``greens._paired_edges`` makes of b,
-    or None when its factor is singular (the dense route)."""
+    """What the shift-invert operator of ``greens._paired_edges`` makes of b
+    on its complex route (the Majorana image refused), or None when its
+    factor is singular (the dense route)."""
     seen = {}
 
     def eigs(A, sigma=None, OPinv=None, **kw):
@@ -238,6 +238,7 @@ def _edge_solve(H, b, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(greens, "eigs", eigs)
+        m.setattr(greens, "_majorana_image", lambda H: None)
         greens._paired_edges(H)
     return seen.get("x")
 
@@ -283,3 +284,40 @@ def test_the_pencil_repeats_every_factor_it_replaced(name, monkeypatch):
         inertia = _Inertia(H)
         for y in PIN_YS:
             assert inertia.below(y) == _layout_below(H, y), (case, y)
+
+
+# ---------------------------------------------------------------------------
+# the real pencil of a Majorana image: -A at 0, rows swapped within each site
+
+
+def _fill(lu) -> int:
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("name", ["pip+", "did+", "p-triplet+"])
+def test_the_image_pencil_solves_a_and_keeps_the_order(name):
+    """The phase diagram's input (delta 0.3, mu 0.5, W00 at lambda 0.6) on a
+    16 x 16 box.  A has a zero diagonal: factored with its rows in the order
+    p, symmetric mode pivots off the diagonal and the fill about doubles;
+    with the swap it stays on the diagonal."""
+    model = build_model(name, delta=0.3, mu=0.5)
+    spec = default_spec(r=model.fiber.r, lam=0.6)
+    H = build_random_hamiltonian(model, spec, 0.6, sample_realization(spec, (16, 16), 1))
+    A = _majorana_image(H)
+    n = H.dim
+    pencil = _Pencil(H, A)
+    assert np.array_equal(pencil.q.reshape(-1, 2, model.fiber.r)[:, ::-1].ravel(), pencil.p)
+    lu = pencil.factor(0.0, 0.01)
+    b = np.random.default_rng(3).normal(size=n)
+    scale = abs(A).sum(axis=0).max()  # ||A||_1 = ||A^T||_inf
+    for trans, M in (("N", A), ("T", A.T)):
+        x = pencil.solve(lu, b, trans)
+        assert x.dtype == float
+        assert np.abs(M @ x + b).sum() <= 1e-12 * scale * np.abs(x).sum(), trans
+    in_order = (-A)[pencil.p][:, pencil.p].tocsc()
+    in_order.eliminate_zeros()
+    ref = splu(in_order, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+               options={"SymmetricMode": True})
+    off, ref_off = (np.count_nonzero(f.perm_r != np.arange(n)) for f in (lu, ref))
+    assert off <= n // 10 < ref_off
+    assert _fill(lu) < 0.75 * _fill(ref)

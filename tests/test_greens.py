@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 import bdgtools.greens as greens
 from bdgtools.disorder import (
@@ -35,7 +36,7 @@ from bdgtools.greens import (
     spectral_distance,
     tmatrix_update,
 )
-from bdgtools.lattice import FiberShape, assemble_finite_volume, tight_binding
+from bdgtools.lattice import FiberShape, _dissection_order, assemble_finite_volume, tight_binding
 from bdgtools.models import ModelParams, build_model, central_gap
 
 PIP = build_model("pip+", delta=0.3, mu=-0.5)
@@ -640,6 +641,63 @@ def test_sparse_edges_match_the_dense_spectrum(name, spec_name):
     assert greens._edge_stats(ens) == (got, 0)
 
 
+def _complex_edges(H):
+    """The complex route of the sparse edges as it stood before the real
+    one: Arnoldi on H for the top eigenvalue, and shift-invert at 0 on the
+    dissection-ordered factor of -H (zeros dropped), its solves negated."""
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, (2, H.dim))
+    kw = dict(k=1, v0=u[0] + 1j * u[1], rng=0, return_eigenvectors=False)
+    hi = float(eigs(H.matrix, which="LR", **kw)[0].real)
+    p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
+    A = (-H.matrix).tocsc()[p][:, p]
+    A.eliminate_zeros()
+    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+
+    def solve(b):
+        x = np.empty(b.shape, dtype=complex)
+        x[p] = lu.solve(b[p])
+        return -x
+
+    OPinv = LinearOperator(H.matrix.shape, matvec=solve, dtype=complex)
+    g = abs(float(eigs(H.matrix, sigma=0.0, OPinv=OPinv, **kw)[0].real))
+    return (-hi, hi, -g, g)
+
+
+@pytest.mark.parametrize("name", EDGE_MODELS)
+def test_a_refused_image_takes_the_complex_edges_bit_for_bit(name, monkeypatch):
+    delta, mu, L = EDGE_MODELS[name]
+    model = build_model(name, delta=delta, mu=mu)
+    spec = _spec(model.fiber.r, EDGE_SPECS["W00+W10"])
+    ens = _Ensemble(model, spec, 0.6, (L, L), 3, 5, 1)
+    assert ens.parity == "even"
+    realizations = _realization_map(lambda H: H, ens)
+    want = [_complex_edges(H) for H in realizations]
+    real = [greens._paired_edges(H) for H in realizations]
+    assert [fell_back for _, fell_back in real] == [False] * 3
+    tol = 1e-12 * max(hi for _, hi, _, _ in want)
+    assert np.abs(np.subtract([e for e, _ in real], want)).max() <= tol
+    assert [greens._paired_edges(H, even=False) for H in realizations] == [(e, False) for e in want]
+    monkeypatch.setattr(greens, "_majorana_image", lambda H: None)
+    assert [greens._paired_edges(H) for H in realizations] == [(e, False) for e in want]
+    assert greens._edge_stats(ens) == (_summary(0.6, want), 0)
+
+
+def test_the_real_edges_keep_the_phase_diagram_of_the_benchmark(monkeypatch):
+    """The localization benchmark's diagram: its CSV is the complex route's
+    byte for byte, and its edge statistics agree within 1e-12 ||H||."""
+    model, spec = build_model("pip+", delta=0.3, mu=0.5), default_spec(r=1)
+    args = (model, spec, [0.2, 0.6, 1.2], [0.0, 1.0, 2.5])
+    kw = dict(L=16, n_realizations=8, seed=1)
+    real = localization_phase_diagram(*args, **kw)
+    monkeypatch.setattr(greens, "_majorana_image", lambda H: None)
+    ref = localization_phase_diagram(*args, **kw)
+    assert real.to_csv() == ref.to_csv()
+    assert real.edge_fallbacks == ref.edge_fallbacks == (0, 0, 0)
+    for got, want in zip(real.edges, ref.edges):
+        for f in EDGE_FIELDS:
+            assert abs(getattr(got, f) - getattr(want, f)) <= 1e-12 * want.hi, f
+
+
 def test_a_spec_without_particle_hole_symmetry_takes_the_dense_route():
     spec = DisorderSpec((DisorderTerm((0, 0), np.eye(2)),))  # on-site W = 1
     assert _Ensemble(PIP, spec, 0.5, (12, 12), 4, 3, 1).route == "general"
@@ -649,17 +707,17 @@ def test_a_spec_without_particle_hole_symmetry_takes_the_dense_route():
 
 
 def _failing_eigs(monkeypatch, fails):
-    """Replace the ARPACK entry point by one that raises ``fails(kw)`` where
-    that returns an exception; the other solves run unchanged."""
-    eigs = greens.eigs
+    """Replace both ARPACK entry points, the complex ``eigs`` and the real
+    ``eigsh``, by ones that raise ``fails(kw)`` where that returns an
+    exception; the other solves run unchanged."""
+    for name in ("eigs", "eigsh"):
+        def patched(A, solve=getattr(greens, name), **kw):
+            err = fails(kw)
+            if err is not None:
+                raise err
+            return solve(A, **kw)
 
-    def patched(A, **kw):
-        err = fails(kw)
-        if err is not None:
-            raise err
-        return eigs(A, **kw)
-
-    monkeypatch.setattr(greens, "eigs", patched)
+        monkeypatch.setattr(greens, name, patched)
 
 
 @pytest.mark.parametrize("failure", ["singular", "no-convergence"])
@@ -671,12 +729,16 @@ def test_sparse_edges_fall_back_to_the_dense_spectrum(failure, monkeypatch):
                       if "sigma" in kw else None)
     else:
         _failing_eigs(monkeypatch, lambda kw: ArpackNoConvergence("No convergence", [], [])
-                      if kw.get("which") == "LR" else None)
-    pd = localization_phase_diagram(PIP, SPEC, [0.0, 0.3, 0.6], [-9.0], L=12, n_realizations=4,
-                                    seed=3)
-    assert pd.edge_fallbacks == (0, 4, 4)
-    for i, lam in enumerate((0.3, 0.6), start=1):
-        assert pd.edges[i] == _dense_edges(PIP, SPEC, lam, (12, 12), 4, 3)
+                      if kw.get("which") in ("LR", "LA") else None)
+    for refused in (False, True):  # the real route, then the complex one
+        with monkeypatch.context() as m:
+            if refused:
+                m.setattr(greens, "_majorana_image", lambda H: None)
+            pd = localization_phase_diagram(PIP, SPEC, [0.0, 0.3, 0.6], [-9.0], L=12,
+                                            n_realizations=4, seed=3)
+        assert pd.edge_fallbacks == (0, 4, 4), refused
+        for i, lam in enumerate((0.3, 0.6), start=1):
+            assert pd.edges[i] == _dense_edges(PIP, SPEC, lam, (12, 12), 4, 3), refused
 
 
 def test_sparse_edges_repeat_across_calls_and_thread_counts():

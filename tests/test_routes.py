@@ -161,14 +161,16 @@ def test_a_paired_ids_below_the_size_rule_and_every_dos_diagonalize(monkeypatch)
     assert (len(calls), len(solves)) == (8, 8)
     calls.clear()
     solves.clear()
+    # both histograms take the real route: H as +-sqrt of its real H^2
     for squared in (False, True):
         dos = spectral.dos_histogram(_GAPPED, _W00, L=20, n_realizations=3, seed=3, squared=squared)
         assert dos.complex_fallbacks == 0
-    assert (len(calls), len(solves)) == (3, 3)
+    assert (len(calls), len(solves)) == (0, 6)
 
 
 def test_odd_general_and_bloch_inputs_never_build_the_majorana_image(monkeypatch):
     monkeypatch.setattr(spectral, "_majorana_image", _refuse("_majorana_image"))
+    monkeypatch.setattr(greens, "_majorana_image", _refuse("_majorana_image"))
     did = build_model("did+", delta=1.0, mu=2.0)
     odd = DisorderSpec(_spec(2, ["W00"]).terms, lam=0.3)  # the singlet's 2 x 2 sector
     general = DisorderSpec((DisorderTerm((0, 0), np.eye(2)),), lam=0.5)  # on-site W = 1
@@ -180,9 +182,12 @@ def test_odd_general_and_bloch_inputs_never_build_the_majorana_image(monkeypatch
         ens = _Ensemble(model, spec, lam, 8, 2, 0, 1)
         assert (ens.route, ens.parity) == (route, parity)
         kw = dict(L=8, n_realizations=2, seed=0)
-        dos = spectral.dos_histogram(model, spec, squared=True, **kw)
+        for squared in (False, True):
+            dos = spectral.dos_histogram(model, spec, squared=squared, **kw)
+            assert dos.complex_fallbacks == 0
         curve = spectral.ids_squared_estimate(model, spec, energies=[0.25, 1.0], **kw)
-        assert dos.complex_fallbacks == curve.complex_fallbacks == 0
+        assert curve.complex_fallbacks == 0
+        assert greens._edge_stats(ens)[1] == 0
     # the dense fallback of an odd-parity count (at L = 16, by inertia)
     monkeypatch.setattr(spectral, "_INERTIA_TOL", 0.0)
     curve = spectral.ids_squared_estimate(did, odd, L=16, n_realizations=2, energies=[1.0])

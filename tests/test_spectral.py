@@ -250,7 +250,13 @@ def test_dos_bin_validation():
         dos_histogram(PIP, None, L=8, bins=np.array([0.0, 1.0, 0.5]))
 
 
-@pytest.mark.parametrize("bins, match", [(8, "16"), ([0.0], "increasing")])
+@pytest.mark.parametrize("bins, match", [
+    (8, "16"),
+    ([0.0], "increasing"),
+    (float("nan"), "16"),
+    ([0.0, float("nan"), 1.0, 2.0], "finite"),
+    ([-float("inf"), 0.0, 1.0, float("inf")], "finite"),
+])
 def test_dos_refuses_bad_bins_before_diagonalizing(bins, match, monkeypatch):
     def never(self):
         raise AssertionError("diagonalized before the bins were checked")

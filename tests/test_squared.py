@@ -1,6 +1,8 @@
 """Squared spectra of even-parity paired ensembles from the real symmetric
-H^2 of the Majorana basis, against the squares of the complex spectrum:
-every even-parity catalog input, the guard on Re M, and a near-gapless box."""
+H^2 of the Majorana basis, against the squares of the complex spectrum, and
+the spectra of H that the DOS takes as +-sqrt of them, against the complex
+spectrum: every even-parity catalog input, the guard on Re M, and a
+near-gapless box."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from bdgtools.disorder import (
 )
 from bdgtools.lattice import PHS_TOL, check_phs, tight_binding
 from bdgtools.models import MODEL_NAMES, build_model
-from bdgtools.spectral import _counts, _squared_spectrum
+from bdgtools.spectral import _counts, _real_spectrum, _squared_spectrum
 
 # An E^2 of the real route may differ from the square of the complex E by
 # this much times ||H||^2 (fixed before the first run).
@@ -47,6 +49,14 @@ POINTS = EDGES[1:]
 # within rounding of the shifted point or edge, so the two routes' counts
 # may differ there.  There is none on these inputs.
 TIES: dict = {}
+
+# explicit DOS edges of H: 0, +-0.05, ..., +-8
+H_EDGES = np.concatenate([-ROOTS[:0:-1], ROOTS])
+
+# (model, box, spec, lam, edge) where an E of H lies within rounding of the
+# shifted edge, so the real and the complex DOS counts may differ there.
+# There is none on these inputs.
+TIES_H: dict = {}
 
 
 def _spec(r: int, name: str, lam: float = 0.0) -> DisorderSpec:
@@ -120,6 +130,76 @@ def test_real_squared_spectra_and_counts_match_the_complex_route(name, box, refe
             assert np.array_equal(got, want), (case, got - want)
 
 
+@pytest.mark.parametrize("box", BOXES, ids=lambda b: "x".join(map(str, b)))
+@pytest.mark.parametrize("name", sorted(MODEL_NAMES))
+def test_real_spectra_of_h_and_their_dos_match_the_complex_route(name, box, reference_spectrum):
+    """An E = sqrt(E^2) of the real route is off by about dE^2 / (2 |E|), so
+    |E_real - E| |E| stays within the tolerance of the squares; the DOS
+    counts are those of the reference spectrum, as the estimator counts it."""
+    model = build_model(name, delta=0.6, mu=0.9)
+    nsites = box[0] * box[1]
+    for spec_name in (s for n, s in _INPUTS if n == name):
+        for lam in LAMS:
+            case = (name, box, spec_name, lam)
+            spec = _spec(model.fiber.r, spec_name, lam)
+            H = build_random_hamiltonian(model, spec, lam, sample_realization(spec, box, SEED))
+            e = reference_spectrum(H)
+            norm = float(np.abs(e).max())
+            guarded = bool(np.abs(e).min() < spectral._ORIGIN_SHIFT)
+            got, fell_back = _real_spectrum(H)
+            assert fell_back == guarded, case
+            if not guarded:
+                assert np.all(np.diff(got) >= 0) and np.array_equal(got, -got[::-1]), case
+                assert np.max(np.abs(got - e) * np.abs(e)) <= TOL * norm**2, case
+
+            kw = dict(L=box, n_realizations=1, seed=SEED)
+            real = (spectral.dos_histogram(model, spec, bins=H_EDGES, **kw),
+                    spectral.dos_histogram(model, spec, bins=16, **kw))
+            assert [x.complex_fallbacks for x in real] == [guarded] * 2, case
+
+            got = np.rint(np.array(real[0].density) * np.diff(H_EDGES) * nsites)
+            want = np.diff(_counts(e, H_EDGES))
+            ties = [i for i, x in enumerate(H_EDGES[1:]) if (*case, x) in TIES_H]
+            keep = np.setdiff1d(np.arange(len(got)), ties)
+            assert np.array_equal(got[keep], want[keep]), (case, got - want)
+
+            # the default range: its ends are +-sigma_max, within 1e-12 ||H||
+            pad = 1e-9 * max(e[-1] - e[0], 1.0)
+            want_edges = np.linspace(e[0] - pad, e[-1] + pad, 17)
+            got_edges = np.array(real[1].bin_edges)
+            assert np.abs(got_edges - want_edges).max() <= TOL * norm, case
+            got = np.rint(np.array(real[1].density) * np.diff(got_edges) * nsites)
+            want = np.diff(_counts(e, want_edges))
+            assert np.array_equal(got, want), (case, got - want)
+
+
+def test_a_near_gapless_box_takes_the_complex_spectrum_of_h_where_it_must(monkeypatch,
+                                                                          reference_spectrum):
+    """pip+ at mu = 0 under weak W00: realizations 1 and 3 have an |E| below
+    the origin shift and take the complex spectrum, 0 and 2 (smallest |E|
+    1.2e-3 and 1.3e-3) the real one; the DOS counts next to 0 are the
+    complex route's."""
+    gapless = build_model("pip+", delta=0.3, mu=0.0)
+    spec = default_spec(r=1, lam=0.05)
+    guarded = []
+    for seed in range(4):
+        H = build_random_hamiltonian(gapless, spec, 0.05, sample_realization(spec, 16, seed))
+        e, fell_back = _real_spectrum(H)
+        guarded.append(fell_back)
+        assert fell_back == (np.abs(reference_spectrum(H)).min() < spectral._ORIGIN_SHIFT)
+        if fell_back:
+            assert np.array_equal(e, reference_spectrum(H))
+    assert guarded == [False, True, False, True]
+    edges = np.array([-25.0, -1.0, -1e-2, -1.5e-3, -1e-3, -1e-4, 0.0,
+                      1e-4, 1e-3, 1.5e-3, 1e-2, 1.0, 25.0])
+    kw = dict(L=16, n_realizations=4, seed=0)
+    real = spectral.dos_histogram(gapless, spec, bins=edges, **kw)
+    assert real.complex_fallbacks == 2
+    with _complex(monkeypatch):
+        complex_ = spectral.dos_histogram(gapless, spec, bins=edges, **kw)
+    assert real.to_csv() == complex_.to_csv()
+
+
 def test_a_near_gapless_box_keeps_its_squares_nonnegative_and_n2_at_zero(monkeypatch,
                                                                           reference_spectrum):
     """pip+ at mu = 0 under weak W00: some realizations close the gap to
@@ -160,10 +240,12 @@ def test_an_input_off_exact_pairing_is_paired_but_takes_the_complex_route(monkey
     assert _Ensemble(PIP, spec, 1.2, 8, 3, 0, 1).parity == "even"
     kw = dict(L=8, n_realizations=3, seed=0)
     dos = spectral.dos_histogram(PIP, spec, squared=True, **kw)
+    dos_h = spectral.dos_histogram(PIP, spec, **kw)
     curve = spectral.ids_squared_estimate(PIP, spec, energies=POINTS, **kw)
-    assert dos.complex_fallbacks == curve.complex_fallbacks == 3
+    assert dos.complex_fallbacks == dos_h.complex_fallbacks == curve.complex_fallbacks == 3
     with _complex(monkeypatch):
         assert dos.to_csv() == spectral.dos_histogram(PIP, spec, squared=True, **kw).to_csv()
+        assert dos_h.to_csv() == spectral.dos_histogram(PIP, spec, **kw).to_csv()
         assert curve.to_csv() == spectral.ids_squared_estimate(PIP, spec, energies=POINTS,
                                                                **kw).to_csv()
     # the squared dense fallback of the inertia route, on a 16 x 16 box
