@@ -410,7 +410,7 @@ def dos_histogram(
 ) -> DosHistogram:
     """Eigenvalue histogram normalized to states per site per energy.
 
-    ``bins`` is either a bin count (>= 16) on ``energy_range`` (default: the
+    ``bins`` is either a whole bin count (>= 16) on ``energy_range`` (default: the
     full sampled spectrum) or an explicit finite, increasing edge array.  With
     ``squared`` the histogram is over the spectrum of H^2, which makes the
     density comparison rho(E) = |E| rho2(E^2) a bin-exact statement when the
@@ -433,8 +433,8 @@ def dos_histogram(
             f"energy_range must be finite and increasing (lo, hi), got {tuple(energy_range)}"
         )
     by_count = np.isscalar(bins)
-    if by_count and not bins >= 16:
-        raise ValueError("need at least 16 bins")
+    if by_count and not (bins >= 16 and float(bins).is_integer()):
+        raise ValueError(f"need a whole number of at least 16 bins, got {bins}")
     if not by_count:
         edges = np.asarray(bins, dtype=float)
         if (edges.ndim != 1 or len(edges) < 2 or not np.all(np.isfinite(edges))

@@ -256,6 +256,8 @@ def test_dos_bin_validation():
     (float("nan"), "16"),
     ([0.0, float("nan"), 1.0, 2.0], "finite"),
     ([-float("inf"), 0.0, 1.0, float("inf")], "finite"),
+    (float("inf"), "16"),
+    (16.5, "16"),
 ])
 def test_dos_refuses_bad_bins_before_diagonalizing(bins, match, monkeypatch):
     def never(self):
