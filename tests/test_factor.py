@@ -299,7 +299,7 @@ def test_the_image_pencil_solves_a_and_keeps_the_order(name):
     """The phase diagram's input (delta 0.3, mu 0.5, W00 at lambda 0.6) on a
     16 x 16 box.  A has a zero diagonal: factored with its rows in the order
     p, symmetric mode pivots off the diagonal and the fill about doubles;
-    with the swap it stays on the diagonal."""
+    with the swap at most a tenth of the pivots leave it."""
     model = build_model(name, delta=0.3, mu=0.5)
     spec = default_spec(r=model.fiber.r, lam=0.6)
     H = build_random_hamiltonian(model, spec, 0.6, sample_realization(spec, (16, 16), 1))
