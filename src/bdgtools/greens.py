@@ -45,7 +45,7 @@ from .lattice import (
     assemble_finite_volume,
 )
 from .models import _GAP_GRID, _distance_sq, _grid_bands
-from .spectral import _majorana_image, _realization_spectra
+from .spectral import _majorana_block, _majorana_image, _realization_spectra
 
 #: every resolvent solve must beat this relative residual or it is rejected
 RESIDUAL_TOL = 1e-10
@@ -68,11 +68,16 @@ OUTSIDE = "outside-spectrum"
 
 def _certify(z: complex, residual: np.ndarray, b: np.ndarray) -> None:
     """The acceptance rule of every resolvent solve: the relative residual
-    ``||(z - H) x - b|| / ||b||`` may not exceed :data:`RESIDUAL_TOL`."""
+    ``||(z - H) x - b|| / ||b||`` may not exceed :data:`RESIDUAL_TOL`.  A
+    residual or a right-hand side that is not finite is rejected too."""
     scale = float(np.linalg.norm(b))
+    if not math.isfinite(scale):
+        raise ArithmeticError(
+            f"resolvent solve at z = {z} rejected: right-hand side norm {scale} is not finite"
+        )
     if scale > 0.0:
         res = float(np.linalg.norm(residual)) / scale
-        if res > RESIDUAL_TOL:
+        if not res <= RESIDUAL_TOL:
             raise ArithmeticError(
                 f"resolvent solve at z = {z} rejected: relative residual "
                 f"{res:.3e} exceeds {RESIDUAL_TOL:g} (z too close to the spectrum)"
@@ -224,6 +229,46 @@ def _axis_profile(H: FiniteVolumeOperator, z: complex, n0, dists) -> np.ndarray:
     return _norm_profile(H, cols, n0, dists)
 
 
+def _band_centre_columns(H: FiniteVolumeOperator, z: complex, n0) -> np.ndarray | None:
+    """:meth:`ResolventSolver.columns` at site ``n0`` for ``z = i y``, y != 0,
+    of a paired H of even parity, from one real factor; or None when the
+    Majorana image is refused, the factor is singular or the columns are
+    rejected, and :class:`ResolventSolver` must serve them.
+
+    With W H W* = i A (:func:`~bdgtools.spectral._majorana_image`),
+    W (z - H) W* = i (y - A), so G = -i W* K W with K = (y - A)^{-1} real.
+    The symmetric part of y - A is y I, definite, so no leading block is
+    singular: the image's pencil factors in the dissection order with no row
+    swap (y is on the diagonal) at pivot threshold 0.  The unit columns at
+    n0 are solved and refined once in real arithmetic, mapped back site by
+    site (W is site-local) and certified against z - H in the finite-volume
+    order by :func:`_certify`."""
+    A = _majorana_image(H)
+    if A is None:
+        return None
+    y = z.imag
+    pencil = _Pencil(H, A)
+    try:
+        lu = pencil.factor(y, 0.0)
+    except RuntimeError:  # "exactly singular" from SuperLU
+        return None
+    d = H.fiber.dim
+    e = np.zeros((H.dim, d))
+    e[H.site_slice(n0), :] = np.eye(d)
+    x = pencil.solve(lu, e)
+    x = x + pencil.solve(lu, e - (y * x - A @ x))
+    # W is w / sqrt 2 on every site, so W e = e w / sqrt 2 and G e = -(i / 2) W* (K e w) sqrt 2
+    # takes every site block of K e w to -(i / 2) w* (K e w)
+    w = _majorana_block(H.fiber.r)
+    cols = (-0.5j * (w.conj().T @ (x @ w).reshape(-1, d, d))).reshape(H.dim, d)
+    b = e.astype(complex)
+    try:
+        _certify(z, z * cols - H.matrix @ cols - b, b)
+    except ArithmeticError:
+        return None
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # Combes-Thomas probe (clean operators)
 
@@ -317,7 +362,10 @@ class DecayEstimate:
     the log-linear fit runs only over ``fit_window`` (distances with a
     signal above the Monte-Carlo noise and free of wrap-around
     contamination).  A non-decaying profile clamps ``rate`` at zero rather
-    than reporting a negative rate.
+    than reporting a negative rate.  ``complex_fallbacks`` counts the
+    realizations whose resolvent took the complex :class:`ResolventSolver`
+    rather than the real band-centre factor (:func:`fractional_moment_scan`);
+    it is written neither to the CSV nor to the manifest.
     """
 
     distances: np.ndarray
@@ -331,6 +379,7 @@ class DecayEstimate:
     n_realizations: int
     s: float
     z: complex
+    complex_fallbacks: int = 0
 
     def significant(self) -> bool:
         """Decay established at two standard errors."""
@@ -452,12 +501,20 @@ def fractional_moment_scan(
     length and the decay law is polluted).  The wrap check comes first on a
     disordered input: when it leaves fewer than two distances, the scan
     raises before it draws a realization.
+
+    A paired input of even parity scanned at the band centre (``Re z = 0``
+    exactly, ``Im z != 0``) takes each realization's columns from one real,
+    unpivoted factor of its Majorana image (:func:`_band_centre_columns`).
+    Every other realization, and one whose image, factor or certificate is
+    refused there, is solved by :class:`ResolventSolver`, and
+    ``complex_fallbacks`` counts it.
     """
     z = complex(z)
     ens = _Ensemble(model, spec, lam, L, n_realizations, seed, threads)
     max_dist = _scan_settings(ens, s, max_dist)
     dists = np.arange(0, max_dist + 1)
     n0 = _center(ens.box)
+    fallbacks = 0
     if ens.route == "bloch":  # its profile is kept for the wrap check
         clean = _clean_axis_profile(model, z, ens.box, dists)
         profiles = [clean**s]
@@ -466,9 +523,19 @@ def fractional_moment_scan(
         wrapped = _wrap_mask(model, z, ens.box, dists)
         if np.count_nonzero((dists >= 1) & ~wrapped) < 2:
             raise ValueError(_EMPTY_WINDOW)
+        band_centre = ens.parity == "even" and z.real == 0.0 and z.imag != 0.0
+
+        def profile(H: FiniteVolumeOperator) -> tuple[np.ndarray, bool]:
+            cols = _band_centre_columns(H, np.conj(z), n0) if band_centre else None
+            if cols is None:
+                return _axis_profile(H, z, n0, dists), True
+            return _norm_profile(H, cols, n0, dists), False
+
+        rows = _realization_map(profile, ens)
         # a reduced ensemble's site block is G+ (+) sigma3 G+ sigma3: sqrt(2) ||G+||_F
         root = math.sqrt(ens.multiplicity)
-        profiles = _realization_map(lambda H: (root * _axis_profile(H, z, n0, dists)) ** s, ens)
+        profiles = [(root * p) ** s for p, _ in rows]
+        fallbacks = sum(c for _, c in rows)
     tau, stderr = _mean_stderr(np.array(profiles))
     keep = (
         (dists >= 1)
@@ -492,6 +559,7 @@ def fractional_moment_scan(
         n_realizations=len(profiles),
         s=float(s),
         z=z,
+        complex_fallbacks=fallbacks,
     )
 
 
@@ -847,7 +915,7 @@ def _majorana_edges(H: FiniteVolumeOperator, A: sp.spmatrix) -> tuple[float, flo
     At = A.T.tocsr()
     AtA = LinearOperator(A.shape, matvec=lambda x: At @ (A @ x), dtype=float)
     hi = math.sqrt(float(eigsh(AtA, which="LA", **kw)[0]))
-    pencil = _Pencil(H, A)
+    pencil = _Pencil(H, A, swap=True)
     lu = pencil.factor(0.0, 0.01)
     OPinv = LinearOperator(A.shape, matvec=lambda b: pencil.solve(lu, pencil.solve(lu, b, "T")),
                            dtype=float)

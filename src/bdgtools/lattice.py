@@ -437,18 +437,21 @@ class _Pencil:
     stored, so a shift z rewrites only the ``slots`` with ``z - h``.
 
     Given ``image``, a real matrix of H's layout (the Majorana image A of an
-    even-parity paired H), the pencil is ``z S - A`` instead: its rows come in
-    the order ``q``, which is p with the two halves of every site's fiber
-    swapped, and S is that swap.  A has a zero diagonal, so in the order p
-    symmetric-mode pivoting would leave the diagonal and the order (at
-    L = 32 it more than doubled the fill); the swap puts each mode's on-site
-    coupling of its two halves on the diagonal instead."""
+    even-parity paired H), the pencil is ``z - A`` in the order p, or with
+    ``swap`` ``z S - A``: its rows come in the order ``q``, which is p with
+    the two halves of every site's fiber swapped, and S is that swap.  A has
+    a zero diagonal, so at z = 0 in the order p symmetric-mode pivoting would
+    leave the diagonal and the order (at L = 32 it more than doubled the
+    fill); the swap puts each mode's on-site coupling of its two halves on
+    the diagonal instead.  At a real z != 0 the diagonal is z and the
+    symmetric part of z - A is z I, definite, so the order p needs no swap."""
 
-    def __init__(self, H: FiniteVolumeOperator, image: sp.spmatrix | None = None):
+    def __init__(self, H: FiniteVolumeOperator, image: sp.spmatrix | None = None,
+                 swap: bool = False):
         n = H.dim
         self.p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
         matrix = H.matrix if image is None else image
-        self.q = self.p if image is None else self.p.reshape(-1, 2, H.fiber.r)[:, ::-1].ravel()
+        self.q = self.p.reshape(-1, 2, H.fiber.r)[:, ::-1].ravel() if swap else self.p
         diag = np.arange(n)
         row, column = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
         row[self.q] = diag  # where each finite-volume row goes in the order

@@ -153,6 +153,33 @@ _MAJORANA = np.array([[1.0, 1.0], [1j, -1j]])
 _MAJORANA_TOL = 1e-14
 
 
+def _majorana_block(r: int) -> np.ndarray:
+    """sqrt 2 times the Majorana basis change on one fiber, _MAJORANA (x) I_r,
+    with the signed zeros of ``sp.kron``: its products, times the 1.0 of the
+    outer identity."""
+    return (1.0 * (_MAJORANA[:, None, :, None] * np.eye(r)[None, :, None, :])).reshape(2 * r, 2 * r)
+
+
+def _majorana_basis(nsites: int, r: int) -> sp.csr_matrix:
+    """I_sites (x) _MAJORANA (x) I_r in CSR, by index arithmetic: the matrix,
+    stored entries and bits of ``sp.kron(sp.identity(nsites),
+    sp.kron(_MAJORANA, sp.identity(r)), format="csr")``, which stores the
+    whole block of every site when I_r is at least half full (r <= 2) and its
+    two nonzeros per row otherwise."""
+    d = 2 * r
+    if r <= 2:
+        cols = np.tile(np.arange(d), (d, 1))
+    else:
+        k = np.arange(d) % r
+        cols = np.stack([k, r + k], axis=1)
+    per = cols.shape[1]
+    data = np.take_along_axis(_majorana_block(r), cols, axis=1)
+    indices = (d * np.arange(nsites)[:, None, None] + cols).astype(np.int32)
+    n = nsites * d
+    indptr = np.arange(0, n * per + 1, per, dtype=np.int32)
+    return sp.csr_matrix((np.tile(data.ravel(), nsites), indices.ravel(), indptr), shape=(n, n))
+
+
 def _majorana_image(H: FiniteVolumeOperator) -> sp.csr_matrix | None:
     """The real antisymmetric A with W H W* = i A, W the Majorana basis
     change I_sites (x) (1/sqrt 2)[[1, 1], [i, -i]] (x) I_r, or None when
@@ -160,7 +187,7 @@ def _majorana_image(H: FiniteVolumeOperator) -> sp.csr_matrix | None:
 
     It is formed as M = 2 W H W* and A = Im M / 2, which rounds only in
     the sums of M."""
-    W = sp.kron(sp.identity(H.nsites), sp.kron(_MAJORANA, sp.identity(H.fiber.r)), format="csr")
+    W = _majorana_basis(H.nsites, H.fiber.r)
     M = W @ H.matrix @ W.conj().T
     if np.abs(M.data.real).max(initial=0.0) > _MAJORANA_TOL * np.abs(M.data).max(initial=0.0):
         return None

@@ -305,7 +305,7 @@ def test_the_image_pencil_solves_a_and_keeps_the_order(name):
     H = build_random_hamiltonian(model, spec, 0.6, sample_realization(spec, (16, 16), 1))
     A = _majorana_image(H)
     n = H.dim
-    pencil = _Pencil(H, A)
+    pencil = _Pencil(H, A, swap=True)
     assert np.array_equal(pencil.q.reshape(-1, 2, model.fiber.r)[:, ::-1].ravel(), pencil.p)
     lu = pencil.factor(0.0, 0.01)
     b = np.random.default_rng(3).normal(size=n)

@@ -88,6 +88,16 @@ def test_resolvent_rejects_z_on_the_spectrum():
         solver.columns((0, 0))
 
 
+@pytest.mark.parametrize("residual, b", [
+    (np.array([np.nan, 0.0]), np.ones(2)),  # NaN > RESIDUAL_TOL is False
+    (np.zeros(2), np.array([np.nan, 1.0])),  # a NaN scale skipped the check
+    (np.zeros(2), np.array([np.inf, 1.0])),
+], ids=["nan residual", "nan scale", "infinite scale"])
+def test_a_non_finite_residual_or_scale_is_rejected(residual, b):
+    with pytest.raises(ArithmeticError, match="rejected"):
+        greens._certify(1e-3j, residual, b)
+
+
 def test_adjoint_solve_matches_conjugate_factorization():
     H = assemble_finite_volume(PIP, (5, 5))
     z = 0.4 + 0.3j
@@ -684,14 +694,23 @@ def test_a_refused_image_takes_the_complex_edges_bit_for_bit(name, monkeypatch):
 
 def test_the_real_edges_keep_the_phase_diagram_of_the_benchmark(monkeypatch):
     """The localization benchmark's diagram: its CSV is the complex route's
-    byte for byte, and its edge statistics agree within 1e-12 ||H||."""
+    byte for byte off the band centre, its E = 0 fits (real band-centre
+    resolvents) agree within 1e-10 with equal verdicts, and its edge
+    statistics agree within 1e-12 ||H||."""
     model, spec = build_model("pip+", delta=0.3, mu=0.5), default_spec(r=1)
     args = (model, spec, [0.2, 0.6, 1.2], [0.0, 1.0, 2.5])
     kw = dict(L=16, n_realizations=8, seed=1)
     real = localization_phase_diagram(*args, **kw)
     monkeypatch.setattr(greens, "_majorana_image", lambda H: None)
     ref = localization_phase_diagram(*args, **kw)
-    assert real.to_csv() == ref.to_csv()
+    off_centre = [[row for row in d.to_csv().splitlines() if row.split(",")[1] != "0"]
+                  for d in (real, ref)]
+    assert off_centre[0] == off_centre[1]
+    assert real.verdicts == ref.verdicts
+    assert np.array_equal(real.n_realizations, ref.n_realizations)
+    for f in ("rates", "rate_errs", "r_squared"):
+        assert np.allclose(getattr(real, f), getattr(ref, f), rtol=0.0, atol=1e-10,
+                           equal_nan=True), f
     assert real.edge_fallbacks == ref.edge_fallbacks == (0, 0, 0)
     for got, want in zip(real.edges, ref.edges):
         for f in EDGE_FIELDS:
