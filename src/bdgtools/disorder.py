@@ -29,10 +29,12 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .lattice import (
+    _CALL_LAYOUT,
     FiniteVolumeOperator,
     TightBindingOperator,
     _as_box,
     _assemble,
+    _CallLayout,
     assemble_finite_volume,
     check_phs,
 )
@@ -157,6 +159,11 @@ def _canonical(j: tuple[int, int]) -> bool:
     return j > (0, 0) or j == (0, 0)
 
 
+def _require_coupling(lam: float) -> None:
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"coupling lam must be finite and >= 0, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class DisorderSpec:
     """Closed set of disorder terms plus the default coupling strength."""
@@ -192,8 +199,7 @@ class DisorderSpec:
         object.__setattr__(
             self, "terms", tuple(completed[j] for j in sorted(completed))
         )
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"coupling lam must be finite and >= 0, got {self.lam!r}")
+        _require_coupling(self.lam)
 
     @property
     def fiber_dim(self) -> int:
@@ -449,6 +455,9 @@ class _Ensemble:
 
     ``reach`` is the R of the distance rule ``L/2 - R``: the model range, or
     the larger of the model and disorder ranges on a disordered input.
+
+    A coupling ``lam`` that is not finite and >= 0 is refused with
+    :class:`DisorderSpec`'s message, before anything is drawn.
     """
 
     model: TightBindingOperator
@@ -467,6 +476,7 @@ class _Ensemble:
 
     def __post_init__(self) -> None:
         model, spec = self.model, self.spec
+        _require_coupling(self.lam)
         if not isinstance(model, TightBindingOperator):
             raise TypeError("model must be a TightBindingOperator")
         if self.n_realizations < 1:
@@ -499,20 +509,28 @@ def _realization_map(fn, ens: _Ensemble) -> list:
     drawn from ``seed + i`` and added as ``H0 + lam * V``, both of the
     realized input: the first SU(2) sector when ``ens.multiplicity`` is 2,
     and each caller accounts for the second.  A ``"bloch"`` ensemble is the
-    one clean box, ``[fn(H0)]``."""
+    one clean box, ``[fn(H0)]``.
+
+    The realizations of one call share one index layout
+    (``lattice._Layout``), derived from the first of them that factors or
+    takes a Majorana image; every later one whose stored pattern equals it
+    takes its pencils and image by gather.  The layout lives for the call."""
     model, spec = ens.realized_model, ens.realized_spec
     base = assemble_finite_volume(model, ens.box)
     if ens.route == "bloch":
         return [fn(base)]
-    return parallel_map(
-        lambda i: fn(
-            build_random_hamiltonian(
-                base, spec, ens.lam, sample_realization(spec, ens.box, ens.seed + i)
-            )
-        ),
-        range(ens.n_realizations),
-        ens.threads,
-    )
+    call = _CallLayout()
+
+    def one(i: int):
+        H = build_random_hamiltonian(base, spec, ens.lam,
+                                     sample_realization(spec, ens.box, ens.seed + i))
+        token = _CALL_LAYOUT.set(call)
+        try:
+            return fn(H)
+        finally:
+            _CALL_LAYOUT.reset(token)
+
+    return parallel_map(one, range(ens.n_realizations), ens.threads)
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

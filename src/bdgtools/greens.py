@@ -45,7 +45,7 @@ from .lattice import (
     assemble_finite_volume,
 )
 from .models import _GAP_GRID, _distance_sq, _grid_bands
-from .spectral import _majorana_block, _majorana_image, _realization_spectra
+from .spectral import _majorana_image, _realization_spectra
 
 #: every resolvent solve must beat this relative residual or it is rejected
 RESIDUAL_TOL = 1e-10
@@ -258,9 +258,17 @@ def _band_centre_columns(H: FiniteVolumeOperator, z: complex, n0) -> np.ndarray 
     x = pencil.solve(lu, e)
     x = x + pencil.solve(lu, e - (y * x - A @ x))
     # W is w / sqrt 2 on every site, so W e = e w / sqrt 2 and G e = -(i / 2) W* (K e w) sqrt 2
-    # takes every site block of K e w to -(i / 2) w* (K e w)
-    w = _majorana_block(H.fiber.r)
-    cols = (-0.5j * (w.conj().T @ (x @ w).reshape(-1, d, d))).reshape(H.dim, d)
+    # takes every site block X of K e to -(i / 2) Z, Z = w* X w.  With w = [[1, 1], [i, -i]]
+    # (x) I_r and X real, Z's block at the halves (h, h') is X00 + s s' X11 + i (s' X01 - s X10),
+    # s and s' the signs +-1 of h and h': one exact sum per part, as the products of w's
+    # entries 0, 1 and +-i sum them, and "+ 0.0" as they start from zero
+    X = x.reshape(-1, 2, H.fiber.r, 2, H.fiber.r)
+    sign = np.array([1.0, -1.0])
+    s, t = sign[:, None, None, None], sign[:, None]  # on the axes of h and of h'
+    Z = np.empty((X.shape[0], 2, H.fiber.r, 2, H.fiber.r), dtype=complex)
+    Z.real = X[:, None, 0, :, None, 0] + s * t * X[:, None, 1, :, None, 1] + 0.0
+    Z.imag = t * X[:, None, 0, :, None, 1] - s * X[:, None, 1, :, None, 0] + 0.0
+    cols = (-0.5j * Z).reshape(H.dim, d)
     b = e.astype(complex)
     try:
         _certify(z, z * cols - H.matrix @ cols - b, b)
@@ -500,7 +508,8 @@ def fractional_moment_scan(
     exceed it (beyond that the two arcs around the torus have comparable
     length and the decay law is polluted).  The wrap check comes first on a
     disordered input: when it leaves fewer than two distances, the scan
-    raises before it draws a realization.
+    raises before it draws a realization.  A ``z`` that is not finite, and a
+    coupling ``lam`` that is not finite and >= 0, are refused first.
 
     A paired input of even parity scanned at the band centre (``Re z = 0``
     exactly, ``Im z != 0``) takes each realization's columns from one real,
@@ -510,6 +519,8 @@ def fractional_moment_scan(
     ``complex_fallbacks`` counts it.
     """
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     ens = _Ensemble(model, spec, lam, L, n_realizations, seed, threads)
     max_dist = _scan_settings(ens, s, max_dist)
     dists = np.arange(0, max_dist + 1)
@@ -972,11 +983,16 @@ def localization_phase_diagram(
     a disordered row, a box too small for a fit) raises the ``ValueError``
     of the first row with a cell inside the spectrum, before any scan runs.
     The scans' clean wrap checks depend only on (E, distances), so each is
-    computed once and serves every row.
+    computed once and serves every row.  An ``eps`` or an energy that is not
+    finite, and a coupling that is not finite and >= 0, are refused before
+    anything is drawn.
     """
     box = _as_box(L)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     energy_grid = np.asarray(energy_grid, dtype=float)
+    if not (math.isfinite(eps) and np.all(np.isfinite(energy_grid))):
+        raise ValueError(f"every z = E + i eps must be finite, got eps = {eps} "
+                         f"and energies {energy_grid.tolist()}")
     rows = [_Ensemble(model, spec, lam, box, n_realizations, seed, threads) for lam in lambda_grid]
     stats = [_edge_stats(ens) for ens in rows]
     edges, fallbacks = tuple(e for e, _ in stats), tuple(n for _, n in stats)

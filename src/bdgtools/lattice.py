@@ -22,11 +22,21 @@ Particle-hole symmetry is checked in the two flavours
 
 and the pairing-potential constraint Delta* = -conj(Delta) reads
 B_{-j}^T = -B_j term by term.
+
+Every sparse factor of a finite volume factors its pencil z - H
+(:class:`_Pencil`), laid out in the nested-dissection order of its box.  The
+realizations of one ensemble call share one index layout (:class:`_Layout`),
+derived from the first of them that asks: the stored pattern, the hopping
+range, the order and the gathers that fill each pencil from a matrix's data.
+A realization whose stored pattern equals the layout's takes its pencils by
+gather; any other derives a layout of its own.  The layout lives for the call.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -431,6 +441,135 @@ def _dissection_order(L: tuple[int, int], bc: str, d: int, R: int) -> np.ndarray
     return _freeze((d * sites[:, None] + np.arange(d)).ravel(), dtype=np.intp)
 
 
+class _Layout:
+    """The index layout of the realizations of one box: everything a sparse
+    factor or a Majorana image of a realization needs that depends only on
+    its stored pattern, derived once from one realization ``H``.
+
+    It holds H's pattern (``indptr``, ``indices``), its hopping range and the
+    dissection order ``p`` of its box.  Further parts, such as the gather of
+    a pencil (:class:`_PencilGather`) or ``spectral``'s map of the Majorana
+    image, are derived on first use by :meth:`part` and kept; the pool
+    threads of an ensemble share them read-only.  A realization whose box
+    and stored pattern equal ``H``'s (:meth:`holds`) takes every part by
+    gather; any other derives a layout of its own (:func:`_layout`).
+    """
+
+    def __init__(self, H: FiniteVolumeOperator):
+        m = H.matrix
+        self.geometry = (H.L, H.bc, H.fiber)
+        self.indptr, self.indices = m.indptr.copy(), m.indices.copy()
+        self.range = H.range
+        self.p = _dissection_order(H.L, H.bc, H.fiber.dim, self.range)
+        self._parts: dict = {}
+        self._lock = threading.Lock()
+
+    def holds(self, H: FiniteVolumeOperator) -> bool:
+        """Whether ``H`` lies on this layout's box with its stored pattern."""
+        m = H.matrix
+        return ((H.L, H.bc, H.fiber) == self.geometry
+                and np.array_equal(m.indptr, self.indptr)
+                and np.array_equal(m.indices, self.indices))
+
+    def part(self, key, derive):
+        """The part ``key``, derived by ``derive()`` when first asked for."""
+        with self._lock:
+            if key not in self._parts:
+                self._parts[key] = derive()
+            return self._parts[key]
+
+
+class _CallLayout:
+    """The layout of one ensemble call, derived from the first of its
+    realizations that asks for it (:func:`_layout`)."""
+
+    def __init__(self):
+        self.layout: _Layout | None = None
+        self._lock = threading.Lock()
+
+    def of(self, H: FiniteVolumeOperator) -> _Layout:
+        with self._lock:
+            if self.layout is None:
+                self.layout = _Layout(H)
+            return self.layout
+
+
+#: The layout of the ensemble call whose realizations are being mapped
+#: (``disorder._realization_map``), or None outside one.
+_CALL_LAYOUT: ContextVar[_CallLayout | None] = ContextVar("_CALL_LAYOUT", default=None)
+
+
+def _layout(H: FiniteVolumeOperator) -> _Layout:
+    """The layout of ``H``: its call's, when that holds H's pattern, else one
+    derived from H alone, by the same code."""
+    call = _CALL_LAYOUT.get()
+    if call is not None:
+        layout = call.of(H)
+        if layout.holds(H):
+            return layout
+    return _Layout(H)
+
+
+def _by_column(indptr: np.ndarray, indices: np.ndarray, ncol: int):
+    """A stable sort of the stored entries of a CSR pattern by column, rows
+    ascending within a column and stored order within a row: SciPy's CSR to
+    CSC transposition, applied to the entries' positions.  Returns the CSC
+    ``indptr``, each sorted entry's row and its position in the CSR."""
+    nrow = len(indptr) - 1
+    positions = np.arange(len(indices), dtype=float)
+    t = sp.csr_matrix((positions, indices, indptr), shape=(nrow, ncol)).tocsc()
+    return t.indptr, t.indices, t.data.astype(np.intp)
+
+
+class _PencilGather:
+    """Where every stored entry of a pencil comes from: ``matrix``'s pattern
+    in CSC, rows in the order ``q`` and columns in the order ``p``, with every
+    diagonal slot stored and each column's rows ascending.  ``source[k]`` is
+    1 + the index in ``matrix.data`` of the entry k holds, or 0 for a
+    diagonal slot that ``matrix`` does not store."""
+
+    def __init__(self, matrix: sp.spmatrix, p: np.ndarray, q: np.ndarray):
+        n = matrix.shape[0]
+        self.pattern = (matrix.indptr.copy(), matrix.indices.copy())
+        self.shape, self.q = matrix.shape, q
+        position = np.arange(n)
+        column = np.empty(n, dtype=np.intp)
+        column[p] = position  # where each finite-volume column goes in the order
+        # row i of the pencil: the entries of matrix row q[i], then the slot (i, i)
+        lens = np.diff(matrix.indptr)[q] + 1
+        ends = np.cumsum(lens)
+        source = np.arange(ends[-1]) + np.repeat(matrix.indptr[q] - (ends - lens), lens) + 1
+        source[ends - 1] = 0
+        cols = np.repeat(position, lens)
+        entry = source > 0
+        cols[entry] = column[matrix.indices[source[entry] - 1]]
+        indptr, rows, at = _by_column(np.r_[0, ends], cols, n)
+        # a stored diagonal entry comes before its slot; the slot is dropped
+        cols = np.repeat(position, np.diff(indptr))
+        keep = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
+        self.source = source[at[keep]]
+        self.indices = rows[keep].astype(np.int32)
+        self.indptr = np.r_[0, np.cumsum(np.bincount(cols[keep], minlength=n))].astype(np.int32)
+        self.slots = np.flatnonzero(self.indices == cols[keep])
+        self.diagonal = self.source[self.slots]
+
+    def serves(self, matrix: sp.spmatrix) -> bool:
+        """Whether ``matrix`` has the stored pattern this gather was derived from."""
+        return (np.array_equal(matrix.indptr, self.pattern[0])
+                and np.array_equal(matrix.indices, self.pattern[1]))
+
+    def fill(self, data: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
+        """The pencil of a matrix with stored entries ``data``, holding ``0 -``
+        each entry (``0.0 -``, as in z I - H, where an entry alone is
+        subtracted from 0), and the matrix's diagonal in the order."""
+        values = np.empty(len(data) + 1, dtype=data.dtype)
+        values[0] = 0.0
+        values[1:] = data
+        A = sp.csc_matrix((0.0 - values[self.source], self.indices.copy(), self.indptr.copy()),
+                          shape=self.shape)
+        return A, values[self.diagonal]
+
+
 class _Pencil:
     """``z - H`` of one finite volume, laid out for every sparse factor: CSC
     in the nested-dissection order ``p`` of its box, every diagonal slot
@@ -444,28 +583,27 @@ class _Pencil:
     leave the diagonal and the order (at L = 32 it more than doubled the
     fill); the swap puts each mode's on-site coupling of its two halves on
     the diagonal instead.  At a real z != 0 the diagonal is z and the
-    symmetric part of z - A is z I, definite, so the order p needs no swap."""
+    symmetric part of z - A is z I, definite, so the order p needs no swap.
+
+    The pencil is gathered from the matrix's data by a :class:`_PencilGather`
+    of H's layout (:func:`_layout`), one per kind (H, the image, the swapped
+    image), derived for the first matrix of that kind and reused by every
+    matrix with the same stored pattern."""
 
     def __init__(self, H: FiniteVolumeOperator, image: sp.spmatrix | None = None,
                  swap: bool = False):
-        n = H.dim
-        self.p = _dissection_order(H.L, H.bc, H.fiber.dim, H.range)
+        layout = _layout(H)
+        self.p = p = layout.p
         matrix = H.matrix if image is None else image
-        self.q = self.p.reshape(-1, 2, H.fiber.r)[:, ::-1].ravel() if swap else self.p
-        diag = np.arange(n)
-        row, column = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-        row[self.q] = diag  # where each finite-volume row goes in the order
-        column[self.p] = diag
-        coo = matrix.tocoo()
-        # "0.0 -" as in z I - H, where an entry of H alone is subtracted from 0
-        self.A = sp.csc_matrix(
-            (np.concatenate([0.0 - coo.data, np.zeros(n)]),
-             (np.concatenate([row[coo.row], diag]),
-              np.concatenate([column[coo.col], diag]))),
-            shape=(n, n),
-        )
-        self.slots = np.flatnonzero(self.A.indices == np.repeat(diag, np.diff(self.A.indptr)))
-        self.h = np.asarray(matrix[self.q, self.p]).ravel()
+
+        def derive() -> _PencilGather:
+            return _PencilGather(matrix, p, p.reshape(-1, 2, H.fiber.r)[:, ::-1].ravel() if swap else p)
+
+        gather = layout.part(("pencil", image is not None, swap), derive)
+        if image is not None and not gather.serves(image):  # an image of another pattern
+            gather = derive()
+        self.q, self.slots = gather.q, gather.slots
+        self.A, self.h = gather.fill(matrix.data)
 
     def at(self, z: complex) -> sp.csc_matrix:
         """``A`` holding ``z - H``, until the next shift."""

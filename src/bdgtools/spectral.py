@@ -33,6 +33,13 @@ route's only when an E^2 lies within rounding of a shifted edge.  A DOS
 histogram of H takes its spectrum as +-sqrt of the same one, unless an
 |E| lies below 1e-3, where the square root loses too much.  A realization
 whose Re M is not at rounding level is diagonalized as it is.
+
+M is not formed by a sparse product: the layout of the realization's call
+(``lattice._Layout``) holds :class:`_ImageMap`, a map from H's stored data to
+M's, with the stored order and the rounding of SciPy's ``(W @ H) @ W*``.  It
+is derived once per call, from the first realization that asks; a
+realization whose pattern, or whose exact zeros of W H and M, differ from
+that one's derives its own.
 """
 
 from __future__ import annotations
@@ -45,7 +52,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .disorder import DisorderSpec, _Ensemble, _mean_stderr, _realization_map
-from .lattice import FiniteVolumeOperator, TightBindingOperator, _box_fibers, _Pencil
+from .lattice import (
+    FiniteVolumeOperator,
+    TightBindingOperator,
+    _box_fibers,
+    _by_column,
+    _layout,
+    _Pencil,
+)
 
 __all__ = [
     "EDGE_TOL",
@@ -180,18 +194,132 @@ def _majorana_basis(nsites: int, r: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.tile(data.ravel(), nsites), indices.ravel(), indptr), shape=(n, n))
 
 
+class _ImageMap:
+    """The map from the stored data of a finite volume H to that of
+    M = 2 W H W*, W of :func:`_majorana_basis`, as SciPy's product
+    ``(W @ H) @ W*`` stores and rounds it.
+
+    W is site-local, w on every site, so M's site block (s, s') is
+    w H(s, s') w*, on the site blocks that H stores.  Every entry of w is 0,
+    +-1 or +-i and every row of it holds two nonzero ones, so each entry of
+    T = W H and of M = T W* is the sum of two exact products, rounded once
+    whatever the order; they are computed here block by block, with H's
+    blocks gathered from its data (``source``: 1 + the index of each block
+    entry in H's data, 0 where H stores none).  What the data cannot set is
+    the pattern and the stored order of M: ``csr_matmat`` lists the columns
+    of a row by last first touch and drops the sums that are exact zeros.
+    The product runs over the stored entries of W's row (the rows of H it
+    combines) and then of T's row in their stored order, so an entry of T is
+    stored later the earlier its column first comes up among those rows of
+    H (``first``), and an entry of M is stored by the last-stored entry of T
+    that touches it, then by its place in that row of W*.  Which entries of
+    T and M are exact zeros is taken from the realization the map is derived
+    from (``t_nonzero``, ``m_nonzero``); M's pattern is ``indptr``,
+    ``indices`` and ``slots`` are the block entries it stores, in order."""
+
+    def __init__(self, H: FiniteVolumeOperator):
+        m, d, n = H.matrix, H.fiber.dim, H.dim
+        local = _majorana_basis(1, H.fiber.r)
+        self.w = local.toarray()
+        stored = np.zeros((d, d), dtype=bool)  # W's row a stores column c, zero or not
+        stored[np.repeat(np.arange(d), np.diff(local.indptr)), local.indices] = True
+        # the site blocks (s, t) that H stores, numbered; blocks are laid out last
+        row = np.repeat(np.arange(n), np.diff(m.indptr))
+        indptr, s, at = _by_column(m.indptr[::d], m.indices // d, H.nsites)
+        t = np.repeat(np.arange(H.nsites), np.diff(indptr))
+        head = np.ones(len(s), dtype=bool)
+        head[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1])
+        block = np.empty(len(at), dtype=np.intp)
+        block[at] = np.cumsum(head) - 1
+        s, t = s[head], t[head]
+        nnz = len(m.indices)
+        slot = ((row % d) * d + m.indices % d) * len(s) + block
+        self.source = np.zeros(d * d * len(s), dtype=np.intp)
+        self.source[slot] = np.arange(1, nnz + 1)
+        # where in the product's loop over row (s, a) of W each column of H's rows s d + c
+        # comes up: the rows that W's row stores, one after the other
+        lens = np.diff(m.indptr).reshape(-1, 1, d) * stored  # (site, a, c)
+        offset = (np.cumsum(lens, axis=2) - lens)[s].transpose(1, 2, 0)
+        place = np.full(len(self.source), -1)
+        place[slot] = np.arange(nnz) - m.indptr[row]
+        place = place.reshape(d, d, -1)  # (c, column, block)
+        touched = stored[:, :, None, None] & (place >= 0)
+        first = np.where(touched, offset[:, :, None] + place, nnz).min(axis=1)  # (a, k, block)
+        T = self._left(m.data)
+        self.t_nonzero = T != 0
+        # M's entry (a, b) is listed by the entry (a, k) of T that touches it last in the
+        # stored order of T's row, then by the rank of b in row k of W*
+        last = np.full(T.shape, -1)
+        rank = np.zeros(T.shape, dtype=np.intp)
+        ranks = np.cumsum(stored, axis=0) - 1  # of each column b in row k of W*, at [b, k]
+        for k in range(d):
+            touch = np.where(self.t_nonzero[:, None, k] & stored[:, k, None], first[:, None, k], -1)
+            later = touch > last
+            last = np.where(later, touch, last)
+            rank = np.where(later, ranks[:, k, None], rank)
+        rows = np.broadcast_to(s * d + np.arange(d)[:, None, None], T.shape).ravel()
+        cols = np.broadcast_to(t * d + np.arange(d)[:, None], T.shape).ravel()
+        key = (rows * (nnz + 1) + last.ravel()) * d + d - 1 - rank.ravel()
+        self.m_nonzero = self._right(T) != 0
+        kept = np.flatnonzero(self.m_nonzero)
+        self.slots = kept[np.argsort(key[kept])]
+        self.indptr = np.r_[0, np.cumsum(np.bincount(rows[self.slots], minlength=n))].astype(np.int32)
+        self.indices = cols[self.slots].astype(np.int32)
+
+    def _left(self, data: np.ndarray) -> np.ndarray:
+        """The blocks of T = W H, from H's data, as an (a, k, block) array."""
+        d = len(self.w)
+        values = np.empty(len(data) + 1, dtype=complex)
+        values[0] = 0.0
+        values[1:] = data
+        blocks = values[self.source].reshape(d, d, -1)
+        T = np.zeros(blocks.shape, dtype=complex)
+        for c in range(d):
+            T += self.w[:, c, None, None] * blocks[c]
+        return T
+
+    def _right(self, T: np.ndarray) -> np.ndarray:
+        """The blocks of M = T W*."""
+        M = np.zeros(T.shape, dtype=complex)
+        for k in range(len(self.w)):
+            M += T[:, k, None] * self.w[:, k].conj()[:, None]
+        return M
+
+    def apply(self, data: np.ndarray) -> np.ndarray | None:
+        """The stored data of M, or None when an entry of T or M is an exact
+        zero where it was not in the map's realization, or the reverse: the
+        product would then store another pattern."""
+        T = self._left(data)
+        if not np.array_equal(T != 0, self.t_nonzero):
+            return None
+        M = self._right(T)
+        if not np.array_equal(M != 0, self.m_nonzero):
+            return None
+        return M.ravel()[self.slots]
+
+
 def _majorana_image(H: FiniteVolumeOperator) -> sp.csr_matrix | None:
     """The real antisymmetric A with W H W* = i A, W the Majorana basis
     change I_sites (x) (1/sqrt 2)[[1, 1], [i, -i]] (x) I_r, or None when
     Re(W H W*) is above rounding: H is then not paired with C = W^T W = K.
 
-    It is formed as M = 2 W H W* and A = Im M / 2, which rounds only in
-    the sums of M."""
-    W = _majorana_basis(H.nsites, H.fiber.r)
-    M = W @ H.matrix @ W.conj().T
-    if np.abs(M.data.real).max(initial=0.0) > _MAJORANA_TOL * np.abs(M.data).max(initial=0.0):
+    It is formed as M = 2 W H W* and A = Im M / 2, which rounds only in the
+    sums of M, by the :class:`_ImageMap` of H's layout
+    (``lattice._layout``): the map of the first realization of the call that
+    asked for one, or, when H's exact zeros differ from that realization's,
+    one derived from H by the same code."""
+    layout = _layout(H)
+    image = layout.part("image", lambda: _ImageMap(H))
+    M = image.apply(H.matrix.data)
+    if M is None:
+        image = _ImageMap(H)
+        M = image.apply(H.matrix.data)
+    real = np.abs(M.real).max(initial=0.0)
+    if real > 0.0 and real > _MAJORANA_TOL * np.abs(M).max():
         return None
-    return 0.5 * M.imag
+    # "+ 0.0": the product's sums start from +0, so none of them is -0
+    return sp.csr_matrix((0.5 * (M.imag + 0.0), image.indices.copy(), image.indptr.copy()),
+                         shape=H.matrix.shape)
 
 
 def _real_squares(H: FiniteVolumeOperator) -> np.ndarray | None:

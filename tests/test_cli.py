@@ -844,3 +844,11 @@ def test_replay_refuses_a_params_lam_unlike_the_disorders(tmp_path):
                                        {**man.params, "lam": 0.5}).to_json())
     with pytest.raises(ValueError, match="lam=0.5"):
         run_manifest(path)
+
+
+def test_phase_diagram_refuses_a_negative_coupling(capsys):
+    argv = ["phase-diagram", "--model", "pip+", "--params",
+            "delta=0.3,mu=0.5,lambdas=-0.6,energies=0:1", "--disorder", "W00",
+            "--L", "8", "--realizations", "8"]
+    assert main(argv) == 2
+    assert "coupling lam must be finite and >= 0" in capsys.readouterr().err

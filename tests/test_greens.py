@@ -781,3 +781,48 @@ def test_wrap_check_skipped_when_the_clean_resolvent_is_refused(monkeypatch):
     d, tau, err = est.distances, est.tau, est.tau_stderr
     noise = (d >= 1) & (tau > 10.0 * err) & (tau > 1e-12**est.s * tau[0])
     assert est.fit_window == tuple(int(x) for x in d[noise])
+
+
+# ---------------------------------------------------------------------------
+# inputs refused before any draw
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any realization drawn while the fixture is active."""
+    import bdgtools.disorder as disorder
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a realization was drawn")
+
+    monkeypatch.setattr(disorder, "sample_realization", draw)
+
+
+COUPLING = "coupling lam must be finite and >= 0"
+
+
+@pytest.mark.parametrize("lam", [-0.6, np.inf, np.nan])
+def test_a_coupling_that_is_not_finite_and_non_negative_is_refused(lam, no_draws):
+    with pytest.raises(ValueError, match=COUPLING):
+        fractional_moment_scan(PIP, SPEC, lam, 0.5 + 1e-3j, L=8, n_realizations=8)
+    with pytest.raises(ValueError, match=COUPLING):
+        localization_phase_diagram(PIP, SPEC, [0.2, lam], [0.0, 1.0], L=8, n_realizations=8)
+    with pytest.raises(ValueError, match=COUPLING):
+        fermi_projection_decay(PIP, SPEC, lam, 0.0, L=8, n_realizations=2)
+    with pytest.raises(ValueError, match=COUPLING):  # the message of the spec itself
+        DisorderSpec(SPEC.terms, lam=lam)
+
+
+@pytest.mark.parametrize("z", [complex(np.nan, 1e-3), complex(0.0, np.inf), complex(np.inf, 1e-3)])
+def test_a_scan_refuses_a_z_that_is_not_finite(z, no_draws):
+    with pytest.raises(ValueError, match="z must be finite"):
+        fractional_moment_scan(PIP, SPEC, 0.4, z, L=8, n_realizations=8)
+    with pytest.raises(ValueError, match="z must be finite"):
+        fractional_moment_scan(PIP, None, 0.0, z, L=8)
+
+
+@pytest.mark.parametrize("eps, energies", [(np.nan, [0.0]), (np.inf, [0.0]), (1e-3, [0.0, np.nan]),
+                                           (1e-3, [np.inf])])
+def test_a_phase_diagram_refuses_a_z_that_is_not_finite(eps, energies, no_draws):
+    with pytest.raises(ValueError, match="must be finite"):
+        localization_phase_diagram(PIP, SPEC, [0.2], energies, eps=eps, L=8, n_realizations=8)

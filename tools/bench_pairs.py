@@ -14,10 +14,13 @@ the side that runs first alternates from pair to pair, so slow drift of the
 machine falls on both sides alike.
 
 The output records, per workload and end-to-end metric, each side's values,
-median and quartiles (``statistics.quantiles``, inclusive method), and the
+median and quartiles (``statistics.quantiles``, inclusive method), the
 number of pairs in which CHANGE was better, in the direction that
-``BENCHMARK.json`` declares; plus the harness's environment block of each
-side.  Standard library only.
+``BENCHMARK.json`` declares, and whether CHANGE's median is worse than
+BASE's by more than the metric's ``bound`` there, taken relative to BASE's
+median (``beyond_bound``); plus the harness's environment block of each
+side.  After each workload it prints every end-to-end metric that way, and
+flags a metric beyond its bound.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,10 +43,29 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _directions() -> dict[str, str]:
-    """End-to-end metric -> "lower" or "higher", as BENCHMARK.json declares."""
+def _end_to_end() -> dict[str, tuple[str, float]]:
+    """End-to-end metric -> ("lower" or "higher", bound), as BENCHMARK.json declares."""
     doc = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+    return {m["name"]: (m["better"], float(m["bound"])) for m in doc["end_to_end"]}
+
+
+def beyond_bound(base: float, change: float, better: str, bound: float) -> bool:
+    """Whether ``change`` is worse than ``base`` by more than ``bound`` of |base|."""
+    worse = change - base if better == "lower" else base - change
+    return worse > bound * abs(base)
+
+
+def report(workload: str, metrics: dict, pairs: int) -> list[str]:
+    """One line per end-to-end metric: each side's median and quartiles, the
+    change's wins, and a flag when its median is worse beyond the bound."""
+    lines = []
+    for name, m in metrics.items():
+        b, c = m["base"], m["change"]
+        flag = f"  WORSE than the parent beyond its bound {m['bound']:g}" if m["beyond_bound"] else ""
+        lines.append(f"{workload}: {name} {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] -> "
+                     f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], change better in "
+                     f"{m['change_wins']} of {pairs}{flag}")
+    return lines
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -80,7 +102,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
 
-    better = _directions()
+    end_to_end = _end_to_end()
     shas = {"base": _git("rev-parse", args.base), "change": _git("rev-parse", args.change)}
     trees = {side: args.workdir / side for side in shas}
     doc = {"base": shas["base"], "change": shas["change"], "pairs": args.pairs,
@@ -106,21 +128,21 @@ def main(argv=None) -> int:
                           f"wall_s {values['wall_s']:.3f} ({time.perf_counter() - t0:.0f} s)",
                           flush=True)
             metrics = {}
-            for name, direction in better.items():
+            for name, (direction, bound) in end_to_end.items():
                 a = [r[name] for r in runs["base"]]
                 b = [r[name] for r in runs["change"]]
                 wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
-                metrics[name] = {"better": direction, "base": summary(a), "change": summary(b),
-                                 "change_wins": wins}
+                base, change = summary(a), summary(b)
+                metrics[name] = {"better": direction, "bound": bound, "base": base,
+                                 "change": change, "change_wins": wins,
+                                 "beyond_bound": beyond_bound(base["median"], change["median"],
+                                                              direction, bound)}
             doc["workloads"][workload] = {
                 "seeds": seeds,
                 "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
                 "metrics": metrics,
             }
-            wall = metrics["wall_s"]
-            print(f"{workload}: wall_s {wall['base']['median']:.3f} -> "
-                  f"{wall['change']['median']:.3f} (change better in {wall['change_wins']} "
-                  f"of {args.pairs})", flush=True)
+            print("\n".join(report(workload, metrics, args.pairs)), flush=True)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         for tree in trees.values():
