@@ -265,7 +265,7 @@ def _band_centre_columns(H: FiniteVolumeOperator, z: complex, n0) -> np.ndarray 
     X = x.reshape(-1, 2, H.fiber.r, 2, H.fiber.r)
     sign = np.array([1.0, -1.0])
     s, t = sign[:, None, None, None], sign[:, None]  # on the axes of h and of h'
-    Z = np.empty((X.shape[0], 2, H.fiber.r, 2, H.fiber.r), dtype=complex)
+    Z = np.empty(X.shape, dtype=complex)
     Z.real = X[:, None, 0, :, None, 0] + s * t * X[:, None, 1, :, None, 1] + 0.0
     Z.imag = t * X[:, None, 0, :, None, 1] - s * X[:, None, 1, :, None, 0] + 0.0
     cols = (-0.5j * Z).reshape(H.dim, d)

@@ -7,6 +7,9 @@ stored order."""
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -207,15 +210,25 @@ def test_an_image_entry_that_cancels_exactly_derives_its_own_map(monkeypatch):
         assert len(maps) == 2  # the call's, and one for the realization it does not serve
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 6])
 def test_one_layout_per_call_and_none_kept_across_calls(threads, monkeypatch):
+    # with more pool threads than cores and a short switch interval, every
+    # thread asks for the call's layout, map and gather at about once: each
+    # must still be derived once, and every realization's columns repeat
+    # the columns of a single thread
     model, spec = build_model("pip+", delta=0.3, mu=0.5), default_spec(r=1)
-    ens = _Ensemble(model, spec, 0.5, (12, 12), 6, 3, threads)
+    ens = _Ensemble(model, spec, 0.5, (12, 12), 12, 3, threads)
+    want = _realization_map(lambda H: _band_centre_columns(H, -1e-3j, (6, 6)), replace(ens, threads=1))
     layouts = _count(monkeypatch, lattice._Layout)
     maps = _count(monkeypatch, spectral._ImageMap)
     gathers = _count(monkeypatch, lattice._PencilGather)
-    for calls in (1, 2):
-        columns = _realization_map(lambda H: _band_centre_columns(H, -1e-3j, (6, 6)), ens)
-        assert all(c is not None for c in columns)
-        assert (len(layouts), len(maps), len(gathers)) == (calls, calls, calls)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for calls in (1, 2):
+            got = _realization_map(lambda H: _band_centre_columns(H, -1e-3j, (6, 6)), ens)
+            assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
+            assert (len(layouts), len(maps), len(gathers)) == (calls, calls, calls)
+    finally:
+        sys.setswitchinterval(interval)
     assert lattice._CALL_LAYOUT.get() is None
