@@ -632,15 +632,22 @@ VERIFY_CHECKS = (
 
 
 def _verify_report() -> tuple[str, bool]:
+    """The suite's report and whether every check passed.  Each check's time
+    goes to stderr as ``verify: <name> <seconds> s``, so the report's bytes
+    do not depend on the machine."""
+    import time
+
     lines = []
     ok = True
     for name, check in VERIFY_CHECKS:
+        start = time.perf_counter()
         try:
             check()
             lines.append("ok   " + name)
         except Exception as err:  # a crash is a failure, not an abort
             ok = False
             lines.append(f"FAIL {name}: {err}")
+        print(f"verify: {name} {time.perf_counter() - start:.3f} s", file=sys.stderr)
     lines.append("verify: PASS" if ok else "verify: FAIL")
     return "\n".join(lines) + "\n", ok
 

@@ -779,7 +779,13 @@ def fermi_projection_decay(
 
 @dataclass(frozen=True)
 class SpectralEdges:
-    """Realization statistics of the spectral range and the central gap."""
+    """Realization statistics of the spectral range and the central gap.
+
+    On a ``"paired"`` row each realization's edges come from sparse solves;
+    the real (even-parity) ones are certified to within ``_EDGE_BOUND`` hi
+    by their Ritz residuals, far below the deviations that :meth:`outside`
+    compares against, and a realization whose certificate fails takes its
+    dense spectrum (:func:`_paired_edges`)."""
 
     lam: float
     lo: float
@@ -860,6 +866,13 @@ class PhaseDiagram:
 #: seed of the fixed ARPACK start vector and restart draws of the sparse edges
 _EDGE_SEED = 0
 
+#: ARPACK's relative accuracy for the Ritz values of the real edges' Lanczos solves
+_EDGE_ARPACK_TOL = 1e-8
+
+#: largest certified error of a real edge, relative to hi = ||H||_2; a larger
+#: one sends the realization to the dense spectrum
+_EDGE_BOUND = 1e-6
+
 
 def _spectrum_edges(e: np.ndarray) -> tuple[float, float, float, float]:
     """(lo, hi, gap_lo, gap_hi) of a sorted spectrum: its ends and the
@@ -884,13 +897,15 @@ def _paired_edges(
     top eigenvalue, and the one nearest 0 by shift-invert.  With ``even``
     (H paired with even parity) and a Majorana image A of H
     (:func:`~bdgtools.spectral._majorana_image`), both are real symmetric
-    Lanczos solves on A^T A (:func:`_majorana_edges`); otherwise, or when
-    the image is refused, complex Arnoldi solves on H.  Both start from one
-    seeded vector and draw any restart from a seeded generator, so a
-    realization's edges do not depend on the call (``eigsh`` forwards a
-    complex ``A`` to ``eigs`` without the generator, so ``eigs`` is called
-    directly).  A singular shift-invert factorization (0 is an eigenvalue
-    to rounding) or a solve that does not converge takes the dense route.
+    Lanczos solves on A^T A (:func:`_majorana_edges`), each edge certified
+    by its Ritz residual to within ``_EDGE_BOUND`` hi; otherwise, or when
+    the image is refused, complex Arnoldi solves on H at ARPACK's machine
+    precision.  Both start from one seeded vector and draw any restart
+    from a seeded generator, so a realization's edges do not depend on the
+    call (``eigsh`` forwards a complex ``A`` to ``eigs`` without the
+    generator, so ``eigs`` is called directly).  A singular shift-invert
+    factorization (0 is an eigenvalue to rounding), a solve that does not
+    converge or a real edge whose certificate fails takes the dense route.
     The complex shift-invert solves negate those of the pencil's ``0 - H``,
     factored as :class:`ResolventSolver` factors, on H's own pattern (zeros
     dropped).
@@ -916,22 +931,49 @@ def _majorana_edges(H: FiniteVolumeOperator, A: sp.spmatrix) -> tuple[float, flo
     eigenvalues are +-sigma, sigma^2 those of the real symmetric A^T A, so
     hi^2 is its top eigenvalue and g^2 its bottom one, 1 / the top
     eigenvalue of A^-1 A^-T.  Both come from real Lanczos (ARPACK's
-    ``dsaupd`` in place of ``znaupd``); A^-1 and A^-T share one real factor
-    of A in the dissection order, rows swapped within each site
-    (:class:`~bdgtools.lattice._Pencil`).  The pencil at 0 is -A, and the two
-    signs cancel in A^-1 A^-T.  Raises ``RuntimeError`` as the complex route
-    does."""
+    ``dsaupd`` in place of ``znaupd``) at ``_EDGE_ARPACK_TOL``; A^-1 and A^-T
+    share one real factor of A in the dissection order, rows swapped within
+    each site (:class:`~bdgtools.lattice._Pencil`).  The pencil at 0 is -A,
+    and the two signs cancel in A^-1 A^-T (``_Pencil.gram_solve``).  Each
+    edge is certified by its Ritz residual (:func:`_majorana_ritz`): both
+    bounds must be at most ``_EDGE_BOUND`` hi, or this raises
+    ``RuntimeError`` and the caller takes the dense spectrum, as it does for
+    every ``RuntimeError`` of the complex route."""
+    (hi, g), bounds = _majorana_ritz(H, A)
+    if not max(bounds) <= _EDGE_BOUND * hi:  # a NaN bound fails too
+        raise RuntimeError(f"edges (hi, g) = ({hi}, {g}) certified only to {bounds}")
+    return (-hi, hi, -g, g)
+
+
+def _majorana_ritz(H: FiniteVolumeOperator, A: sp.spmatrix) -> tuple[tuple[float, float],
+                                                                      tuple[float, float]]:
+    """The edges (hi, g) of :func:`_majorana_edges` and their certified
+    errors.  A Ritz pair (theta, x) of the symmetric A^T A with residual
+    r = A^T A x - theta x has an eigenvalue lambda within ||r|| / ||x|| of
+    theta, so the edge sqrt(theta) lies within ||r|| / (||x|| sqrt(theta)) of
+    sqrt(lambda) (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4); a
+    theta <= 0 has no bound (inf)."""
     v0 = np.random.default_rng(_EDGE_SEED).uniform(-1.0, 1.0, H.dim)
-    kw = dict(k=1, v0=v0, rng=_EDGE_SEED, return_eigenvectors=False)
+    kw = dict(k=1, v0=v0, rng=_EDGE_SEED, tol=_EDGE_ARPACK_TOL)
     At = A.T.tocsr()
-    AtA = LinearOperator(A.shape, matvec=lambda x: At @ (A @ x), dtype=float)
-    hi = math.sqrt(float(eigsh(AtA, which="LA", **kw)[0]))
+
+    def gram(x):
+        return At @ (A @ x)
+
+    AtA = LinearOperator(A.shape, matvec=gram, dtype=float)
+    top = eigsh(AtA, which="LA", **kw)
     pencil = _Pencil(H, A, swap=True)
     lu = pencil.factor(0.0, 0.01)
-    OPinv = LinearOperator(A.shape, matvec=lambda b: pencil.solve(lu, pencil.solve(lu, b, "T")),
-                           dtype=float)
-    g = math.sqrt(float(eigsh(AtA, sigma=0.0, OPinv=OPinv, **kw)[0]))
-    return (-hi, hi, -g, g)
+    OPinv = LinearOperator(A.shape, matvec=lambda b: pencil.gram_solve(lu, b), dtype=float)
+    bottom = eigsh(AtA, sigma=0.0, OPinv=OPinv, **kw)
+    certified = []
+    for w, v in (top, bottom):
+        theta, x = float(w[0]), v[:, 0]
+        edge = math.sqrt(max(theta, 0.0))
+        r = float(np.linalg.norm(gram(x) - theta * x) / np.linalg.norm(x))
+        certified.append((edge, r / edge if edge > 0.0 else math.inf))
+    (hi, hi_bound), (g, g_bound) = certified
+    return (hi, g), (hi_bound, g_bound)
 
 
 def _edge_stats(ens: _Ensemble) -> tuple[SpectralEdges, int]:

@@ -632,6 +632,15 @@ class _Pencil:
         x[cols] = y
         return x
 
+    def gram_solve(self, lu, b: np.ndarray) -> np.ndarray:
+        """``(P^T P)^{-1} b = P^{-1} P^{-T} b`` of the pencil P factored in
+        ``lu``: ``solve(lu, solve(lu, b, "T"))`` without the scatter to q that
+        the plain solve gathers back from q, so bit for bit the same."""
+        y = lu.solve(lu.solve(b[self.p], trans="T"))
+        x = np.empty(b.shape, dtype=y.dtype)
+        x[self.p] = y
+        return x
+
 
 def _require_periodic_box(L: tuple[int, int], R: int) -> None:
     """The periodic box rule: L1, L2 > 2R, so that no hop of range R wraps onto

@@ -24,6 +24,7 @@ import bdgtools
 from bdgtools import lattice, models
 from bdgtools.cli import (
     _COMMANDS,
+    VERIFY_CHECKS,
     ExperimentManifest,
     _build_parser,
     _manifest_from_args,
@@ -306,6 +307,21 @@ def test_verify_passes_on_clean_build(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "verify: PASS" in out and "FAIL" not in out
+
+
+def test_verify_times_every_check_on_stderr_only(tmp_path, capsys):
+    assert main(["verify"]) == 0
+    out, err = capsys.readouterr()
+    timed = [line.split(" ") for line in err.splitlines()]
+    assert [t[1] for t in timed] == [name for name, _ in VERIFY_CHECKS]
+    assert all(len(t) == 4 and t[0] == "verify:" and t[3] == "s" and float(t[2]) >= 0.0
+               for t in timed)
+    assert [line for line in out.splitlines() if line.startswith("verify:")] == ["verify: PASS"]
+    report = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(report)]) == 0
+    again = capsys.readouterr()
+    assert again.out == "" and report.read_text() == out
+    assert [line.split(" ")[1] for line in again.err.splitlines()] == [t[1] for t in timed]
 
 
 def test_verify_flags_sign_defect_in_pairing(monkeypatch, capsys):

@@ -37,6 +37,7 @@ def _reference(m) -> None:
     """Every factor of a pencil taken by :func:`_reference_factor`."""
     m.setattr(_Pencil, "factor", _reference_factor)
     m.setattr(_Pencil, "solve", lambda pencil, lu, b, trans="N": lu.solve(b, trans=trans))
+    m.setattr(_Pencil, "gram_solve", lambda pencil, lu, b: lu.solve(lu.solve(b, trans="T")))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,13 @@ from bdgtools.greens import (
     spectral_distance,
     tmatrix_update,
 )
-from bdgtools.lattice import FiberShape, _dissection_order, assemble_finite_volume, tight_binding
+from bdgtools.lattice import (
+    FiberShape,
+    _dissection_order,
+    _Pencil,
+    assemble_finite_volume,
+    tight_binding,
+)
 from bdgtools.models import ModelParams, build_model, central_gap
 
 PIP = build_model("pip+", delta=0.3, mu=-0.5)
@@ -758,6 +764,79 @@ def test_sparse_edges_fall_back_to_the_dense_spectrum(failure, monkeypatch):
         assert pd.edge_fallbacks == (0, 4, 4), refused
         for i, lam in enumerate((0.3, 0.6), start=1):
             assert pd.edges[i] == _dense_edges(PIP, SPEC, lam, (12, 12), 4, 3), refused
+
+
+# the certificate of the real edges: a Ritz pair (theta, x) of A^T A puts an
+# eigenvalue within ||A^T A x - theta x|| / ||x|| of theta
+
+
+@pytest.mark.parametrize("spec_name", EDGE_SPECS)
+@pytest.mark.parametrize("name", EDGE_MODELS)
+def test_each_certified_edge_bound_holds_its_distance_to_the_dense_edge(name, spec_name):
+    delta, mu, L = EDGE_MODELS[name]
+    model = build_model(name, delta=delta, mu=mu)
+    spec = _spec(model.fiber.r, EDGE_SPECS[spec_name])
+    for lam in (0.2, 0.6, 1.2):
+        for i in range(3):
+            H = build_random_hamiltonian(model, spec, lam, sample_realization(spec, (L, L), 5 + i))
+            A = greens._majorana_image(H)
+            assert A is not None
+            (hi, g), (hi_bound, g_bound) = greens._majorana_ritz(H, A)
+            _, dense_hi, _, dense_g = greens._spectrum_edges(H.eigenvalues())
+            assert max(hi_bound, g_bound) <= greens._EDGE_BOUND * hi
+            rounding = 1e-13 * dense_hi  # the dense reference's own error, fixed before any run
+            assert abs(hi - dense_hi) <= hi_bound + rounding, (lam, i)
+            assert abs(g - dense_g) <= g_bound + rounding, (lam, i)
+
+
+@pytest.mark.parametrize("solve", ["top", "shift-invert"])
+def test_an_edge_off_its_certificate_takes_the_dense_spectrum(solve, monkeypatch):
+    """A Ritz value moved by 1e-3 from its vector's Rayleigh quotient fails the
+    1e-6 hi bound, and the realization's edges come from its dense spectrum."""
+    eigsh = greens.eigsh
+
+    def perturbed(A, **kw):
+        w, v = eigsh(A, **kw)
+        return (w + 1e-3 if ("sigma" in kw) == (solve == "shift-invert") else w), v
+
+    monkeypatch.setattr(greens, "eigsh", perturbed)
+    pd = localization_phase_diagram(PIP, SPEC, [0.0, 0.3, 0.6], [-9.0], L=12, n_realizations=4,
+                                    seed=3)
+    assert pd.edge_fallbacks == (0, 4, 4)
+    for i, lam in enumerate((0.3, 0.6), start=1):
+        assert pd.edges[i] == _dense_edges(PIP, SPEC, lam, (12, 12), 4, 3)
+
+
+@pytest.mark.parametrize("spec_name", EDGE_SPECS)
+@pytest.mark.parametrize("name", EDGE_MODELS)
+def test_the_real_shift_invert_operator_repeats_the_two_pencil_solves(name, spec_name,
+                                                                      monkeypatch):
+    """A^-1 A^-T b of the real edges is, bit for bit, the pencil's transposed
+    solve followed by its plain one, the composition it replaced."""
+    delta, mu, L = EDGE_MODELS[name]
+    model = build_model(name, delta=delta, mu=mu)
+    spec = _spec(model.fiber.r, EDGE_SPECS[spec_name])
+    seen = []
+
+    def eigsh(A, OPinv=None, **kw):
+        if OPinv is None:  # the top edge: not what this test is about
+            return np.ones(1), np.ones((A.shape[0], 1))
+        seen.extend(OPinv.matvec(b) for b in rhs)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(greens, "eigsh", eigsh)
+    for lam in (0.2, 1.2):
+        H = build_random_hamiltonian(model, spec, lam, sample_realization(spec, (L, L), 5))
+        A = greens._majorana_image(H)
+        rhs = np.random.default_rng(7).uniform(-1.0, 1.0, (2, H.dim))
+        pencil = _Pencil(H, A, swap=True)
+        lu = pencil.factor(0.0, 0.01)
+        want = [pencil.solve(lu, pencil.solve(lu, b, "T")) for b in rhs]
+        seen.clear()
+        with pytest.raises(RuntimeError, match="captured"):
+            greens._majorana_edges(H, A)
+        assert [x.dtype for x in seen] == [np.float64] * 2
+        assert [x.tobytes() for x in seen] == [x.tobytes() for x in want], lam
 
 
 def test_sparse_edges_repeat_across_calls_and_thread_counts():
